@@ -1,6 +1,6 @@
-"""bregopt benchmark: one workload per process, timed untraced or traced.
+"""bregopt benchmark: one workload per run, timed untraced or traced.
 
-    python3 perfbench/run.py --workload desk --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload desk --seed 1 --seconds 10 --trace 0
 
 Run from the root of a checkout; the library is imported from ``src/`` of
 that checkout.  With ``--trace 0`` the last line of standard output is a JSON
@@ -29,20 +29,16 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 # The keys of workloads.WORKLOADS.  That module imports numpy, so it is only
 # imported once the BLAS thread count is pinned; likewise numpy and bregopt.
-WORKLOAD_NAMES = ("desk", "blas-vr", "blas-det", "audit")
+WORKLOAD_NAMES = ("desk", "blas-saga", "blas-sarah", "blas-det", "audit")
 
 BLAS_THREADS = 1  # OpenBLAS at 1 and 2 threads timed the same at 500x1000 r=10
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# glibc otherwise moves its mmap threshold at run time, depending on which
-# large block a process happened to free first.  Whole processes then settled
-# at one of two speeds, the slow one spending half its time zero-filling
-# freshly mapped temporaries.  Fixed thresholds keep the large temporaries in
-# the heap, so every process measures the same allocator behaviour.
-MALLOC_MMAP_THRESHOLD = 64 << 20
-MALLOC_TRIM_THRESHOLD = 256 << 20
-IMPORT_REPS = 3  # timed fresh-interpreter imports, after one untimed warm-up
-SETUP_REPS = 5
-MIN_REPS = 2  # body repetitions (of each kind when traced), even past --seconds
+# An untraced run is split over this many fresh processes, one after the
+# other, each set up once as a user's script would be.  Each process settles
+# into its own pattern of page faults on the large numpy temporaries
+# (README.md), so one process is not a fair sample.
+PROCESSES = 5
+MIN_REPS = 2  # body repetitions per process (of each kind when traced)
 
 
 def parse_args(argv):
@@ -51,43 +47,13 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    # internal: measure in this process only and print the sample as JSON
+    p.add_argument("--one-process", action="store_true", help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
 # environment
-
-
-def _time_import() -> float:
-    """Seconds to import bregopt in a fresh interpreter."""
-    code = (
-        "import time; t = time.perf_counter(); import bregopt; "
-        "print(time.perf_counter() - t)"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    return float(out.stdout.strip().splitlines()[-1])
-
-
-def _pin_allocator() -> bool:
-    """Fix glibc's mmap and trim thresholds; False where there is no glibc."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return False
-    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
-    return (
-        mallopt(m_trim_threshold, MALLOC_TRIM_THRESHOLD) == 1
-        and mallopt(m_mmap_threshold, MALLOC_MMAP_THRESHOLD) == 1
-    )
 
 
 def _blas_threads_in_use():
@@ -128,7 +94,7 @@ def _source_digest() -> str:
     return h.hexdigest()[:16]
 
 
-def environment(args, allocator_pinned: bool) -> dict:
+def environment(args) -> dict:
     import numpy as np
     import scipy
 
@@ -143,7 +109,6 @@ def environment(args, allocator_pinned: bool) -> dict:
         "openblas": np.__config__.CONFIG["Build Dependencies"]["blas"].get("version"),
         "blas_threads_pinned": BLAS_THREADS,
         "blas_threads_in_use": _blas_threads_in_use(),
-        "malloc_thresholds_pinned": allocator_pinned,
         "nproc": len(os.sched_getaffinity(0)),
         "git_commit": _git_commit(),
         "src_sha256": _source_digest(),
@@ -156,13 +121,13 @@ def environment(args, allocator_pinned: bool) -> dict:
 
 
 class Measurement:
-    """Set-up repetitions, then body repetitions until the time is up.
+    """One set-up, then body repetitions until the time is up.
 
     In a traced run the body repetitions alternate untraced and traced, so
     the tracing overhead is measured in the same process.
     """
 
-    def __init__(self, workload, seed: int, workdir: Path, traced: bool):
+    def __init__(self, workload, seed: int, workdir: Path, traced: bool, import_time: float):
         from tracer import Tracer
         from workloads import Check
 
@@ -173,11 +138,17 @@ class Measurement:
         self.setup_tracer = Tracer() if traced else None
         self.body_tracer = Tracer() if traced else None
         self.check = Check()
-        self.setup_times: list[float] = []
+        self.import_time = import_time  # first import of bregopt in this process
         self.plain_times: list[float] = []
+        self.plain_faults: list[int] = []
         self.traced_times: list[float] = []
-        # untraced run-call latencies by configuration: (kind, algorithm, estimator)
-        self.latencies: dict[tuple, list[float]] = {}
+        # body time over the mean calibration time just before and after it;
+        # calibrations[0] runs right after the set-up
+        self.plain_cal: list[float] = []
+        self.traced_cal: list[float] = []
+        self.calibrations: list[float] = []
+        # untraced run-call latencies by configuration: kind/algorithm/estimator
+        self.latencies: dict[str, list[float]] = {}
         self.traced_runs: list = []  # (iterations_run, hit_eta_floor)
 
     def _timed(self, fn, tracer):
@@ -195,34 +166,41 @@ class Measurement:
         return out, dt
 
     def setup(self):
-        for _ in range(SETUP_REPS):
-            self.state, dt = self._timed(
-                lambda: self.workload.setup(self.seed, self.workdir), self.setup_tracer
-            )
-            self.setup_times.append(dt)
+        self.state, self.setup_time = self._timed(
+            lambda: self.workload.setup(self.seed, self.workdir), self.setup_tracer
+        )
 
     def body(self, seconds: float):
+        from calibration import seconds as calibration_seconds
         from workloads import Recorder, check_body
 
         start = perf_counter()
+        self.calibrations.append(calibration_seconds())
         i = 0
         while True:
             traced = self.traced and i % 2 == 1
             rec = Recorder()
+            faults = _minor_faults()
             _, dt = self._timed(
                 lambda: self.workload.body(self.state, rec),
                 self.body_tracer if traced else None,
             )
+            faults = _minor_faults() - faults
+            self.calibrations.append(calibration_seconds())
+            in_cal = dt / statistics.fmean(self.calibrations[-2:])
             check_body(rec, self.check)
             if traced:
                 self.traced_times.append(dt)
+                self.traced_cal.append(in_cal)
                 self.traced_runs += [
                     (c.result.iterations_run, c.result.hit_eta_floor) for c in rec.runs
                 ]
             else:
                 self.plain_times.append(dt)
+                self.plain_faults.append(faults)
+                self.plain_cal.append(in_cal)
                 for c in rec.runs:
-                    key = (c.problem.kind, c.cfg.algorithm, c.cfg.estimator)
+                    key = f"{c.problem.kind}/{c.cfg.algorithm}/{c.cfg.estimator}"
                     self.latencies.setdefault(key, []).append(c.seconds)
             i += 1
             enough = len(self.plain_times) >= MIN_REPS and (
@@ -232,155 +210,180 @@ class Measurement:
                 break
 
 
-def _latency_ms(m: Measurement, q: float) -> float:
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measure(workload: str, seed: int, seconds: float, traced: bool) -> Measurement:
+    """Import bregopt, set up once and time one workload in this process."""
+    import numpy  # noqa: F401  (bregopt's dependencies load untimed)
+    import scipy.optimize  # noqa: F401
+
+    t0 = perf_counter()
+    import bregopt
+
+    import_time = perf_counter() - t0
+
+    if Path(bregopt.__file__).resolve().parent != SRC / "bregopt":
+        raise RuntimeError(f"bregopt imported from {bregopt.__file__}, not {SRC}")
+    from workloads import WORKLOADS
+
+    workdir = ROOT / ".bench_out" / f"{workload}-{os.getpid()}"
+    workdir.mkdir(parents=True)
+    try:
+        m = Measurement(WORKLOADS[workload], seed, workdir, traced, import_time)
+        m.setup()
+        m.body(seconds)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+        try:
+            workdir.parent.rmdir()
+        except OSError:
+            pass  # another run still uses it
+    return m
+
+
+def process_sample(workload: str, seed: int, seconds: float) -> dict:
+    """An untraced measurement in a fresh process, as plain data."""
+    m = measure(workload, seed, seconds, traced=False)
+    c = m.check
+    return {
+        "import": m.import_time,
+        "setup": m.setup_time,
+        "body": m.plain_times,
+        "body_cal": m.plain_cal,
+        "calibrations": m.calibrations,
+        "faults": m.plain_faults,
+        "latencies": m.latencies,
+        "objectives": c.objectives,
+        "attempted": c.attempted,
+        "failed": c.failed,
+        "messages": c.messages,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def sample_processes(args) -> list[dict]:
+    """PROCESSES untraced measurements, each in a fresh process started after
+    the previous one has ended, sharing --seconds of body time."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--one-process"]
+    cmd += ["--workload", args.workload, "--seed", str(args.seed)]
+    cmd += ["--seconds", repr(args.seconds / PROCESSES)]
+    samples = []
+    for _ in range(PROCESSES):
+        out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=170)
+        if out.returncode != 0:
+            sys.stderr.write(out.stderr)
+            raise RuntimeError(f"measuring process exited with code {out.returncode}")
+        samples.append(json.loads(out.stdout.splitlines()[-1]))
+    return samples
+
+
+def _latency_ms(latencies: dict, q: float) -> float:
     """The q-th percentile of run-call latency within each configuration,
     averaged over configurations.  Pooled, the percentile of a mix of fast
     and slow configurations jumps between them from seed to seed."""
     import numpy as np
 
-    return 1e3 * statistics.fmean(float(np.percentile(v, q)) for v in m.latencies.values())
+    return 1e3 * statistics.fmean(float(np.percentile(v, q)) for v in latencies.values())
 
 
-def end_to_end(m: Measurement, import_times) -> dict:
+def end_to_end(samples: list[dict]) -> dict:
+    """Timings are in reference seconds (calibration.py): ``wall_s`` is the
+    median over all bodies, ``setup_s`` the median over the processes of the
+    import plus set-up, timed against the calibration right after it."""
+    from calibration import QUIET_SECONDS
+
     return {
-        "wall_s": (statistics.median(m.plain_times), "s"),
-        "setup_s": (statistics.median(import_times) + statistics.median(m.setup_times), "s"),
-        "run_ms_p90": (_latency_ms(m, 90), "ms"),
-        "final_objective": (statistics.fmean(m.check.objectives), "objective"),
-        "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
+        "wall_s": QUIET_SECONDS
+        * statistics.median(r for s in samples for r in s["body_cal"]),
+        "setup_s": QUIET_SECONDS
+        * statistics.median((s["import"] + s["setup"]) / s["calibrations"][0] for s in samples),
+        "final_objective": statistics.fmean(o for s in samples for o in s["objectives"]),
+        "peak_rss_mb": max(s["peak_rss_mb"] for s in samples),
     }
 
 
-def per_layer(m: Measurement) -> dict:
-    """Per-layer metrics per workload pass: one set-up plus one body."""
-    from tracer import MODULES
+def per_layer(m: Measurement, names) -> dict:
+    """Per-layer metrics per workload pass: one set-up plus one body.
 
-    phases = ((m.setup_tracer, len(m.setup_times)), (m.body_tracer, len(m.traced_times)))
+    ``<span>.calls``, ``<span>.s`` and ``<span>.self_s`` are read from the
+    span aggregates; the other names are derived below.
+    """
+    phases = ((m.setup_tracer, 1), (m.body_tracer, len(m.traced_times)))
 
     def spans(pred, what="total"):
         return sum(
-            (
-                getattr(s, what) / n
-                for tr, n in phases
-                for name, s in tr.stats.items()
-                if pred(name)
-            ),
-            0.0,
+            getattr(s, what) / n for tr, n in phases for name, s in tr.stats.items() if pred(name)
         )
-
-    def span(name, what="total"):
-        return spans(lambda n: n == name, what)
 
     def counter(get):
         return sum(get(tr) / n for tr, n in phases)
 
-    runs_per_body = len(m.traced_runs) / len(m.traced_times)
+    def ratio(a, b):
+        return a / b if b else 0.0
+
     iterations = sum(it for it, _ in m.traced_runs) / len(m.traced_times)
     obj_passes = counter(lambda tr: tr.objective_passes)
     grad_passes = counter(lambda tr: sum(tr.samples.values()))
     est_passes = counter(lambda tr: tr.samples["estimator"])
-    flop_s = counter(lambda tr: tr.flop_seconds)
-    run_s = span("solver.run")
-    traced_wall = statistics.fmean(m.setup_times) + statistics.fmean(m.traced_times)
-    attributed = counter(lambda tr: tr.top_level_seconds())
-
-    out = {
-        "numeric.spectral_norm.calls": (span("numeric.spectral_norm", "calls"), "count"),
-        "numeric.spectral_norm.s": (span("numeric.spectral_norm"), "s"),
-        "numeric.cubic_root.s": (span("numeric.cubic_root"), "s"),
-        "numeric.as_dense.calls": (span("numeric.as_dense", "calls"), "count"),
-        "kernels.FactorPair.calls": (span("kernels.FactorPair", "calls"), "count"),
-        "kernels.bregman_distance.calls": (span("kernels.bregman_distance", "calls"), "count"),
-        "kernels.bregman_distance.s": (span("kernels.bregman_distance"), "s"),
-        "kernels.kernel_gradient.s": (span("kernels.kernel_gradient"), "s"),
-        "problems.objective.calls": (span("problems.objective", "calls"), "count"),
-        "problems.objective.s": (span("problems.objective"), "s"),
-        "problems.objective.passes": (obj_passes, "passes"),
-        "problems.data_gradient.calls": (span("problems.data_gradient", "calls"), "count"),
-        "problems.data_gradient.s": (span("problems.data_gradient"), "s"),
-        "problems.batch_table.s": (span("problems.batch_table"), "s"),
-        "problems.gradient_table.s": (span("problems.gradient_table"), "s"),
-        "problems.local_lipschitz.s": (span("problems.local_lipschitz"), "s"),
-        "problems.prox_step.s": (span("problems.prox_step"), "s"),
-        "problems.prox_step.self_s": (span("problems.prox_step", "self_time"), "s"),
-        "problems.hard_threshold_axis.s": (span("problems.hard_threshold_axis"), "s"),
-        "problems.gflops_computed": (
-            counter(lambda tr: tr.flops) / flop_s / 1e9 if flop_s else 0.0,
-            "GFLOP/s",
-        ),
-        "problems.build_knn_laplacian.s": (span("problems.build_knn_laplacian"), "s"),
-        "problems.build_problem.s": (span("problems.build_problem"), "s"),
-        "harness.generate_synthetic.s": (span("harness.generate_synthetic"), "s"),
-        "work.objective_pass_share": (
-            obj_passes / (obj_passes + grad_passes) if obj_passes + grad_passes else 0.0,
-            "ratio",
-        ),
-        "work.gradient_passes": (grad_passes, "passes"),
-        "work.audit_passes": (counter(lambda tr: tr.samples["audit"]), "passes"),
-    }
-    for est in ("FullGradient", "SAGA", "SARAH"):
-        name = f"estimators.{est}.estimate"
-        out[f"{name}.calls"] = (span(name, "calls"), "count")
-        out[f"{name}.s"] = (span(name), "s")
-    out.update(
-        {
-            "estimators.SAGA.initialize.s": (span("estimators.SAGA.initialize"), "s"),
-            "estimators.SARAH.restarts": (counter(lambda tr: tr.sarah_restarts), "count"),
-            "estimators.data_passes": (est_passes, "passes"),
-            "estimators.s_per_pass": (run_s / est_passes if est_passes else 0.0, "s"),
-            "estimators.audit.s": (
-                spans(lambda n: n.startswith("estimators.") and n.endswith(".audit")),
-                "s",
-            ),
-            "estimators.estimate_sample_lipschitz.s": (
-                span("estimators.estimate_sample_lipschitz"),
-                "s",
-            ),
-            "estimators.check_geometric_decay.s": (
-                span("estimators.check_geometric_decay"),
-                "s",
-            ),
-            "solver.run.calls": (runs_per_body, "count"),
-            "solver.run.self_s": (span("solver.run", "self_time"), "s"),
-            "solver.iterations": (iterations, "count"),
-            "solver.us_per_iteration": (run_s / iterations * 1e6 if iterations else 0.0, "us"),
-            "solver.extrapolate.s": (span("solver.extrapolate"), "s"),
-            "solver.step_size.s": (span("solver.step_size"), "s"),
-            "solver.stationarity_witness.s": (span("solver.stationarity_witness"), "s"),
-            "solver.lyapunov.calls": (span("solver.lyapunov", "calls"), "count"),
-            "solver.rate_check.s": (span("solver.rate_check"), "s"),
-            "solver.eta_floor_hits": (
-                sum(hit for _, hit in m.traced_runs) / len(m.traced_times),
-                "count",
-            ),
-            "harness.run_compare.self_s": (span("harness.run_compare", "self_time"), "s"),
-            "harness.run_audit.self_s": (span("harness.run_audit", "self_time"), "s"),
-            "harness.aggregate_traces.s": (span("harness.aggregate_traces"), "s"),
-            "harness.write_trace_csv.s": (span("harness.write_trace_csv"), "s"),
-            "harness.kmeans_accuracy.s": (span("harness.kmeans_accuracy"), "s"),
-            "cli.main.self_s": (span("cli.main", "self_time"), "s"),
-        }
-    )
-    for layer in MODULES:
-        out[f"layer.{layer}.self_s"] = (
-            spans(lambda n, layer=layer: n.split(".", 1)[0] == layer, "self_time"),
-            "s",
+    run_s = spans(lambda n: n == "solver.run")
+    traced_wall = m.setup_time + statistics.fmean(m.traced_times)
+    derived = {
+        "problems.objective.passes": lambda: obj_passes,
+        "problems.gflops_computed": lambda: ratio(
+            counter(lambda tr: tr.flops), counter(lambda tr: tr.flop_seconds)
         )
-    out.update(
-        {
-            "trace.wall_s": (traced_wall, "s"),
-            "trace.unattributed_s": (traced_wall - attributed, "s"),
-            "trace.spans": (spans(lambda n: True, "calls"), "count"),
-            "trace.overhead_frac": (
-                statistics.median(m.traced_times) / statistics.median(m.plain_times) - 1.0,
-                "ratio",
-            ),
-        }
-    )
+        / 1e9,
+        "work.objective_pass_share": lambda: ratio(obj_passes, obj_passes + grad_passes),
+        "work.gradient_passes": lambda: grad_passes,
+        "work.audit_passes": lambda: counter(lambda tr: tr.samples["audit"]),
+        "estimators.SARAH.restarts": lambda: counter(lambda tr: tr.sarah_restarts),
+        "estimators.data_passes": lambda: est_passes,
+        "estimators.s_per_pass": lambda: ratio(run_s, est_passes),
+        "estimators.audit.s": lambda: spans(
+            lambda n: n.startswith("estimators.") and n.endswith(".audit")
+        ),
+        "solver.iterations": lambda: iterations,
+        "solver.us_per_iteration": lambda: ratio(run_s, iterations) * 1e6,
+        "solver.eta_floor_hits": lambda: sum(hit for _, hit in m.traced_runs)
+        / len(m.traced_times),
+        "trace.wall_s": lambda: traced_wall,
+        "trace.unattributed_s": lambda: traced_wall
+        - counter(lambda tr: tr.top_level_seconds()),
+        "trace.spans": lambda: spans(lambda n: True, "calls"),
+        "trace.overhead_frac": lambda: statistics.median(m.traced_cal)
+        / statistics.median(m.plain_cal)
+        - 1.0,
+        "alloc.minor_faults": lambda: statistics.fmean(m.plain_faults),
+    }
+    fields = {"calls": "calls", "s": "total", "self_s": "self_time"}
+    out = {}
+    for name in names:
+        span, _, what = name.rpartition(".")
+        if name in derived:
+            out[name] = derived[name]()
+        elif span.startswith("layer.") and what == "self_s":
+            layer = span.removeprefix("layer.")
+            out[name] = spans(lambda n: n.partition(".")[0] == layer, "self_time")
+        elif what in fields and span in m.body_tracer.stats:
+            out[name] = spans(lambda n: n == span, fields[what])
+        else:
+            raise KeyError(f"per-layer metric {name!r} names no traced span")
     return out
 
 
+def declared_metrics(trace: int) -> dict:
+    """Metric name -> unit, as BENCHMARK.json lists them for this kind of run."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
+
+
 # ---------------------------------------------------------------------------
+
+
+def _times(values) -> str:
+    return " ".join(f"{t:.4g}" for t in values)
 
 
 def main(argv=None) -> int:
@@ -388,60 +391,69 @@ def main(argv=None) -> int:
     if not (SRC / "bregopt" / "__init__.py").is_file():
         print(f"error: no bregopt sources in {SRC}", file=sys.stderr)
         return 2
-    # The BLAS reads its thread count when numpy loads it, so pin it first.
+    # The BLAS reads its thread count when numpy loads it, so pin it first;
+    # the processes started below inherit the setting.
     for var in BLAS_THREAD_VARS:
         os.environ[var] = str(BLAS_THREADS)
-    allocator_pinned = _pin_allocator()
-    import_times = [_time_import() for _ in range(IMPORT_REPS + 1)][1:]
     sys.path.insert(0, str(SRC))
-    import bregopt
+    if args.one_process:
+        print(json.dumps(process_sample(args.workload, args.seed, args.seconds)))
+        return 0
+    units = declared_metrics(args.trace)
+    print("env " + json.dumps(environment(args), sort_keys=True))
 
-    if Path(bregopt.__file__).resolve().parent != SRC / "bregopt":
-        print(f"error: bregopt imported from {bregopt.__file__}", file=sys.stderr)
-        return 2
-    from workloads import WORKLOADS
-
-    env = environment(args, allocator_pinned)
-    workdir = ROOT / ".bench_out" / f"{args.workload}-{os.getpid()}"
-    workdir.mkdir(parents=True)
-    try:
-        m = Measurement(WORKLOADS[args.workload], args.seed, workdir, bool(args.trace))
-        m.setup()
-        m.body(args.seconds)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-        try:
-            workdir.parent.rmdir()
-        except OSError:
-            pass  # another run still uses it
-
-    metrics = per_layer(m) if args.trace else end_to_end(m, import_times)
-    c = m.check
-    print("env " + json.dumps(env, sort_keys=True))
-    print(
-        f"repetitions: setup {len(m.setup_times)}, body untraced {len(m.plain_times)}, "
-        f"body traced {len(m.traced_times)}; run calls timed "
-        f"{sum(map(len, m.latencies.values()))} in {len(m.latencies)} configurations; "
-        f"import timed {len(import_times)}"
-    )
-    print("body seconds, untraced: " + " ".join(f"{t:.4g}" for t in m.plain_times))
-    if m.traced_times:
-        print("body seconds, traced: " + " ".join(f"{t:.4g}" for t in m.traced_times))
+    if args.trace:
+        m = measure(args.workload, args.seed, args.seconds, traced=True)
+        values = per_layer(m, units)
+        latencies = m.latencies
+        attempted, failed, messages = m.check.attempted, m.check.failed, m.check.messages
+        print(f"one process: import {m.import_time:.4g} s, traced set-up {m.setup_time:.4g} s")
+        print("body seconds, untraced: " + _times(m.plain_times))
+        print("body seconds, traced: " + _times(m.traced_times))
+    else:
+        samples = sample_processes(args)
+        values = end_to_end(samples)
+        latencies = {}
+        for s in samples:
+            for key, v in s["latencies"].items():
+                latencies.setdefault(key, []).extend(v)
+        attempted = sum(s["attempted"] for s in samples)
+        failed = sum(s["failed"] for s in samples)
+        messages = [msg for s in samples for msg in s["messages"]]
+        for i, s in enumerate(samples):
+            print(f"process {i}: import {s['import']:.4g} s, set-up {s['setup']:.4g} s")
+            print(f"process {i}: body seconds {_times(s['body'])}")
+            print(f"process {i}: calibration seconds {_times(s['calibrations'])}")
+            print(f"process {i}: body minor faults {' '.join(map(str, s['faults']))}")
+        bodies = [t for s in samples for t in s["body"]]
+        setups = [s["import"] + s["setup"] for s in samples]
+        # Printed, not metrics: plain wall time follows the host's drift.
+        print(
+            f"plain wall time: body {statistics.median(bodies):.6g} s median, "
+            f"{min(bodies):.6g} s fastest, over {len(bodies)} bodies; import plus "
+            f"set-up {statistics.median(setups):.6g} s median"
+        )
+    metrics = {name: (values[name], unit) for name, unit in units.items()}
     for name, (value, unit) in metrics.items():
         print(f"{name} {value:.6g} {unit}")
-    if m.latencies:
-        # Printed, not a metric: the per-run cost varies with the data set, and
-        # the median spread by up to 29% across seeds (the 90th percentile: 23%).
-        print(f"run_ms_p50 {_latency_ms(m, 50):.6g} ms (not a BENCHMARK.json metric)")
-    print(f"failed_frac {c.failed / c.attempted:.6g} ({c.failed} of {c.attempted} operations)")
-    for msg in c.messages[:20]:
+    if latencies:
+        # Printed, not metrics: on a shared host these percentiles take in
+        # whatever slowed the host during the run (see README.md).
+        n = sum(map(len, latencies.values()))
+        for q in (50, 90):
+            print(
+                f"run_ms_p{q} {_latency_ms(latencies, q):.6g} ms over {n} run calls "
+                f"in {len(latencies)} configurations (not a BENCHMARK.json metric)"
+            )
+    print(f"failed_frac {failed / attempted:.6g} ({failed} of {attempted} operations)")
+    for msg in messages[:20]:
         print(f"check failed: {msg}")
     print(
         json.dumps(
             {
-                "correct": c.failed == 0 and c.attempted > 0,
-                "attempted": c.attempted,
-                "failed": c.failed,
+                "correct": failed == 0 and attempted > 0,
+                "attempted": attempted,
+                "failed": failed,
                 "metrics": {
                     name: {"value": value, "unit": unit}
                     for name, (value, unit) in metrics.items()
