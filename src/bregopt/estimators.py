@@ -37,6 +37,8 @@ __all__ = [
     "MinibatchSGD",
     "SAGA",
     "SARAH",
+    "effective_batch_size",
+    "effective_restart_prob",
     "make_estimator",
     "DecayReport",
     "check_geometric_decay",
@@ -286,6 +288,24 @@ class SARAH(GradientEstimator):
         )
 
 
+def effective_batch_size(batch_size: int | None, n: int) -> int:
+    """Minibatch size over ``n`` columns: ``batch_size`` clamped to n, or
+    for None or 0 the default of 5% of the columns (at least 1)."""
+    if batch_size:
+        return min(batch_size, n)
+    return max(1, round(0.05 * n))
+
+
+def effective_restart_prob(
+    restart_prob: float | None, n: int, batch_size: int
+) -> float:
+    """SARAH restart probability: ``restart_prob``, or for None one expected
+    restart per epoch of ceil(n / batch_size) steps."""
+    if restart_prob is not None:
+        return restart_prob
+    return 1.0 / math.ceil(n / batch_size)
+
+
 def make_estimator(
     name: str,
     problem: Problem,
@@ -295,12 +315,11 @@ def make_estimator(
 ) -> GradientEstimator:
     """Build an estimator by name: full | sgd | saga | sarah.
 
-    ``batch_size`` None or 0 means the 5%-of-columns default (at least 1).
-    ``restart_prob`` None means one expected restart per epoch.
+    ``batch_size`` and ``restart_prob`` are resolved by
+    ``effective_batch_size`` and ``effective_restart_prob``.
     """
     n = problem.n_samples
-    if not batch_size:
-        batch_size = max(1, round(0.05 * n))
+    batch_size = effective_batch_size(batch_size, n)
     if name == "full":
         return FullGradient(problem)
     if rng is None:
@@ -310,8 +329,7 @@ def make_estimator(
     if name == "saga":
         return SAGA(problem, batch_size, rng)
     if name == "sarah":
-        if restart_prob is None:
-            restart_prob = 1.0 / math.ceil(n / batch_size)
+        restart_prob = effective_restart_prob(restart_prob, n, batch_size)
         return SARAH(problem, batch_size, restart_prob, rng)
     raise ValueError(f"unknown estimator {name!r}")
 

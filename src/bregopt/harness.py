@@ -26,7 +26,12 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .estimators import check_geometric_decay, estimate_sample_lipschitz
+from .estimators import (
+    check_geometric_decay,
+    effective_batch_size,
+    effective_restart_prob,
+    estimate_sample_lipschitz,
+)
 from .kernels import FactorPair
 from .numeric import as_dense
 from .problems import Problem, build_knn_laplacian, build_problem
@@ -546,17 +551,6 @@ class ExperimentConfig:
             d["compare"] = tuple(d["compare"])
         return ExperimentConfig(**d)
 
-    @staticmethod
-    def from_file(path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        return ExperimentConfig.from_dict(raw)
-
 
 # ---------------------------------------------------------------------------
 # data and problem assembly
@@ -801,17 +795,22 @@ def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary, problem
 # drivers
 
 
+def _prepare(cfg: ExperimentConfig, out_dir):
+    """Shared driver start: (start time, output dir, problem, labels)."""
+    t0 = time.perf_counter()
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    m_data, labels = load_experiment_data(cfg)
+    return t0, out, build_experiment_problem(cfg, m_data), labels
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run one algorithm configuration over ``cfg.trials`` repetitions.
 
     Returns (summary dict, written paths).  The summary's ``status`` is
     'ok', 'partial' (at most half the trials failed) or 'failed'.
     """
-    t0 = time.perf_counter()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    m_data, labels = load_experiment_data(cfg)
-    problem = build_experiment_problem(cfg, m_data)
+    t0, out, problem, labels = _prepare(cfg, out_dir)
     outcomes = _run_trials(cfg, problem, cfg.solver, labels)
     rows, padded = aggregate_traces(outcomes, cfg.solver.max_epochs)
     summary = _summarize(cfg, cfg.solver, outcomes, padded)
@@ -846,11 +845,7 @@ def run_compare(cfg: ExperimentConfig, out_dir=None):
     Every variant sees the same per-trial start point and trial seeds (the
     summary records the start-point hashes, which are shared by construction).
     """
-    t0 = time.perf_counter()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    m_data, labels = load_experiment_data(cfg)
-    problem = build_experiment_problem(cfg, m_data)
+    t0, out, problem, labels = _prepare(cfg, out_dir)
 
     combos = cfg.compare if cfg.compare is not None else _DEFAULT_COMPARE
     all_paths = []
@@ -906,11 +901,7 @@ def run_audit(cfg: ExperimentConfig, out_dir=None):
     geometric-decay test of the tracker with the constant estimated from the
     visited iterates.
     """
-    t0 = time.perf_counter()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    m_data, labels = load_experiment_data(cfg)
-    problem = build_experiment_problem(cfg, m_data)
+    t0, out, problem, labels = _prepare(cfg, out_dir)
 
     solver_cfg = replace(
         cfg.solver, audit_per_iteration=True, keep_iterates=True
@@ -976,16 +967,12 @@ def run_audit(cfg: ExperimentConfig, out_dir=None):
                 estimate_sample_lipschitz(problem, o.result.iterates) for o in ok
             )
             n = problem.n_samples
-            b = max(1, round(0.05 * n)) if not solver_cfg.batch_size else solver_cfg.batch_size
+            b = effective_batch_size(solver_cfg.batch_size, n)
             if est_name == "saga":
                 tau = b / (2.0 * n)
                 v_gamma = (2.0 * b + 4.0 * n) * m1 * m1 / (b * b)
             else:
-                tau = (
-                    solver_cfg.restart_prob
-                    if solver_cfg.restart_prob is not None
-                    else 1.0 / math.ceil(n / b)
-                )
+                tau = effective_restart_prob(solver_cfg.restart_prob, n, b)
                 v_gamma = 2.0 * m1 * m1
             records = [
                 (

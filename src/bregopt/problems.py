@@ -43,7 +43,6 @@ from .kernels import FactorPair, KernelSpec, kernel_gradient, kernel_value
 from .numeric import (
     as_dense,
     cubic_root,
-    make_rng,
     project_nonneg,
     soft_threshold,
     spectral_norm,
@@ -256,22 +255,19 @@ class Problem:
         """Whether the descent-lemma hypotheses hold verbatim for this h."""
         return True
 
-    def local_lipschitz(
-        self,
-        x_bar: FactorPair,
-        rng: np.random.Generator | None = None,
-        tol: float = 1e-8,
-        max_iter: int = 500,
-    ) -> float:
+    def local_lipschitz(self, x_bar: FactorPair) -> float:
         """Blockwise curvature bound at x_bar used for the adaptive step.
 
         max of |V V^T|_2 (+ mu0 |L|_2 for the graph kind) over the U block
-        and |U^T U|_2 over the V block, each by power iteration.
+        and |U^T U|_2 over the V block.  Both Gram matrices are r x r and
+        symmetric positive semidefinite, so each norm is the exact largest
+        eigenvalue, from ``spectral_norm``.  |L|_2 is computed the same way
+        once per problem, an O(m^3) eigensolve at construction.  A Gram
+        matrix that overflows raises ValueError.
         """
         self._check_point(x_bar)
-        lu = spectral_norm(x_bar.v @ x_bar.v.T, tol=tol, max_iter=max_iter, rng=rng)
-        lu += self._graph_operator_norm()
-        lv = spectral_norm(x_bar.u.T @ x_bar.u, tol=tol, max_iter=max_iter, rng=rng)
+        lu = spectral_norm(x_bar.v @ x_bar.v.T) + self._graph_operator_norm()
+        lv = spectral_norm(x_bar.u.T @ x_bar.u)
         return max(lu, lv)
 
     def _graph_operator_norm(self) -> float:
@@ -364,11 +360,7 @@ class GraphRegularizedNMF(Problem):
                 raise ValueError("laplacian off-diagonal entries must be <= 0")
             self.laplacian = lap
             self.norm_l_fro = float(np.linalg.norm(lap))
-            # Fixed-seed power iteration: the norm is a constant of the
-            # problem instance, so it must not consume caller randomness.
-            self._norm_l_2 = spectral_norm(
-                lap, tol=1e-10, max_iter=5000, rng=make_rng(0x5EED)
-            )
+            self._norm_l_2 = spectral_norm(lap)
         else:
             self.laplacian = None
             self.norm_l_fro = 0.0

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import GradientEstimator, make_estimator
+from .estimators import effective_batch_size, make_estimator
 from .kernels import FactorPair, KernelSpec, bregman_distance, kernel_gradient
+from .numeric import spawn_rngs
 from .problems import Problem
 
 __all__ = [
@@ -255,17 +256,17 @@ def step_size(
     x_bar: FactorPair,
     eta_prev: float,
     cfg: SolverConfig,
-    rng: np.random.Generator | None = None,
     alpha: float | None = None,
 ) -> tuple[float, float, bool]:
     """(eta_k, effective upper constant, floor hit?) at the extrapolated point.
 
-    eta_k = min(eta_prev, 1 / L_k) with L_k the blockwise curvature estimate
-    (clamped below at 1e-12).  Strict mode additionally caps by the global
-    constant ``l_bar`` and by (1 - delta)/(alpha + 2 gamma).  The step never
-    drops below ``eta_floor``; hitting the floor is reported to the caller.
+    eta_k = min(eta_prev, 1 / L_k) with L_k the exact blockwise curvature
+    from ``problem.local_lipschitz`` (clamped below at 1e-12).  Strict mode
+    additionally caps by the global constant ``l_bar`` and by
+    (1 - delta)/(alpha + 2 gamma).  The step never drops below
+    ``eta_floor``; hitting the floor is reported to the caller.
     """
-    l_k = problem.local_lipschitz(x_bar, rng=rng)
+    l_k = problem.local_lipschitz(x_bar)
     l_eff = l_k
     eta = min(eta_prev, 1.0 / max(l_k, 1e-12))
     if cfg.strict_theory_stepsize:
@@ -336,12 +337,6 @@ def stationarity_witness(
     return w.norm()
 
 
-def _effective_batch(cfg: SolverConfig, n: int) -> int:
-    if cfg.batch_size:
-        return min(cfg.batch_size, n)
-    return max(1, round(0.05 * n))
-
-
 def _validate_start(problem: Problem, x0: FactorPair):
     if x0.shape != problem.shape:
         raise ValueError(f"x0 shape {x0.shape} != problem shape {problem.shape}")
@@ -365,12 +360,10 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     cfg = cfg.resolved()
     _validate_start(problem, x0)
     n = problem.n_samples
-    batch = _effective_batch(cfg, n)
+    batch = effective_batch_size(cfg.batch_size, n)
     steps_per_epoch = 1 if cfg.estimator == "full" else math.ceil(n / batch)
 
-    est_ss, pow_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    est_rng = np.random.Generator(np.random.PCG64(est_ss))
-    pow_rng = np.random.Generator(np.random.PCG64(pow_ss))
+    (est_rng,) = spawn_rngs(cfg.seed, 1)
     estimator = make_estimator(
         cfg.estimator, problem, batch, cfg.restart_prob, est_rng
     )
@@ -378,7 +371,6 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
         estimator.initialize(x0)
 
     alpha = cfg.theory_alpha if cfg.theory_alpha is not None else problem.weak_convexity
-    audit_on = cfg.audit_per_iteration or cfg.audit_every > 0
 
     x0_feasible = problem.is_feasible(x0)
     obj0 = problem.objective(x0) if x0_feasible else problem.smooth_value(x0)
@@ -426,9 +418,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
             )
             try:
                 g = estimator.estimate(x_bar)
-                eta, l_eff, floored = step_size(
-                    problem, x_bar, eta_prev, cfg, pow_rng, alpha
-                )
+                eta, l_eff, floored = step_size(problem, x_bar, eta_prev, cfg, alpha)
                 if floored:
                     result.hit_eta_floor = True
                 kern = problem.kernel(eta)
@@ -454,7 +444,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
             is_boundary = step == steps_per_epoch - 1 and (
                 cfg.audit_every > 0 and epoch % cfg.audit_every == 0
             )
-            if audit_on and (cfg.audit_per_iteration or is_boundary):
+            if cfg.audit_per_iteration or is_boundary:
                 aud = estimator.audit(x_bar, g)
                 d_prev = bregman_distance(kern, x_km1, x_k)
                 psi = lyapunov(
@@ -494,8 +484,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 )
                 if k_global == 0:
                     result.psi1 = psi
-                if is_boundary or cfg.audit_per_iteration:
-                    boundary = (psi, wit, result.audits[-1].gamma)
+                boundary = (psi, wit, result.audits[-1].gamma)
 
             x_km1, x_k = x_k, x_next
             eta_prev = eta

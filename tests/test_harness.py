@@ -511,6 +511,27 @@ def test_cli_compare_and_audit_and_gen(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_audit_clamps_batch_to_columns(tmp_path, capsys):
+    # solver.batch_size 100 on 40 columns runs with b = 40, and the SAGA
+    # decay check must use the same b: tau = b / (2 n) = 0.5.
+    code = cli_main(
+        cli_args(
+            tmp_path,
+            "audit",
+            "--set",
+            'problem={"kind":"gnmf","rank":2,"data":{"synthetic":{"m":10,"d":40,"r_true":2}}}',
+            "--set",
+            "solver.batch_size=100",
+            "--set",
+            "solver.max_epochs=4",
+        )
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "audit_experiment.json").read_text())
+    assert report["decay"]["tau"] == 0.5
+    capsys.readouterr()
+
+
 def test_cli_selftest(capsys):
     assert cli_main(["selftest"]) == 0
     out = capsys.readouterr().out

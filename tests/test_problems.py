@@ -261,11 +261,39 @@ def test_local_lipschitz_matches_direct_norms():
     rng = make_rng(24)
     m_data = rng.uniform(0.1, 1.0, (4, 5))
     prob = build_problem("gnmf", m_data, 2)
-    x = random_pair(rng, 4, 2, 5, 0.0, 1.0)
-    want = max(
-        np.linalg.norm(x.v @ x.v.T, 2), np.linalg.norm(x.u.T @ x.u, 2)
-    )
-    assert prob.local_lipschitz(x, rng=make_rng(0)) == pytest.approx(want, rel=1e-6)
+    zeros = np.zeros
+    cases = {
+        "random": random_pair(rng, 4, 2, 5, 0.0, 1.0),
+        "random_signed": random_pair(rng, 4, 2, 5),
+        "rank_deficient": FactorPair(
+            np.outer([1.0, 2.0, 0.0, 1.0], [3.0, 4.0]),
+            np.outer([1.0, 0.0], [3.0, 0.0, 4.0, 0.0, 1.0]),
+        ),
+        "v_zero": FactorPair(rng.uniform(0.0, 1.0, (4, 2)), zeros((2, 5))),
+        "zero": FactorPair(zeros((4, 2)), zeros((2, 5))),
+        # Sign-indefinite diagonal factors: both Grams are diag(1, 49).
+        "symmetric": FactorPair(
+            np.eye(4, 2) * [1.0, -7.0], np.eye(2, 5) * [[1.0], [-7.0]]
+        ),
+    }
+    for name, x in cases.items():
+        want = max(
+            np.linalg.norm(x.v @ x.v.T, 2), np.linalg.norm(x.u.T @ x.u, 2)
+        )
+        assert prob.local_lipschitz(x) == pytest.approx(want, rel=1e-6), name
+    with pytest.raises(ValueError, match="shape"):
+        prob.local_lipschitz(random_pair(rng, 3, 2, 5))
+
+
+def test_gnmf_laplacian_norm_is_the_spectral_norm():
+    # At U = 0, V = 0 only the graph term mu0 |L|_2 is left.
+    pts = make_rng(27).uniform(0.0, 1.0, (30, 4))
+    for lap in (make_laplacian_path_graph(), build_knn_laplacian(pts, 4)):
+        m = lap.shape[0]
+        prob = GraphRegularizedNMF(np.ones((m, 3)), 1, mu0=0.5, laplacian=lap)
+        x = FactorPair(np.zeros((m, 1)), np.zeros((1, 3)))
+        want = 0.5 * np.linalg.norm(lap, 2)
+        assert prob.local_lipschitz(x) == pytest.approx(want, rel=1e-12)
 
 
 # -- proximal step ----------------------------------------------------------

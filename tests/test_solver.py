@@ -127,32 +127,32 @@ def test_safeguarded_beta_respects_distance_inequality(small_gnmf):
 def test_step_size_inverse_curvature(small_gnmf):
     cfg = SolverConfig()
     x = start_point(small_gnmf)
-    l_k = small_gnmf.local_lipschitz(x, rng=make_rng(0))
-    eta, l_eff, floored = step_size(small_gnmf, x, 1e6, cfg, make_rng(0))
+    l_k = small_gnmf.local_lipschitz(x)
+    eta, l_eff, floored = step_size(small_gnmf, x, 1e6, cfg)
     assert eta == pytest.approx(1.0 / l_k, rel=1e-6)
     assert l_eff == pytest.approx(l_k, rel=1e-6)
     assert not floored
     # Never exceeds the previous step.
-    eta2, _, _ = step_size(small_gnmf, x, eta / 2, cfg, make_rng(0))
+    eta2, _, _ = step_size(small_gnmf, x, eta / 2, cfg)
     assert eta2 == eta / 2
 
 
 def test_step_size_strict_mode_caps(small_gnmf):
     cfg = SolverConfig(strict_theory_stepsize=True, l_bar=5.0, delta=0.99)
     x = start_point(small_gnmf)  # tiny factors, so local curvature << 5
-    eta, l_eff, _ = step_size(small_gnmf, x, 10.0, cfg, make_rng(0))
+    eta, l_eff, _ = step_size(small_gnmf, x, 10.0, cfg)
     assert eta == pytest.approx(0.2)
     assert l_eff == 5.0
     # A weakly convex problem additionally caps by (1 - delta)/alpha.
     wprob = build_problem("wcmf", small_gnmf.m_data, 2, lambda1=0.5, lambda2=0.1)
-    eta, _, _ = step_size(wprob, x, 10.0, cfg, make_rng(0))
+    eta, _, _ = step_size(wprob, x, 10.0, cfg)
     assert eta <= (1.0 - 0.99) / 0.1 + 1e-12
 
 
 def test_step_size_floor(small_gnmf):
     cfg = SolverConfig(eta0=1.0, eta_floor=0.5)
     x = start_point(small_gnmf)
-    eta, _, floored = step_size(small_gnmf, x, 1e-3, cfg, make_rng(0))
+    eta, _, floored = step_size(small_gnmf, x, 1e-3, cfg)
     assert eta == 0.5 and floored
 
 
@@ -333,6 +333,17 @@ def test_run_reports_failure_with_partial_trace(small_gnmf):
     assert res.failed
     assert "iteration 0" in res.message
     assert len(res.trace) >= 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_fails_cleanly_when_curvature_overflows(small_gnmf):
+    # V = 0 keeps the gradient finite while U^T U overflows to inf.
+    x0 = FactorPair(np.full((8, 2), 1e155), np.zeros((2, 10)))
+    with pytest.raises(ValueError, match="non-finite"):
+        small_gnmf.local_lipschitz(x0)
+    res = run(small_gnmf, SolverConfig(algorithm="bpg", max_epochs=5), x0)
+    assert res.failed
+    assert res.message.startswith("iteration 0: spectral_norm")
 
 
 # -- rate check -------------------------------------------------------------
