@@ -22,10 +22,11 @@ is additionally capped by the global smooth-adaptability constant and by
 (1 - delta)/(alpha + 2 gamma); under those caps the Lyapunov sequence
 computed by ``lyapunov`` is provably nonincreasing for deterministic runs.
 
-Traces are recorded per epoch (means over the epoch's iterations).  Audit
-mode additionally records per-iteration theory quantities: the Lyapunov
-value, the variance tracker, squared step lengths, and the norm of an
-explicit subgradient witness at the new iterate.
+Traces are recorded per epoch: the objective at the epoch's last iterate and
+means of the Bregman step, eta and beta over its iterations; a failed epoch
+adds no row.  Audit mode additionally records per-iteration theory
+quantities: the Lyapunov value, the variance tracker, squared step lengths,
+and the norm of an explicit subgradient witness at the new iterate.
 """
 
 from __future__ import annotations
@@ -158,7 +159,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """One per-epoch trace row; scalar fields are epoch means.
+    """One per-epoch trace row: ``objective`` at the epoch's last iterate,
+    ``bregman_step``, ``eta`` and ``beta`` as epoch means.  A failed epoch
+    adds no row.
 
     Audit fields (``lyapunov``, ``stationarity``, ``gamma_audit``) hold the
     epoch-boundary values and are NaN when auditing is off.  ``feasible`` can
@@ -352,8 +355,10 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     """Execute the configured variant from x0; see the module docstring.
 
     Returns the final point with per-epoch traces (epoch 0 is the start
-    state), per-iteration audit records when auditing is enabled, and a
-    failure flag with partial traces if the objective turns non-finite.
+    state; then one row per completed epoch, its objective taken at the
+    epoch's last iterate and its other scalars as epoch means, so a failed
+    epoch adds no row), per-iteration audit records when auditing is
+    enabled, and a failure flag with the iteration number if a step fails.
     The run stops early once the per-epoch mean Bregman step stays below
     ``stop_tol`` for ``stop_window`` consecutive epochs.
     """
@@ -404,13 +409,15 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
     for epoch in range(1, cfg.max_epochs + 1):
         t_start = time.perf_counter()
-        ep_obj: list[float] = []
         ep_d: list[float] = []
         ep_eta: list[float] = []
         ep_beta: list[float] = []
         boundary = (math.nan, math.nan, math.nan)  # lyapunov, witness, gamma
+        audit_epoch = cfg.audit_every > 0 and epoch % cfg.audit_every == 0
 
         for step in range(steps_per_epoch):
+            last = step == steps_per_epoch - 1
+            audited = cfg.audit_per_iteration or (last and audit_epoch)
             kern_prev = problem.kernel(eta_prev)
             l_under = 0.0 if cfg.l_under_mode == "zero" else l_prev
             x_bar, beta = extrapolate(
@@ -423,28 +430,21 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     result.hit_eta_floor = True
                 kern = problem.kernel(eta)
                 x_next = problem.prox_step(kern, g, x_bar, eta)
-                obj = problem.objective(x_next)
+                if last or audited:  # a full pass; only the trace and audits read it
+                    obj = problem.objective(x_next)
+                    if not math.isfinite(obj):
+                        raise ArithmeticError("objective became non-finite")
             except (ValueError, ArithmeticError) as exc:
                 result.failed = True
                 result.message = f"iteration {k_global}: {exc}"
                 break
-            if not math.isfinite(obj):
-                result.failed = True
-                result.message = (
-                    f"iteration {k_global}: objective became non-finite"
-                )
-                break
 
             d_next = bregman_distance(kern, x_k, x_next)
-            ep_obj.append(obj)
             ep_d.append(d_next)
             ep_eta.append(eta)
             ep_beta.append(beta)
 
-            is_boundary = step == steps_per_epoch - 1 and (
-                cfg.audit_every > 0 and epoch % cfg.audit_every == 0
-            )
-            if cfg.audit_per_iteration or is_boundary:
+            if audited:
                 aud = estimator.audit(x_bar, g)
                 d_prev = bregman_distance(kern, x_km1, x_k)
                 psi = lyapunov(
@@ -493,24 +493,22 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
             if cfg.keep_iterates:
                 result.iterates.append(x_next)
 
-        if ep_obj:
-            wall_ms = (time.perf_counter() - t_start) * 1e3
-            trace.append(
-                IterationTrace(
-                    epoch=epoch,
-                    objective=float(np.mean(ep_obj)),
-                    bregman_step=float(np.mean(ep_d)),
-                    lyapunov=boundary[0],
-                    stationarity=boundary[1],
-                    eta=float(np.mean(ep_eta)),
-                    beta=float(np.mean(ep_beta)),
-                    gamma_audit=boundary[2],
-                    wall_ms=wall_ms,
-                    feasible=True,
-                )
-            )
         if result.failed:
             break
+        trace.append(
+            IterationTrace(
+                epoch=epoch,
+                objective=obj,
+                bregman_step=float(np.mean(ep_d)),
+                lyapunov=boundary[0],
+                stationarity=boundary[1],
+                eta=float(np.mean(ep_eta)),
+                beta=float(np.mean(ep_beta)),
+                gamma_audit=boundary[2],
+                wall_ms=(time.perf_counter() - t_start) * 1e3,
+                feasible=True,
+            )
+        )
         if float(np.mean(ep_d)) < cfg.stop_tol:
             quiet_epochs += 1
             if quiet_epochs >= cfg.stop_window:

@@ -269,6 +269,9 @@ def test_run_audit_mode_populates_records(small_gnmf):
         assert math.isfinite(a.lyapunov)
         assert a.gamma >= 0.0
         assert a.bregman_step >= -1e-12
+        # Every audited step evaluates the objective its Lyapunov value needs.
+        assert math.isfinite(a.objective)
+        assert a.objective == small_gnmf.objective(res.iterates[a.iteration + 1])
     # Trace boundary columns mirror the last audit of each epoch.
     assert res.trace[-1].lyapunov == res.audits[-1].lyapunov
 
@@ -281,6 +284,52 @@ def test_run_audit_every_epoch_boundaries(small_gnmf):
     assert [a.epoch for a in res.audits] == [2, 4, 6]
     assert math.isnan(res.trace[1].lyapunov)
     assert math.isfinite(res.trace[2].lyapunov)
+    for a in res.audits:
+        assert res.trace[a.epoch].objective == a.objective
+
+
+@pytest.mark.parametrize(
+    "algorithm, estimator",
+    [("bpsge", "saga"), ("bpsge", "sarah"), ("bpsge", "sgd"), ("bpsg", "saga")],
+)
+def test_run_evaluates_objective_once_per_epoch(
+    small_gnmf, monkeypatch, algorithm, estimator
+):
+    # Stochastic steps skip the full objective pass: it runs for the start
+    # point and once at each epoch's last iterate, and nowhere else.
+    calls = []
+    objective = small_gnmf.objective
+    monkeypatch.setattr(
+        small_gnmf, "objective", lambda x: calls.append(x) or objective(x)
+    )
+    cfg = SolverConfig(
+        algorithm=algorithm, estimator=estimator, batch_size=3, max_epochs=4, seed=4
+    )
+    res = run(small_gnmf, cfg, start_point(small_gnmf))
+    assert not res.failed
+    assert res.iterations_run == 4 * math.ceil(10 / 3)
+    assert len(calls) == len(res.trace) == 5
+    assert res.trace[-1].objective == objective(res.x)
+
+
+def test_run_failure_mid_epoch_records_no_partial_row(small_gnmf, monkeypatch):
+    # 4 steps per epoch; iteration 6 is the third step of epoch 2.
+    calls = []
+    prox_step = small_gnmf.prox_step
+
+    def failing_prox(*args):
+        calls.append(None)
+        if len(calls) == 7:
+            raise ValueError("injected failure")
+        return prox_step(*args)
+
+    monkeypatch.setattr(small_gnmf, "prox_step", failing_prox)
+    cfg = SolverConfig(algorithm="bpsge", batch_size=3, max_epochs=5, seed=13)
+    res = run(small_gnmf, cfg, start_point(small_gnmf))
+    assert res.failed
+    assert res.message.startswith("iteration 6:")
+    assert [t.epoch for t in res.trace] == [0, 1]
+    assert all(math.isfinite(t.objective) for t in res.trace)
 
 
 def test_run_early_stop_on_quiet_epochs():
