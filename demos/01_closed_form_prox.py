@@ -28,7 +28,7 @@ for kind in ("gnmf", "wcmf", "ssnmf"):
     eta = 0.2
     spec = problem.kernel(eta)
 
-    xp = problem.prox_step(spec, grad, x_bar, eta)
+    xp = problem.prox_step(grad, x_bar, eta)
     val = problem.prox_model_value(spec, grad, x_bar, eta, xp)
 
     best = np.inf

@@ -229,7 +229,7 @@ def _selftest_prox(rng) -> str | None:
         eta = 0.3
         kern = prob.kernel(eta)
         g = prob.full_gradient(x_bar)
-        best = prob.prox_step(kern, g, x_bar, eta)
+        best = prob.prox_step(g, x_bar, eta)
         val = prob.prox_model_value(kern, g, x_bar, eta, best)
         for _ in range(300):
             cand = FactorPair(

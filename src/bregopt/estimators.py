@@ -76,12 +76,6 @@ class GradientEstimator:
     def audit(self, x_bar: FactorPair, estimate: FactorPair | None = None) -> VarianceAudit:
         raise NotImplementedError
 
-    def _with_graph(self, g_data: FactorPair, x_bar: FactorPair) -> FactorPair:
-        gg = self.problem._graph_gradient(x_bar.u)
-        if gg is None:
-            return g_data
-        return FactorPair(g_data.u + gg, g_data.v)
-
     def _realized(self, x_bar: FactorPair, estimate: FactorPair | None) -> float | None:
         if estimate is None:
             return None
@@ -191,7 +185,7 @@ class SAGA(GradientEstimator):
             g_data = self.problem.data_gradient(x_bar)
             self._a, self._v, self._w = self.problem.gradient_table(x_bar)
             self._resync()
-            return self._with_graph(g_data, x_bar)
+            return self.problem._with_graph(g_data, x_bar)
 
         idx = _draw_batch(self.rng, n, b)
         fresh_a, fresh_v, fresh_w = self.problem.batch_table(x_bar, idx)
@@ -214,7 +208,7 @@ class SAGA(GradientEstimator):
         self._estimates_since_resync += 1
         if self._estimates_since_resync >= self.resync_every:
             self._resync()
-        return self._with_graph(FactorPair(gu, gv), x_bar)
+        return self.problem._with_graph(FactorPair._unchecked(gu, gv), x_bar)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:
         """Trackers against the current table (post-update at this step).
@@ -271,10 +265,10 @@ class SARAH(GradientEstimator):
             gu = self._prev_est.u + (fresh_a @ fresh_v.T - old_a @ old_v.T) / b
             gv = self._prev_est.v.copy()
             gv[:, idx] += (fresh_w - old_w) / b
-            g_data = FactorPair(gu, gv)
+            g_data = FactorPair._unchecked(gu, gv)
         self._prev_est = g_data
         self._prev_point = x_bar.copy()
-        return self._with_graph(g_data, x_bar)
+        return self.problem._with_graph(g_data, x_bar)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:
         """For this estimator the tracker is the realized squared error of

@@ -95,12 +95,14 @@ def _detect_format(path: Path, fmt: str | None) -> str:
 
 
 def load_matrix(path, fmt: str | None = None) -> np.ndarray:
-    """Read a dense matrix from CSV or MatrixMarket array format."""
+    """Read a dense, finite matrix from CSV or MatrixMarket array format."""
     path = Path(path)
     fmt = _detect_format(path, fmt)
-    if fmt == "csv":
-        return _load_csv(path)
-    return _load_mm(path)
+    a = _load_csv(path) if fmt == "csv" else _load_mm(path)
+    try:
+        return as_dense(a, str(path))
+    except ValueError as exc:
+        raise MatrixParseError(path, 1, str(exc)) from None
 
 
 def save_matrix(path, a, fmt: str | None = None) -> None:
@@ -135,10 +137,7 @@ def _load_csv(path: Path) -> np.ndarray:
             rows.append(row)
     if not rows:
         raise MatrixParseError(path, 1, "empty matrix file")
-    try:
-        return as_dense(rows, str(path))
-    except ValueError as exc:
-        raise MatrixParseError(path, 1, str(exc)) from None
+    return np.array(rows)
 
 
 def _save_csv(path: Path, a: np.ndarray) -> None:
@@ -207,7 +206,7 @@ def _load_mm(path: Path) -> np.ndarray:
             f"expected {shape[0] * shape[1]} entries, found {len(values)}",
         )
     # MatrixMarket array files store entries column by column.
-    return np.asarray(values).reshape(shape, order="F")
+    return np.reshape(values, shape, order="F")
 
 
 def _save_mm(path: Path, a: np.ndarray) -> None:
@@ -764,7 +763,7 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary, problem):
+def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
     paths = []
     if "trace_csv" in cfg.emit:
         p = out_dir / f"trace_{tag}.csv"
@@ -816,7 +815,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     summary = _summarize(cfg, cfg.solver, outcomes, padded)
     summary["audit_exact"] = problem.lemma_audits_exact
     summary["wall_seconds"] = time.perf_counter() - t0
-    paths = _emit_outputs(cfg, out, cfg.name, outcomes, rows, summary, problem)
+    paths = _emit_outputs(cfg, out, cfg.name, outcomes, rows, summary)
     return summary, paths
 
 
@@ -867,7 +866,7 @@ def run_compare(cfg: ExperimentConfig, out_dir=None):
             init_hashes = summary["init_hashes"]
         combo_summaries[tag] = summary
         all_paths += _emit_outputs(
-            cfg, out, f"{cfg.name}_{tag}", outcomes, rows, summary, problem
+            cfg, out, f"{cfg.name}_{tag}", outcomes, rows, summary
         )
 
     top = {

@@ -36,7 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FactorPair:
-    """An (U, V) pair with matching inner dimension, stored as float64."""
+    """An (U, V) pair with matching inner dimension, stored as float64.
+
+    ``FactorPair(u, v)`` checks input from outside the solver loop: it casts
+    array-likes to C-contiguous float64 and rejects non-finite entries and
+    mismatched inner dimensions.  Pairs computed from existing pairs
+    (arithmetic, gradients, estimates, extrapolated points) come from
+    ``_unchecked`` and may overflow; ``Problem.prox_step`` checks each iterate.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -51,6 +58,14 @@ class FactorPair:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def _unchecked(cls, u: np.ndarray, v: np.ndarray) -> "FactorPair":
+        """A pair of float64 arrays computed from existing pairs, unvalidated."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "u", u)
+        object.__setattr__(pair, "v", v)
+        return pair
+
     @property
     def rank(self) -> int:
         return self.u.shape[1]
@@ -61,7 +76,7 @@ class FactorPair:
         return (self.u.shape[0], self.u.shape[1], self.v.shape[1])
 
     def copy(self) -> "FactorPair":
-        return FactorPair(self.u.copy(), self.v.copy())
+        return FactorPair._unchecked(self.u.copy(), self.v.copy())
 
     def norm_sq(self) -> float:
         """|U|_F^2 + |V|_F^2."""
@@ -75,13 +90,13 @@ class FactorPair:
         return float(np.sum(self.u * other.u) + np.sum(self.v * other.v))
 
     def __add__(self, other: "FactorPair") -> "FactorPair":
-        return FactorPair(self.u + other.u, self.v + other.v)
+        return FactorPair._unchecked(self.u + other.u, self.v + other.v)
 
     def __sub__(self, other: "FactorPair") -> "FactorPair":
-        return FactorPair(self.u - other.u, self.v - other.v)
+        return FactorPair._unchecked(self.u - other.u, self.v - other.v)
 
     def scale(self, c: float) -> "FactorPair":
-        return FactorPair(c * self.u, c * self.v)
+        return FactorPair._unchecked(c * self.u, c * self.v)
 
 
 @dataclass(frozen=True)
@@ -123,11 +138,12 @@ def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
     """Gradient of the kernel: a radially scaled copy of x.
 
     With s = |U|_F^2 + |V|_F^2 the blocks are (a*s + b + c) U and (a*s + b) V.
+    The result is not validated: for a huge x it can hold inf or NaN.
     """
     s = x.norm_sq()
     cu = spec.quartic * s + spec.quadratic + spec.u_quadratic
     cv = spec.quartic * s + spec.quadratic
-    return FactorPair(cu * x.u, cv * x.v)
+    return FactorPair._unchecked(cu * x.u, cv * x.v)
 
 
 def bregman_distance(spec: KernelSpec, x: FactorPair, y: FactorPair) -> float:

@@ -178,14 +178,10 @@ class Problem:
         """Gradient of the data-fitting term |M - UV|^2 / 2 alone."""
         self._check_point(x)
         r = x.u @ x.v - self.m_data
-        return FactorPair(r @ x.v.T, x.u.T @ r)
+        return FactorPair._unchecked(r @ x.v.T, x.u.T @ r)
 
     def full_gradient(self, x: FactorPair) -> FactorPair:
-        g = self.data_gradient(x)
-        gg = self._graph_gradient(x.u)
-        if gg is None:
-            return g
-        return FactorPair(g.u + gg, g.v)
+        return self._with_graph(self.data_gradient(x), x)
 
     def sample_gradient(self, x: FactorPair, indices) -> FactorPair:
         """Minibatch gradient (1/|B|) sum_{i in B} grad f_i at x.
@@ -194,11 +190,7 @@ class Problem:
         weight regardless of the batch: the stochastic part is the data term
         only.
         """
-        g = self.minibatch_data_gradient(x, indices)
-        gg = self._graph_gradient(x.u)
-        if gg is None:
-            return g
-        return FactorPair(g.u + gg, g.v)
+        return self._with_graph(self.minibatch_data_gradient(x, indices), x)
 
     def minibatch_data_gradient(self, x: FactorPair, indices) -> FactorPair:
         self._check_point(x)
@@ -211,7 +203,7 @@ class Problem:
         gu = scale * (rb @ vb.T)
         gv = np.zeros_like(x.v)
         gv[:, idx] = scale * (x.u.T @ rb)
-        return FactorPair(gu, gv)
+        return FactorPair._unchecked(gu, gv)
 
     # -- factored per-sample gradients (estimator support) --------------
 
@@ -239,6 +231,11 @@ class Problem:
 
     def _graph_gradient(self, u: np.ndarray):
         return None
+
+    def _with_graph(self, g_data: FactorPair, x: FactorPair) -> FactorPair:
+        """A data-term gradient at x plus the exact graph-term gradient."""
+        gg = self._graph_gradient(x.u)
+        return g_data if gg is None else FactorPair._unchecked(g_data.u + gg, g_data.v)
 
     # -- kernel and curvature --------------------------------------------
 
@@ -278,33 +275,28 @@ class Problem:
     def _prox_shapes(self, neg_p: np.ndarray, neg_q: np.ndarray, eta: float):
         raise NotImplementedError
 
-    def _check_kernel(self, kernel: KernelSpec, eta: float):
-        if kernel.u_quadratic != 0.0:
-            raise ValueError(
-                f"{self.kind} proximal step requires a kernel without a "
-                "U-only quadratic term"
-            )
-
-    def prox_step(
-        self, kernel: KernelSpec, grad: FactorPair, x_bar: FactorPair, eta: float
-    ) -> FactorPair:
+    def prox_step(self, grad: FactorPair, x_bar: FactorPair, eta: float) -> FactorPair:
         """Closed-form minimizer of h(x) + <grad, x - x_bar> + D_psi(x, x_bar)/eta.
 
-        The minimizer lies on the ray through shapes (A, B) obtained by the
-        kind-specific operator applied to -P = grad psi(x_bar) - eta * grad;
-        the radius solves a (|A|^2 + |B|^2) t^3 + b t = 1 with (a, b) the
-        kernel's quartic and quadratic coefficients.  Output is exactly
-        feasible for the constrained kinds.
+        psi is ``self.kernel(eta)``.  The minimizer lies on the ray through
+        shapes (A, B) obtained by the kind-specific operator applied to the
+        gradient step -P = grad psi(x_bar) - eta * grad, which must be finite
+        (ValueError otherwise); the radius solves a (|A|^2 + |B|^2) t^3 + b t = 1
+        with (a, b) the kernel's quartic and quadratic coefficients.  Output is
+        built by the checked constructor and is exactly feasible for the
+        constrained kinds.
         """
         self._check_point(x_bar)
         if not (np.isfinite(eta) and eta > 0.0):
             raise ValueError(f"eta must be positive and finite, got {eta}")
         if grad.shape != self.shape:
             raise ValueError("gradient shape mismatch")
-        self._check_kernel(kernel, eta)
+        kernel = self.kernel(eta)
         gpsi = kernel_gradient(kernel, x_bar)
         neg_p = gpsi.u - eta * grad.u
         neg_q = gpsi.v - eta * grad.v
+        if not (np.isfinite(neg_p).all() and np.isfinite(neg_q).all()):
+            raise ValueError("prox_step: the gradient step has non-finite entries")
         a_shape, b_shape = self._prox_shapes(neg_p, neg_q, eta)
         ssum = float(np.sum(a_shape * a_shape) + np.sum(b_shape * b_shape))
         t = cubic_root(kernel.quartic * ssum, kernel.quadratic)
@@ -423,14 +415,6 @@ class WeaklyConvexMF(Problem):
         """The U-only quadratic eta*lambda2 cancels the concave part of h in
         the proximal subproblem, keeping it convex along the U block."""
         return KernelSpec(3.0, self.norm_m, float(eta) * self.lambda2)
-
-    def _check_kernel(self, kernel: KernelSpec, eta: float):
-        want = float(eta) * self.lambda2
-        if abs(kernel.u_quadratic - want) > 1e-9 * max(1.0, want):
-            raise ValueError(
-                "wcmf proximal step needs the kernel's U-quadratic to equal "
-                f"eta*lambda2 = {want}, got {kernel.u_quadratic}"
-            )
 
     def _prox_shapes(self, neg_p, neg_q, eta):
         return soft_threshold(neg_p, eta * self.lambda1), neg_q.copy()

@@ -242,12 +242,12 @@ def extrapolate(
     if not (du.any() or dv.any()):
         return x_k, 0.0
     if cfg.beta_mode == "scheduled":
-        return FactorPair(x_k.u + beta * du, x_k.v + beta * dv), beta
+        return FactorPair._unchecked(x_k.u + beta * du, x_k.v + beta * dv), beta
 
     d_base = max(bregman_distance(kernel, x_km1, x_k), 0.0)
     bound = (cfg.delta - cfg.epsilon) / (1.0 + l_under * eta_prev) * d_base
     for _ in range(50):
-        x_bar = FactorPair(x_k.u + beta * du, x_k.v + beta * dv)
+        x_bar = FactorPair._unchecked(x_k.u + beta * du, x_k.v + beta * dv)
         if bregman_distance(kernel, x_k, x_bar) <= bound:
             return x_bar, beta
         beta *= 0.5
@@ -403,6 +403,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     x_km1 = x0
     x_k = x0
     eta_prev = cfg.eta0
+    kern_prev = problem.kernel(eta_prev)
     l_prev = 0.0  # no curvature estimate exists before the first step
     k_global = 0
     quiet_epochs = 0
@@ -418,7 +419,6 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
         for step in range(steps_per_epoch):
             last = step == steps_per_epoch - 1
             audited = cfg.audit_per_iteration or (last and audit_epoch)
-            kern_prev = problem.kernel(eta_prev)
             l_under = 0.0 if cfg.l_under_mode == "zero" else l_prev
             x_bar, beta = extrapolate(
                 x_k, x_km1, k_global, cfg, kern_prev, eta_prev, l_under
@@ -429,7 +429,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 if floored:
                     result.hit_eta_floor = True
                 kern = problem.kernel(eta)
-                x_next = problem.prox_step(kern, g, x_bar, eta)
+                x_next = problem.prox_step(g, x_bar, eta)
                 if last or audited:  # a full pass; only the trace and audits read it
                     obj = problem.objective(x_next)
                     if not math.isfinite(obj):
@@ -487,7 +487,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 boundary = (psi, wit, result.audits[-1].gamma)
 
             x_km1, x_k = x_k, x_next
-            eta_prev = eta
+            eta_prev, kern_prev = eta, kern
             l_prev = l_eff
             k_global += 1
             if cfg.keep_iterates:

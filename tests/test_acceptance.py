@@ -183,7 +183,7 @@ def test_criterion_01_prox_oracle_equivalence():
         for _ in range(50):
             problem, x_bar, grad, eta = _random_prox_instance(kind, rng)
             spec = problem.kernel(eta)
-            xp = problem.prox_step(spec, grad, x_bar, eta)
+            xp = problem.prox_step(grad, x_bar, eta)
             val_p = problem.prox_model_value(spec, grad, x_bar, eta, xp)
 
             cu, cv = _candidate_stacks(problem, x_bar, xp, rng, n_random=10_000)

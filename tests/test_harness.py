@@ -96,6 +96,20 @@ def test_mm_column_major_order(tmp_path):
     assert np.array_equal(a, [[1.0, 3.0], [2.0, 4.0]])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_mm_non_finite_entry_is_a_parse_error(tmp_path, capsys, value):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n2 2\n1\n{value}\n3\n4\n")
+    with pytest.raises(MatrixParseError, match=r"bad\.mtx:1: .*non-finite"):
+        load_matrix(path)
+    cfg_path = tmp_path / "cfg.json"
+    problem = {"kind": "gnmf", "rank": 1, "data": {"path": str(path)}}
+    cfg_path.write_text(json.dumps({"problem": problem}))
+    code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    assert "bad.mtx:1" in capsys.readouterr().err
+
+
 def test_pgm_writer(tmp_path):
     img = np.arange(6, dtype=np.uint8).reshape(2, 3)
     path = tmp_path / "x.pgm"

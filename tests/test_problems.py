@@ -309,7 +309,7 @@ def test_prox_gnmf_frozen_instance():
     assert kern == KernelSpec(3.0, 1.0, 0.0)
     x_bar = FactorPair([[1.0]], [[1.0]])
     g = FactorPair([[6.0]], [[6.0]])
-    out = prob.prox_step(kern, g, x_bar, 1.0)
+    out = prob.prox_step(g, x_bar, 1.0)
     t = 0.4506988250302091  # root of 6 t^3 + t = 1
     assert out.u[0, 0] == pytest.approx(t, abs=1e-12)
     assert out.v[0, 0] == pytest.approx(t, abs=1e-12)
@@ -321,7 +321,7 @@ def test_prox_wcmf_frozen_instance():
     assert kern.u_quadratic == pytest.approx(0.25)
     x_bar = FactorPair([[1.0]], [[1.0]])
     g = FactorPair([[6.85]], [[6.0]])
-    out = prob.prox_step(kern, g, x_bar, 1.0)
+    out = prob.prox_step(g, x_bar, 1.0)
     # U lands inside the soft-threshold dead zone; V solves 3 t^3 + t = 1.
     assert out.u[0, 0] == 0.0
     assert out.v[0, 0] == pytest.approx(0.5365651646722234, abs=1e-12)
@@ -331,7 +331,7 @@ def test_prox_ssnmf_frozen_instance():
     prob = build_problem("ssnmf", [[1.0, 0.0], [0.0, 0.0]], 1, s1=1, s2=1)
     x_bar = FactorPair([[1.0], [1.0]], [[1.0, 1.0]])
     g = FactorPair([[12.2], [12.5]], [[12.4, 12.1]])
-    out = prob.prox_step(prob.kernel(1.0), g, x_bar, 1.0)
+    out = prob.prox_step(g, x_bar, 1.0)
     # Shapes (0.8, 0) and (0, 0.9) scaled by the root of 4.35 t^3 + t = 1.
     assert out.u[0, 0] == pytest.approx(0.3916565793194554, abs=1e-12)
     assert out.u[1, 0] == 0.0
@@ -362,7 +362,7 @@ def test_prox_beats_random_candidates(kind, params):
         eta = float(rng.uniform(0.1, 1.0))
         kern = prob.kernel(eta)
         g = prob.full_gradient(x_bar)
-        out = prob.prox_step(kern, g, x_bar, eta)
+        out = prob.prox_step(g, x_bar, eta)
         assert prob.is_feasible(out)
         val = prob.prox_model_value(kern, g, x_bar, eta, out)
         cands = [
@@ -384,7 +384,7 @@ def test_prox_ssnmf_output_meets_budgets_exactly():
     for _ in range(10):
         x_bar = random_pair(rng, 5, 3, 6, 0.0, 1.0)
         g = prob.full_gradient(x_bar)
-        out = prob.prox_step(prob.kernel(0.5), g, x_bar, 0.5)
+        out = prob.prox_step(g, x_bar, 0.5)
         assert out.u.min() >= 0.0 and out.v.min() >= 0.0
         assert (out.u != 0).sum(axis=0).max() <= 2
         assert (out.v != 0).sum(axis=1).max() <= 3
@@ -394,13 +394,7 @@ def test_prox_rejects_wrong_kernel_and_eta():
     prob = build_problem("wcmf", [[1.0]], 1, lambda1=0.5, lambda2=0.25)
     x = FactorPair([[1.0]], [[1.0]])
     with pytest.raises(ValueError, match="eta"):
-        prob.prox_step(prob.kernel(1.0), x, x, 0.0)
-    with pytest.raises(ValueError, match="U-quadratic"):
-        # Kernel built for a different step size than the one applied.
-        prob.prox_step(prob.kernel(1.0), x, x, 0.5)
-    gprob = build_problem("gnmf", [[1.0]], 1)
-    with pytest.raises(ValueError, match="without"):
-        gprob.prox_step(KernelSpec(3.0, 1.0, 0.5), x, x, 1.0)
+        prob.prox_step(x, x, 0.0)
 
 
 # -- knn laplacian ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Solver loop: schedules, step sizes, traces, audits, failure handling."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -195,7 +196,7 @@ def test_stationarity_witness_certifies_prox_output(small_gnmf):
     g = small_gnmf.full_gradient(x_bar)
     eta = 0.01  # small step keeps the output strictly positive
     kern = small_gnmf.kernel(eta)
-    x_next = small_gnmf.prox_step(kern, g, x_bar, eta)
+    x_next = small_gnmf.prox_step(g, x_bar, eta)
     assert x_next.u.min() > 0 and x_next.v.min() > 0
     w = stationarity_witness(small_gnmf, x_next, x_bar, g, eta, kern)
     want = small_gnmf.full_gradient(x_next).norm()
@@ -330,6 +331,73 @@ def test_run_failure_mid_epoch_records_no_partial_row(small_gnmf, monkeypatch):
     assert res.message.startswith("iteration 6:")
     assert [t.epoch for t in res.trace] == [0, 1]
     assert all(math.isfinite(t.objective) for t in res.trace)
+
+
+def kind_problem(kind):
+    m_data = make_rng(60).uniform(0.1, 1.0, (8, 10))
+    params = {
+        "gnmf": {},
+        "wcmf": {"lambda1": 0.1, "lambda2": 0.05},
+        "ssnmf": {"s1": 4, "s2": 5},
+    }
+    return build_problem(kind, m_data, 2, **params[kind])
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_run_checks_each_iterate_once(kind, monkeypatch):
+    # Only the prox output is built by the checked constructor; gradients,
+    # estimates, extrapolated points and pair arithmetic are not re-checked.
+    problem = kind_problem(kind)
+    x0 = start_point(problem)
+    checked = []
+    post_init = FactorPair.__post_init__
+
+    def counting(self):
+        checked.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(FactorPair, "__post_init__", counting)
+    variants = [
+        ("bpg", "full"),
+        ("bpge", "full"),
+        ("bpsg", "saga"),
+        ("bpsge", "saga"),
+        ("bpsge", "sarah"),
+        ("bpsge", "sgd"),
+    ]
+    for (algorithm, estimator), audit in itertools.product(variants, (False, True)):
+        cfg = SolverConfig(
+            algorithm=algorithm,
+            estimator=estimator,
+            batch_size=3,
+            max_epochs=3,
+            audit_per_iteration=audit,
+            seed=6,
+        )
+        checked.clear()
+        res = run(problem, cfg, x0)
+        assert not res.failed
+        assert len(checked) == res.iterations_run > 0
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_run_fails_on_non_finite_estimate(kind, monkeypatch):
+    problem = kind_problem(kind)
+    calls = []
+    data_gradient = problem.data_gradient
+
+    def poisoned(x):
+        g = data_gradient(x)
+        calls.append(None)
+        if len(calls) == 3:
+            g.u[0, 0] = np.nan
+        return g
+
+    monkeypatch.setattr(problem, "data_gradient", poisoned)
+    res = run(problem, SolverConfig(algorithm="bpg", max_epochs=5), start_point(problem))
+    assert res.failed
+    assert res.message.startswith("iteration 2:")
+    assert np.isfinite(res.x.u).all() and np.isfinite(res.x.v).all()
 
 
 def test_run_early_stop_on_quiet_epochs():
