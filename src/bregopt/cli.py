@@ -279,6 +279,19 @@ def _selftest_estimators(rng) -> str | None:
     return None
 
 
+def _selftest_data_gradient(rng) -> str | None:
+    m_data = rng.uniform(0.1, 1.0, (6, 7))
+    prob = build_problem("wcmf", m_data, 3, lambda1=0.1, lambda2=0.05)
+    x = FactorPair(rng.standard_normal((6, 3)), rng.standard_normal((3, 7)))
+    g = prob.data_gradient(x)
+    r = x.u @ x.v - m_data
+    for got, want in ((g.u, r @ x.v.T), (g.v, x.u.T @ r)):
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        if err > 1e-12:
+            return f"data gradient deviates from the residual form by {err:.3g}"
+    return None
+
+
 def _cmd_selftest(args) -> int:
     rng = make_rng(0)
     checks = [
@@ -286,6 +299,7 @@ def _cmd_selftest(args) -> int:
         ("kernel gradient vs finite differences", _selftest_kernel_gradient),
         ("prox minimizes its model", _selftest_prox),
         ("estimator identities", _selftest_estimators),
+        ("data gradient vs residual form", _selftest_data_gradient),
     ]
     failures = 0
     for name, fn in checks:

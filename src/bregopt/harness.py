@@ -98,11 +98,7 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     """Read a dense, finite matrix from CSV or MatrixMarket array format."""
     path = Path(path)
     fmt = _detect_format(path, fmt)
-    a = _load_csv(path) if fmt == "csv" else _load_mm(path)
-    try:
-        return as_dense(a, str(path))
-    except ValueError as exc:
-        raise MatrixParseError(path, 1, str(exc)) from None
+    return _load_csv(path) if fmt == "csv" else _load_mm(path)
 
 
 def save_matrix(path, a, fmt: str | None = None) -> None:
@@ -128,6 +124,11 @@ def _load_csv(path: Path) -> np.ndarray:
                 row = [float(p) for p in parts]
             except ValueError:
                 raise MatrixParseError(path, lineno, f"not numeric: {line!r}") from None
+            for p, val in zip(parts, row):
+                if not math.isfinite(val):
+                    raise MatrixParseError(
+                        path, lineno, f"non-finite entry {p.strip()!r}"
+                    )
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -190,9 +191,12 @@ def _load_mm(path: Path) -> np.ndarray:
             continue
         for p in parts:
             try:
-                values.append(float(p))
+                val = float(p)
             except ValueError:
                 raise MatrixParseError(path, lineno, f"not numeric: {p!r}") from None
+            if not math.isfinite(val):
+                raise MatrixParseError(path, lineno, f"non-finite entry {p!r}")
+            values.append(val)
         if len(values) > shape[0] * shape[1]:
             raise MatrixParseError(
                 path, lineno, f"more than {shape[0] * shape[1]} entries"
@@ -206,7 +210,7 @@ def _load_mm(path: Path) -> np.ndarray:
             f"expected {shape[0] * shape[1]} entries, found {len(values)}",
         )
     # MatrixMarket array files store entries column by column.
-    return np.reshape(values, shape, order="F")
+    return np.ascontiguousarray(np.reshape(values, shape, order="F"))
 
 
 def _save_mm(path: Path, a: np.ndarray) -> None:

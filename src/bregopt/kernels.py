@@ -80,14 +80,14 @@ class FactorPair:
 
     def norm_sq(self) -> float:
         """|U|_F^2 + |V|_F^2."""
-        return float(np.sum(self.u * self.u) + np.sum(self.v * self.v))
+        return float(np.vdot(self.u, self.u) + np.vdot(self.v, self.v))
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
     def dot(self, other: "FactorPair") -> float:
         """Frobenius inner product over both blocks."""
-        return float(np.sum(self.u * other.u) + np.sum(self.v * other.v))
+        return float(np.vdot(self.u, other.u) + np.vdot(self.v, other.v))
 
     def __add__(self, other: "FactorPair") -> "FactorPair":
         return FactorPair._unchecked(self.u + other.u, self.v + other.v)
@@ -130,7 +130,7 @@ def kernel_value(spec: KernelSpec, x: FactorPair) -> float:
     return float(
         spec.quartic * half * half
         + spec.quadratic * half
-        + 0.5 * spec.u_quadratic * np.sum(x.u * x.u)
+        + 0.5 * spec.u_quadratic * np.vdot(x.u, x.u)
     )
 
 

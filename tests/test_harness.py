@@ -100,14 +100,24 @@ def test_mm_column_major_order(tmp_path):
 def test_mm_non_finite_entry_is_a_parse_error(tmp_path, capsys, value):
     path = tmp_path / "bad.mtx"
     path.write_text(f"%%MatrixMarket matrix array real general\n2 2\n1\n{value}\n3\n4\n")
-    with pytest.raises(MatrixParseError, match=r"bad\.mtx:1: .*non-finite"):
+    with pytest.raises(MatrixParseError, match=r"bad\.mtx:4: .*non-finite"):
         load_matrix(path)
     cfg_path = tmp_path / "cfg.json"
     problem = {"kind": "gnmf", "rank": 1, "data": {"path": str(path)}}
     cfg_path.write_text(json.dumps({"problem": problem}))
     code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"])
     assert code == 1
-    assert "bad.mtx:1" in capsys.readouterr().err
+    assert "bad.mtx:4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_csv_non_finite_entry_is_a_parse_error(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n3,{value}\n")
+    with pytest.raises(MatrixParseError) as info:
+        load_matrix(path)
+    assert info.value.line == 2
+    assert str(info.value) == f"{path}:2: non-finite entry '{value}'"
 
 
 def test_pgm_writer(tmp_path):

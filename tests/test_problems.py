@@ -1,6 +1,7 @@
 """Problem kinds: objectives, gradients, kernels, and the closed-form prox."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,75 @@ def test_gradient_tables_match_minibatch_gradients():
     ab, vb, wb = prob.batch_table(x, idx)
     assert np.array_equal(ab, a[:, idx])
     assert np.array_equal(wb, w[:, idx])
+
+
+def _reference_pairs(rng, m, r, d):
+    """Random, signed, rank-deficient, U = 0 and V = 0 points."""
+    u, v = rng.uniform(0, 1, (m, r)), rng.uniform(0, 1, (r, d))
+    su, sv = rng.standard_normal((m, r)), rng.standard_normal((r, d))
+    low_u = np.outer(rng.standard_normal(m), np.ones(r))
+    low_v = np.outer(np.ones(r), rng.standard_normal(d))
+    return [
+        FactorPair(u, v),
+        FactorPair(su, sv),
+        FactorPair(low_u, low_v),
+        FactorPair(np.zeros((m, r)), sv),
+        FactorPair(su, np.zeros((r, d))),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_gradient_and_value_match_residual_form(kind):
+    rng = make_rng(21)
+    m, r, d = 9, 3, 11
+    m_data = rng.uniform(0.1, 1.0, (m, d))
+    lap = build_knn_laplacian(m_data, p_neighbors=3)
+    params = {
+        "gnmf": {"mu0": 0.4, "laplacian": lap},
+        "wcmf": {"lambda1": 0.3, "lambda2": 0.1},
+        "ssnmf": {"s1": 2, "s2": 3},
+    }[kind]
+    prob = build_problem(kind, m_data, r, **params)
+    mu0 = params.get("mu0", 0.0)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    for x in _reference_pairs(rng, m, r, d):
+        res = x.u @ x.v - m_data
+        g = prob.data_gradient(x)
+        assert close(g.u, res @ x.v.T) and close(g.v, x.u.T @ res)
+        full = prob.full_gradient(x)
+        assert close(full.u, res @ x.v.T + mu0 * (lap @ x.u))
+        assert close(full.v, x.u.T @ res)
+        want = 0.5 * np.sum(res**2) + 0.5 * mu0 * np.trace(x.u.T @ lap @ x.u)
+        assert prob.smooth_value(x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_full_passes_allocate_at_most_one_data_sized_array(kind):
+    rng = make_rng(22)
+    m, r, d = 200, 5, 300
+    params = {
+        "gnmf": {},
+        "wcmf": {"lambda1": 0.3, "lambda2": 0.1},
+        "ssnmf": {"s1": 20, "s2": 30},
+    }[kind]
+    prob = build_problem(kind, rng.uniform(0.1, 1.0, (m, d)), r, **params)
+    x = random_pair(rng, m, r, d, 0.0, 1.0)
+    md_bytes = m * d * 8
+
+    def peak(fn):
+        fn(x)  # warm up
+        tracemalloc.start()
+        try:
+            fn(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(prob.data_gradient) < md_bytes / 4
+    assert peak(prob.smooth_value) < 1.5 * md_bytes
 
 
 # -- kernels per kind -------------------------------------------------------

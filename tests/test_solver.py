@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -233,6 +233,35 @@ def test_run_accepts_tuple_seed(small_gnmf):
     r1 = run(small_gnmf, cfg, x0)
     r2 = run(small_gnmf, cfg, x0)
     assert np.array_equal(r1.x.u, r2.x.u)
+
+
+@pytest.mark.parametrize("algorithm,estimator", [("bpge", "full"), ("bpsge", "saga")])
+def test_run_is_bitwise_reproducible_at_blas_size(algorithm, estimator):
+    # At 200 x 300 OpenBLAS may split its dot and GEMM kernels over threads;
+    # two runs in one process must still agree bit for bit.
+    rng = make_rng(60)
+    m_data = rng.uniform(0.1, 1.0, (200, 300))
+    prob = build_problem("wcmf", m_data, 5, lambda1=0.1, lambda2=0.05)
+    cfg = SolverConfig(
+        algorithm=algorithm,
+        estimator=estimator,
+        max_epochs=3,
+        keep_iterates=True,
+        seed=4,
+    )
+    x0 = start_point(prob, seed=61)
+    r1 = run(prob, cfg, x0)
+    r2 = run(prob, cfg, x0)
+    assert not r1.failed and len(r1.iterates) > 3
+    assert len(r1.iterates) == len(r2.iterates)
+    for a, b in zip(r1.iterates, r2.iterates):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+    def rows(res):
+        return [repr(astuple(replace(t, wall_ms=0.0))) for t in res.trace]
+
+    assert len(r1.trace) == 4
+    assert rows(r1) == rows(r2)
 
 
 def test_bpg_objective_monotone(small_gnmf):
