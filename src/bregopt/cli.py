@@ -21,7 +21,7 @@ from .estimators import make_estimator
 from .harness import ConfigError, ExperimentConfig, MatrixParseError
 from .kernels import FactorPair, KernelSpec, kernel_gradient, kernel_value
 from .numeric import cubic_root, make_rng
-from .problems import build_problem
+from .problems import build_knn_laplacian, build_problem
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -292,6 +292,21 @@ def _selftest_data_gradient(rng) -> str | None:
     return None
 
 
+def _selftest_graph_product(rng) -> str | None:
+    # 200 rows give a 5-NN Laplacian about 4% nonzero, under the 5% rule.
+    m_data = rng.uniform(0.1, 1.0, (200, 10))
+    lap = build_knn_laplacian(m_data, p_neighbors=5)
+    prob = build_problem("gnmf", m_data, 3, mu0=0.4, laplacian=lap)
+    if isinstance(prob.laplacian, np.ndarray):
+        return "a 5-NN Laplacian at m = 200 is not applied as a sparse matrix"
+    u = rng.uniform(0.0, 1.0, (200, 3))
+    want = 0.4 * (lap @ u)
+    err = np.linalg.norm(prob._graph_gradient(u) - want) / np.linalg.norm(want)
+    if err > 1e-12:
+        return f"sparse graph gradient deviates from the dense product by {err:.3g}"
+    return None
+
+
 def _cmd_selftest(args) -> int:
     rng = make_rng(0)
     checks = [
@@ -300,6 +315,7 @@ def _cmd_selftest(args) -> int:
         ("prox minimizes its model", _selftest_prox),
         ("estimator identities", _selftest_estimators),
         ("data gradient vs residual form", _selftest_data_gradient),
+        ("graph product: sparse vs dense", _selftest_graph_product),
     ]
     failures = 0
     for name, fn in checks:

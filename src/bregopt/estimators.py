@@ -9,7 +9,9 @@ error on the data part alone.
 ``SAGA`` keeps a factored table: per sample it stores an m-vector residual
 and an r-vector V-column (the per-sample U-gradient is their rank-one outer
 product) plus the r-vector V-block.  That is O(n (m + r)) memory where dense
-per-sample gradients would cost O(n m r).
+per-sample gradients would cost O(n m r).  The table is stored sample-major,
+like the data: the m x n residual block is Fortran-ordered, so the minibatch
+gather and the overwrite of the sampled entries move contiguous columns.
 
 ``SARAH`` keeps the previous estimate and the previous query point and
 recursively corrects the estimate on a minibatch, restarting with a full
@@ -193,14 +195,14 @@ class SAGA(GradientEstimator):
         stored_v = self._v[:, idx]
         stored_w = self._w[:, idx]
 
-        fresh_outer = fresh_a @ fresh_v.T
-        stored_outer = stored_a @ stored_v.T
-        gu = (fresh_outer - stored_outer) / b + self._avg_u
+        d_outer = fresh_a @ fresh_v.T - stored_a @ stored_v.T
+        d_w = fresh_w - stored_w
+        gu = d_outer / b + self._avg_u
         gv = self._avg_v.copy()
-        gv[:, idx] += (fresh_w - stored_w) / b
+        gv[:, idx] += d_w / b
 
-        self._avg_u += (fresh_outer - stored_outer) / n
-        self._avg_v[:, idx] += (fresh_w - stored_w) / n
+        self._avg_u += d_outer / n
+        self._avg_v[:, idx] += d_w / n
         self._a[:, idx] = fresh_a
         self._v[:, idx] = fresh_v
         self._w[:, idx] = fresh_w

@@ -22,6 +22,26 @@ The graph term does not depend on the sampled column, so it enters every f_i
 at full weight and every estimator reproduces it exactly; only the data part
 is ever subsampled.
 
+Storage is sample-major.  M is held once, in Fortran order, so each column
+(one sample) is contiguous and ``M.T`` is M^T in C order; the per-sample
+gradient tables are Fortran-ordered too.  A minibatch step then gathers and
+scatters contiguous columns: at 500 x 1000 with b = 50, ``M[:, idx]`` takes
+9 us instead of 43 us in C order, and the SAGA table scatter 7 us instead of
+52 us.  The full passes are written for this layout: ``(V M^T)^T`` in place
+of ``M V^T`` (0.50 ms against 0.86 ms as written on the Fortran array, 0.67
+ms on a C-ordered M, r = 10), and ``smooth_value`` forms the residual
+transposed, in C order, because ``np.vdot`` copies a Fortran-ordered operand
+first.
+
+A 5-NN graph Laplacian has about 8 nonzeros per row, so the graph product
+is applied through a CSR matrix when at most 5% of the Laplacian's entries
+are nonzero and through the dense array otherwise; the choice is made once,
+at construction.  Measured for L @ U with a 5-NN Laplacian and r = 5, dense
+against CSR, one OpenBLAS thread on an x86-64 VM: 4.1 vs 11.9 us at m = 60
+(13% nonzero), 8.4 vs 11.9 us at m = 150 (5.1%), 21 vs 16 us at m = 200
+(3.8%) and 270 vs 25 us at m = 500 (1.6%).  The two products differ by at
+most 3e-16 relative.  The layout timings above are from the same machine.
+
 Every problem prescribes a kernel from the quartic+quadratic family against
 which f is (1, 1)-smooth adaptable, and exposes a closed-form Bregman
 proximal step: the minimizer of
@@ -38,6 +58,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .kernels import FactorPair, KernelSpec, kernel_gradient, kernel_value
 from .numeric import (
@@ -59,6 +80,10 @@ __all__ = [
     "hard_threshold_axis",
     "factored_sq_diffs",
 ]
+
+# Largest share of nonzero Laplacian entries for which the graph product
+# goes through CSR; see the module docstring for the measurements.
+_SPARSE_MAX_DENSITY = 0.05
 
 
 def validate_indices(indices, n: int) -> np.ndarray:
@@ -117,12 +142,17 @@ class Problem:
 
     Subclasses set ``kind`` and implement the regularizer-specific pieces:
     feasibility, the nonsmooth value, and the proximal shape operator.
+
+    ``m_data`` is the one copy of M, stored in Fortran order so that a
+    sample (a column) is contiguous; ``m_data.T`` is M^T in C order.  The
+    full passes below are written for that layout.
     """
 
     kind = "abstract"
 
     def __init__(self, m_data, rank: int):
-        self.m_data = as_dense(m_data, "m_data")
+        # Validating the transpose as C-ordered makes at most one copy.
+        self.m_data = as_dense(np.transpose(m_data), "m_data").T
         m, d = self.m_data.shape
         if not 1 <= rank <= min(m, d):
             raise ValueError(f"rank must be in [1, {min(m, d)}], got {rank}")
@@ -151,16 +181,17 @@ class Problem:
     def smooth_value(self, x: FactorPair) -> float:
         """f(x) = |UV - M|_F^2 / 2 plus the graph term.
 
-        Forms the residual UV - M in one m x d array and takes its squared
-        norm with one dot.  The Gram expansion
+        Forms the transposed residual V^T U^T - M^T in one C-ordered d x m
+        array (``np.vdot`` would copy a Fortran-ordered one) and takes its
+        squared norm with one dot.  The Gram expansion
         |M|^2 - 2 <U^T M, V> + tr(U^T U V V^T) needs no m x d array, but it
         cancels catastrophically near a good fit and can even come out
         negative, so the residual form stays.
         """
         self._check_point(x)
-        r = x.u @ x.v
-        r -= self.m_data
-        return 0.5 * float(np.vdot(r, r)) + self._graph_value(x.u)
+        rt = x.v.T @ x.u.T
+        rt -= self.m_data.T
+        return 0.5 * float(np.vdot(rt, rt)) + self._graph_value(x.u)
 
     def nonsmooth_value(self, x: FactorPair) -> float:
         """Finite part of h; indicator kinds return 0 on the feasible set."""
@@ -189,11 +220,12 @@ class Problem:
         Uses the Gram form ((UV - M) V^T, U^T (UV - M)) =
         (U (V V^T) - M V^T, (U^T U) V - U^T M): two r x r Gram matrices and
         two GEMM reads of M, about 4mrd flops, and no m x d array; the
-        largest temporaries are the m x r and r x d blocks.
+        largest temporaries are the m x r and r x d blocks.  M V^T is taken
+        as (V M^T)^T, the fast form for the Fortran-ordered M.
         """
         self._check_point(x)
         gu = x.u @ (x.v @ x.v.T)
-        gu -= self.m_data @ x.v.T
+        gu -= (x.v @ self.m_data.T).T
         gv = (x.u.T @ x.u) @ x.v
         gv -= x.u.T @ self.m_data
         return FactorPair._unchecked(gu, gv)
@@ -211,16 +243,14 @@ class Problem:
         return self._with_graph(self.minibatch_data_gradient(x, indices), x)
 
     def minibatch_data_gradient(self, x: FactorPair, indices) -> FactorPair:
+        """Data-term minibatch gradient: the batch mean of ``batch_table``."""
         self._check_point(x)
-        n = self.n_samples
-        idx = validate_indices(indices, n)
+        idx = validate_indices(indices, self.n_samples)
+        a, vb, w = self.batch_table(x, idx)
         b = idx.size
-        vb = x.v[:, idx]
-        rb = x.u @ vb - self.m_data[:, idx]
-        scale = n / b
-        gu = scale * (rb @ vb.T)
+        gu = (a @ vb.T) / b
         gv = np.zeros_like(x.v)
-        gv[:, idx] = scale * (x.u.T @ rb)
+        gv[:, idx] = w / b
         return FactorPair._unchecked(gu, gv)
 
     # -- factored per-sample gradients (estimator support) --------------
@@ -231,16 +261,20 @@ class Problem:
         Returns (A, Vt, W): sample i has U-block A[:, i] Vt[:, i]^T with
         A = n * (UV - M), and V-block W[:, i] = n * U^T (UV - M)[:, i].
         Memory is O(n (m + r)) instead of materializing n dense gradients.
+        A is Fortran-ordered like M, so a column of the table is contiguous.
         """
         self._check_point(x)
-        a = float(self.n_samples) * (x.u @ x.v - self.m_data)
-        return a, x.v.copy(), x.u.T @ a
+        return self._table(x.u, x.v.copy(), self.m_data)
 
     def batch_table(self, x: FactorPair, idx: np.ndarray):
         """Factored per-sample gradients at x for the given sorted batch."""
-        vb = x.v[:, idx].copy()
-        a = float(self.n_samples) * (x.u @ vb - self.m_data[:, idx])
-        return a, vb, x.u.T @ a
+        return self._table(x.u, x.v[:, idx], self.m_data[:, idx])
+
+    def _table(self, u: np.ndarray, vt: np.ndarray, m_cols: np.ndarray):
+        a = (vt.T @ u.T).T
+        a -= m_cols
+        a *= float(self.n_samples)
+        return a, vt, u.T @ a
 
     # -- graph hooks (only the graph-regularized kind overrides) ---------
 
@@ -343,7 +377,14 @@ class Problem:
 
 
 class GraphRegularizedNMF(Problem):
-    """Nonnegative factorization with a graph-Laplacian smoothness penalty."""
+    """Nonnegative factorization with a graph-Laplacian smoothness penalty.
+
+    The Laplacian is validated, and its Frobenius and spectral norms taken,
+    as a dense array.  ``laplacian`` then holds the operator the graph
+    product uses: a ``scipy.sparse.csr_array`` when at most 5% of the
+    entries are nonzero (a kNN graph from about m = 200 rows up), else the
+    dense array; see the module docstring for the timings behind the rule.
+    """
 
     kind = "gnmf"
 
@@ -368,9 +409,11 @@ class GraphRegularizedNMF(Problem):
             off = lap - np.diag(np.diag(lap))
             if off.max() > 1e-8 * scale:
                 raise ValueError("laplacian off-diagonal entries must be <= 0")
-            self.laplacian = lap
             self.norm_l_fro = float(np.linalg.norm(lap))
             self._norm_l_2 = spectral_norm(lap)
+            if np.count_nonzero(lap) <= _SPARSE_MAX_DENSITY * lap.size:
+                lap = scipy.sparse.csr_array(lap)
+            self.laplacian = lap
         else:
             self.laplacian = None
             self.norm_l_fro = 0.0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bregopt.estimators import (
     SAGA,
@@ -17,7 +19,11 @@ from bregopt.estimators import (
 )
 from bregopt.kernels import FactorPair
 from bregopt.numeric import make_rng
-from bregopt.problems import GraphRegularizedNMF, build_problem
+from bregopt.problems import (
+    GraphRegularizedNMF,
+    build_knn_laplacian,
+    build_problem,
+)
 
 from .test_kernels import random_pair
 
@@ -112,6 +118,60 @@ def test_identities_hold_with_graph_term():
     sarah = SARAH(prob, 2, 1.0, make_rng(2))
     g = sarah.estimate(x)
     assert np.array_equal(g.u, full.u) and np.array_equal(g.v, full.v)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@example(m=4, d=1, rank=1, b=1, kind="gnmf", seed=0)
+@example(m=5, d=6, rank=5, b=6, kind="wcmf", seed=1)
+@example(m=1, d=3, rank=1, b=3, kind="ssnmf", seed=2)
+@given(
+    m=st.integers(1, 8),
+    d=st.integers(1, 8),
+    rank=st.integers(1, 8),
+    b=st.integers(1, 8),
+    kind=st.sampled_from(["gnmf", "wcmf", "ssnmf"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tables_and_full_batch_saga_on_edge_shapes(m, d, rank, b, kind, seed):
+    # Clamping pulls rank = min(m, d) and b = n into many draws.
+    rank, b = min(rank, m, d), min(b, d)
+    rng = make_rng(seed)
+    m_data = rng.uniform(0.1, 1.0, (m, d))
+    lap = build_knn_laplacian(m_data, p_neighbors=1) if m >= 2 else np.zeros((1, 1))
+    params = {
+        "gnmf": {"mu0": 0.3, "laplacian": lap},
+        "wcmf": {"lambda1": 0.1, "lambda2": 0.05},
+        "ssnmf": {"s1": 1, "s2": 1},
+    }[kind]
+    prob = build_problem(kind, m_data, rank, **params)
+    x0, x1 = random_pair(rng, m, rank, d), random_pair(rng, m, rank, d)
+
+    idx = np.sort(rng.choice(d, size=b, replace=False))
+    full_table = prob.gradient_table(x1)
+    for got, whole in zip(prob.batch_table(x1, idx), full_table):
+        want = whole[:, idx]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    saga = SAGA(prob, d, make_rng(seed))
+    saga.initialize(x0)
+    for x in (x1, x0):
+        g, full = saga.estimate(x), prob.full_gradient(x)
+        assert np.array_equal(g.u, full.u) and np.array_equal(g.v, full.v)
+
+
+def test_saga_table_stays_sample_major(gnmf_problem):
+    points = random_walk(gnmf_problem, make_rng(12), steps=4)
+    est = SAGA(gnmf_problem, 4, make_rng(3))
+    est.initialize(points[0])
+    assert est._a.flags.f_contiguous
+    for x in points[1:4]:
+        est.estimate(x)
+    assert est._a.flags.f_contiguous
+    est.audit(points[3])
+    assert est._a.flags.f_contiguous
+    full = SAGA(gnmf_problem, gnmf_problem.n_samples, make_rng(3))
+    full.estimate(points[4])
+    assert full._a.flags.f_contiguous
 
 
 def test_minibatch_exhaustive_mean_is_unbiased(gnmf_problem):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bregopt.kernels import FactorPair, KernelSpec
 from bregopt.numeric import hard_threshold, make_rng
@@ -364,6 +365,44 @@ def test_gnmf_laplacian_norm_is_the_spectral_norm():
         x = FactorPair(np.zeros((m, 1)), np.zeros((1, 3)))
         want = 0.5 * np.linalg.norm(lap, 2)
         assert prob.local_lipschitz(x) == pytest.approx(want, rel=1e-12)
+
+
+def test_m_data_is_held_once_sample_major():
+    rng = make_rng(28)
+    m_data = rng.uniform(0.1, 1.0, (7, 9))
+    params = {
+        "gnmf": {},
+        "wcmf": {"lambda1": 0.3, "lambda2": 0.1},
+        "ssnmf": {"s1": 2, "s2": 3},
+    }
+    for kind, kw in params.items():
+        prob = build_problem(kind, m_data, 3, **kw)
+        assert prob.m_data.flags.f_contiguous
+        assert np.array_equal(prob.m_data, m_data)
+        x = random_pair(rng, 7, 3, 9)
+        assert prob.gradient_table(x)[0].flags.f_contiguous
+        assert prob.batch_table(x, np.array([0, 4, 5]))[0].flags.f_contiguous
+    # Input already in the stored layout is kept, not copied.
+    f_data = np.asfortranarray(m_data)
+    assert np.shares_memory(build_problem("gnmf", f_data, 3).m_data, f_data)
+
+
+@pytest.mark.parametrize("m,sparse", [(60, False), (200, True)])
+def test_graph_operator_is_chosen_by_density(m, sparse):
+    # A 5-NN Laplacian has about 8 nonzeros per row: 13% of the entries at
+    # m = 60, under the 5% rule at m = 200.
+    rng = make_rng(29)
+    m_data = rng.uniform(0.1, 1.0, (m, 40))
+    lap = build_knn_laplacian(m_data, p_neighbors=5)
+    prob = GraphRegularizedNMF(m_data, 3, mu0=0.4, laplacian=lap)
+    assert scipy.sparse.issparse(prob.laplacian) == sparse
+    u = rng.uniform(0.0, 1.0, (m, 3))
+    want = 0.4 * (lap @ u)
+    got = prob._graph_gradient(u)
+    assert isinstance(got, np.ndarray)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert prob._graph_value(u) == pytest.approx(0.5 * np.vdot(u, want), rel=1e-12)
+    assert prob._norm_l_2 == pytest.approx(np.linalg.norm(lap, 2), rel=1e-12)
 
 
 # -- proximal step ----------------------------------------------------------

@@ -6,10 +6,11 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bregopt.kernels import FactorPair, bregman_distance
 from bregopt.numeric import make_rng
-from bregopt.problems import build_problem
+from bregopt.problems import build_knn_laplacian, build_problem
 from bregopt.solver import (
     SolverConfig,
     extrapolate,
@@ -235,13 +236,26 @@ def test_run_accepts_tuple_seed(small_gnmf):
     assert np.array_equal(r1.x.u, r2.x.u)
 
 
-@pytest.mark.parametrize("algorithm,estimator", [("bpge", "full"), ("bpsge", "saga")])
-def test_run_is_bitwise_reproducible_at_blas_size(algorithm, estimator):
+@pytest.mark.parametrize(
+    "algorithm,estimator,kind",
+    [
+        pytest.param("bpge", "full", "wcmf", id="bpge-full"),
+        pytest.param("bpsge", "saga", "wcmf", id="bpsge-saga"),
+        pytest.param("bpsge", "saga", "gnmf", id="bpsge-saga-gnmf-csr"),
+    ],
+)
+def test_run_is_bitwise_reproducible_at_blas_size(algorithm, estimator, kind):
     # At 200 x 300 OpenBLAS may split its dot and GEMM kernels over threads;
-    # two runs in one process must still agree bit for bit.
+    # two runs in one process must still agree bit for bit.  The gnmf case
+    # applies its 5-NN Laplacian through the sparse product.
     rng = make_rng(60)
     m_data = rng.uniform(0.1, 1.0, (200, 300))
-    prob = build_problem("wcmf", m_data, 5, lambda1=0.1, lambda2=0.05)
+    if kind == "wcmf":
+        prob = build_problem("wcmf", m_data, 5, lambda1=0.1, lambda2=0.05)
+    else:
+        lap = build_knn_laplacian(m_data, p_neighbors=5)
+        prob = build_problem("gnmf", m_data, 5, mu0=0.1, laplacian=lap)
+        assert scipy.sparse.issparse(prob.laplacian)
     cfg = SolverConfig(
         algorithm=algorithm,
         estimator=estimator,
