@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import harness
-from .estimators import make_estimator
+from .estimators import estimate_sample_lipschitz, make_estimator
 from .harness import ConfigError, ExperimentConfig, MatrixParseError
 from .kernels import FactorPair, KernelSpec, kernel_gradient, kernel_value
 from .numeric import cubic_root, make_rng
-from .problems import build_knn_laplacian, build_problem
+from .problems import build_knn_laplacian, build_problem, factored_sq_diffs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -307,6 +307,23 @@ def _selftest_graph_product(rng) -> str | None:
     return None
 
 
+def _selftest_sample_lipschitz(rng) -> str | None:
+    m_data = rng.uniform(0.1, 1.0, (8, 30))
+    prob = build_problem("gnmf", m_data, 3)
+    points = [
+        FactorPair(rng.uniform(0, 1, (8, 3)), rng.uniform(0, 1, (3, 30)))
+        for _ in range(20)
+    ]
+    want = 0.0
+    for prev, cur in zip(points, points[1:]):
+        sq = factored_sq_diffs(prob.gradient_table(cur), prob.gradient_table(prev))
+        want = max(want, float(np.sqrt(sq.max())) / (cur - prev).norm())
+    got = estimate_sample_lipschitz(prob, points)
+    if got != want:
+        return f"the sweep gives {got!r}, the pairwise loop {want!r}"
+    return None
+
+
 def _cmd_selftest(args) -> int:
     rng = make_rng(0)
     checks = [
@@ -316,6 +333,7 @@ def _cmd_selftest(args) -> int:
         ("estimator identities", _selftest_estimators),
         ("data gradient vs residual form", _selftest_data_gradient),
         ("graph product: sparse vs dense", _selftest_graph_product),
+        ("sample-Lipschitz sweep vs pairwise", _selftest_sample_lipschitz),
     ]
     failures = 0
     for name, fn in checks:

@@ -20,6 +20,25 @@ gradient with a configured probability.
 Audit mode computes the mean-squared-error trackers used by the convergence
 analysis; these sweeps cost a full pass over the samples and are intended
 for desk-scale diagnosis, not production runs.
+
+``estimate_sample_lipschitz`` builds the gradient tables of consecutive
+iterates in chunks whose m x d residual blocks take at most 512 KiB
+(``_SWEEP_CHUNK_BYTES``; one iterate per chunk when a block is larger).
+Measured against the pairwise loop, median of 15 interleaved runs, one
+OpenBLAS thread on an x86-64 VM with 4 MiB of L2 per core, rank 5 unless
+stated:
+
+    60 x 40, 241 iterates:       loop 15.0 ms; 256 KiB 6.0, 512 KiB 5.3,
+                                 1 MiB 5.1, 2 MiB 6.0
+    120 x 100, 241 iterates:     loop 21.8 ms; 256 KiB 20.4, 512 KiB 14.4,
+                                 1 MiB 13.0, 2 MiB 13.5
+    200 x 300, 100 iterates:     loop 20.2 ms; 512 KiB (one per chunk)
+                                 19.9, 1 MiB 24.7, 2 MiB 27.1
+    500 x 1000 rank 10, 24:      loop 77 ms; 512 KiB 71, 2 MiB 69
+
+Larger chunks gain nothing at desk scale and lose from 200 x 300 up, where
+a chunk of several blocks no longer stays in cache; a whole 100-iterate
+trajectory at 200 x 300 in one chunk took 67 ms.
 """
 
 from __future__ import annotations
@@ -30,7 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FactorPair
-from .problems import Problem, factored_sq_diffs, validate_indices
+from .problems import (
+    Problem,
+    _col_dots,
+    _rank_one_sq_diffs,
+    factored_sq_diffs,
+)
 
 __all__ = [
     "VarianceAudit",
@@ -46,6 +70,10 @@ __all__ = [
     "check_geometric_decay",
     "estimate_sample_lipschitz",
 ]
+
+# Largest size of the stacked m x d residual blocks that one chunk of
+# ``estimate_sample_lipschitz`` builds; see the module docstring.
+_SWEEP_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -78,10 +106,22 @@ class GradientEstimator:
     def audit(self, x_bar: FactorPair, estimate: FactorPair | None = None) -> VarianceAudit:
         raise NotImplementedError
 
-    def _realized(self, x_bar: FactorPair, estimate: FactorPair | None) -> float | None:
+    def _realized(
+        self,
+        x_bar: FactorPair,
+        estimate: FactorPair | None,
+        g_data: FactorPair | None = None,
+    ) -> float | None:
+        """|estimate - full gradient at x_bar|^2, None without an estimate.
+
+        ``g_data`` is the data-term gradient at x_bar when the caller has
+        already taken that pass.
+        """
         if estimate is None:
             return None
-        diff = estimate - self.problem.full_gradient(x_bar)
+        if g_data is None:
+            g_data = self.problem.data_gradient(x_bar)
+        diff = estimate - self.problem._with_graph(g_data, x_bar)
         return diff.norm_sq()
 
 
@@ -277,10 +317,10 @@ class SARAH(GradientEstimator):
         the recursive estimate itself; it is exactly zero after a restart."""
         if self._prev_est is None:
             return VarianceAudit(0.0, 0.0, self._realized(x_bar, estimate))
-        diff = self._prev_est - self.problem.data_gradient(x_bar)
-        gamma = diff.norm_sq()
+        g_data = self.problem.data_gradient(x_bar)
+        gamma = (self._prev_est - g_data).norm_sq()
         return VarianceAudit(
-            gamma, math.sqrt(gamma), self._realized(x_bar, estimate)
+            gamma, math.sqrt(gamma), self._realized(x_bar, estimate, g_data)
         )
 
 
@@ -392,22 +432,67 @@ def estimate_sample_lipschitz(problem: Problem, points) -> float:
     """Empirical Lipschitz bound of the per-sample data gradients.
 
     Scans consecutive pairs of ``points`` and returns the largest observed
-    ratio max_i |grad_i(x) - grad_i(y)| / |x - y|.  This is the constant the
-    decay inequality's variance terms are built from; an empirical estimate
-    over the visited region is the honest desk-scale substitute for an a
-    priori bound.
+    ratio max_i |grad_i(x) - grad_i(y)| / |x - y|, skipping pairs at most
+    1e-14 apart.  This is the constant the decay inequality's variance terms
+    are built from; an empirical estimate over the visited region is the
+    honest desk-scale substitute for an a priori bound.
+
+    The gradient tables of consecutive points are built in chunks, each a
+    few stacked GEMMs, with each table's column norms taken once.  A chunk
+    holds as many points as fit their m x d residual blocks into
+    ``_SWEEP_CHUNK_BYTES``, 512 KiB (at least one point), and at most two
+    chunks are held at once.  The result is bit for bit that of a pairwise
+    loop over ``gradient_table`` and ``factored_sq_diffs``: each slice of a
+    stack takes the same GEMM, in the same layout, and each column sum runs
+    in the same order, as one table does.
     """
     points = list(points)
     if len(points) < 2:
         raise ValueError("need at least two points")
+    for x in points:
+        problem._check_point(x)
+    m, _, d = problem.shape
+    per_chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * m * d))
+    sq_max: list[float] = []
+    last = None
+    for start in range(0, len(points), per_chunk):
+        maxes, last = _sweep_chunk(problem, points[start : start + per_chunk], last)
+        sq_max.extend(maxes)
     best = 0.0
-    prev = points[0]
-    prev_tab = problem.gradient_table(prev)
-    for cur in points[1:]:
+    for sq, prev, cur in zip(sq_max, points, points[1:]):
         dist = (cur - prev).norm()
-        cur_tab = problem.gradient_table(cur)
         if dist > 1e-14:
-            sq = factored_sq_diffs(cur_tab, prev_tab)
-            best = max(best, math.sqrt(float(sq.max())) / dist)
-        prev, prev_tab = cur, cur_tab
+            best = max(best, math.sqrt(float(sq)) / dist)
     return best
+
+
+def _sweep_chunk(problem: Problem, chunk: list, last):
+    """Largest per-sample squared gradient difference of each consecutive
+    pair that ends in ``chunk``, and the chunk's last table.
+
+    A table here is (A, Vt, W, |A_i|^2, |Vt_i|^2) with a leading axis over
+    points; ``last`` is the previous chunk's last table, or None.
+    """
+    a, vt, w = problem._table(
+        np.stack([x.u for x in chunk]), np.stack([x.v for x in chunk]), problem.m_data
+    )
+    tab = (a, vt, w, _col_dots(a, a), _col_dots(vt, vt))
+    maxes = []
+    if last is not None:
+        maxes.extend(_pair_sq_diffs([t[:1] for t in tab], last).max(axis=-1))
+    # A block over the bound gives one-point chunks with no inner pair;
+    # skipping the empty-stack calls keeps them as fast as the pairwise loop.
+    if len(chunk) > 1:
+        cur = [t[1:] for t in tab]
+        prev = [t[:-1] for t in tab]
+        maxes.extend(_pair_sq_diffs(cur, prev).max(axis=-1))
+    return maxes, [t[-1:] for t in tab]
+
+
+def _pair_sq_diffs(t1, t2) -> np.ndarray:
+    """``factored_sq_diffs`` for stacked tables with their column norms."""
+    a1, v1, w1, aa1, vv1 = t1
+    a2, v2, w2, aa2, vv2 = t2
+    return _rank_one_sq_diffs(
+        aa1, vv1, aa2, vv2, _col_dots(a1, a2), _col_dots(v1, v2), w1 - w2
+    )

@@ -125,13 +125,7 @@ class KernelSpec:
 
 
 def kernel_value(spec: KernelSpec, x: FactorPair) -> float:
-    s = x.norm_sq()
-    half = 0.5 * s
-    return float(
-        spec.quartic * half * half
-        + spec.quadratic * half
-        + 0.5 * spec.u_quadratic * np.vdot(x.u, x.u)
-    )
+    return _kernel_value(spec, x, x.norm_sq())
 
 
 def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
@@ -140,7 +134,21 @@ def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
     With s = |U|_F^2 + |V|_F^2 the blocks are (a*s + b + c) U and (a*s + b) V.
     The result is not validated: for a huge x it can hold inf or NaN.
     """
-    s = x.norm_sq()
+    return _kernel_gradient(spec, x, x.norm_sq())
+
+
+def _kernel_value(spec: KernelSpec, x: FactorPair, s: float) -> float:
+    """psi(x) given s = ``x.norm_sq()``."""
+    half = 0.5 * s
+    return float(
+        spec.quartic * half * half
+        + spec.quadratic * half
+        + 0.5 * spec.u_quadratic * np.vdot(x.u, x.u)
+    )
+
+
+def _kernel_gradient(spec: KernelSpec, x: FactorPair, s: float) -> FactorPair:
+    """grad psi(x) given s = ``x.norm_sq()``."""
     cu = spec.quartic * s + spec.quadratic + spec.u_quadratic
     cv = spec.quartic * s + spec.quadratic
     return FactorPair._unchecked(cu * x.u, cv * x.v)
@@ -149,13 +157,19 @@ def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
 def bregman_distance(spec: KernelSpec, x: FactorPair, y: FactorPair) -> float:
     """D_psi(x, y) = psi(x) - psi(y) - <grad psi(y), x - y>.
 
-    Nonnegative by convexity; roundoff may produce values as low as about
-    -1e-12 on nearly equal arguments, which callers should treat as zero.
+    Takes the squared norm of each argument once.  Nonnegative by convexity;
+    roundoff may produce values as low as about -1e-12 on nearly equal
+    arguments, which callers should treat as zero.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    gy = kernel_gradient(spec, y)
-    return kernel_value(spec, x) - kernel_value(spec, y) - gy.dot(x - y)
+    s_y = y.norm_sq()
+    gy = _kernel_gradient(spec, y, s_y)
+    return (
+        _kernel_value(spec, x, x.norm_sq())
+        - _kernel_value(spec, y, s_y)
+        - gy.dot(x - y)
+    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ __all__ = [
     "spawn_rngs",
     "cubic_root",
     "soft_threshold",
-    "hard_threshold",
     "project_nonneg",
     "spectral_norm",
 ]
@@ -107,24 +106,6 @@ def soft_threshold(y, tau: float) -> np.ndarray:
         raise ValueError(f"soft_threshold: tau must be >= 0, got {tau}")
     y = np.asarray(y, dtype=np.float64)
     return np.sign(y) * np.maximum(np.abs(y) - tau, 0.0)
-
-
-def hard_threshold(y, s: int) -> np.ndarray:
-    """Keep the ``s`` largest-magnitude entries of a 1-D array, zero the rest.
-
-    Ties are broken deterministically: among equal magnitudes the lowest
-    index is kept first (stable sort on descending magnitude).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("hard_threshold expects a 1-D array")
-    if not 0 <= s <= y.size:
-        raise ValueError(f"hard_threshold: s must be in [0, {y.size}], got {s}")
-    out = np.zeros_like(y)
-    if s > 0:
-        keep = np.argsort(-np.abs(y), kind="stable")[:s]
-        out[keep] = y[keep]
-    return out
 
 
 def project_nonneg(a) -> np.ndarray:

@@ -102,7 +102,8 @@ def validate_indices(indices, n: int) -> np.ndarray:
 def hard_threshold_axis(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     """Keep the s largest-magnitude entries along ``axis``, zero the rest.
 
-    Matches the 1-D rule slice by slice: ties keep the lowest index.
+    Each slice along ``axis`` is thresholded on its own; among equal
+    magnitudes the lowest index is kept first.
     """
     a = np.asarray(a, dtype=np.float64)
     if not 0 <= s <= a.shape[axis]:
@@ -122,19 +123,39 @@ def factored_sq_diffs(t1, t2) -> np.ndarray:
 
     A table (A, Vt, W) encodes per-sample gradients: sample i has U-block
     A[:, i] Vt[:, i]^T and V-block W[:, i] (living in column i).  Returns the
-    vector of |grad_i(t1) - grad_i(t2)|^2 using the rank-one identity
-    |a b^T - c d^T|_F^2 = |a|^2 |b|^2 - 2 <a, c> <b, d> + |c|^2 |d|^2,
-    clamped at zero against roundoff.
+    vector of |grad_i(t1) - grad_i(t2)|^2; see ``_rank_one_sq_diffs``.
     """
     a1, v1, w1 = t1
     a2, v2, w2 = t2
-    outer = (
-        np.einsum("ij,ij->j", a1, a1) * np.einsum("ij,ij->j", v1, v1)
-        - 2.0 * np.einsum("ij,ij->j", a1, a2) * np.einsum("ij,ij->j", v1, v2)
-        + np.einsum("ij,ij->j", a2, a2) * np.einsum("ij,ij->j", v2, v2)
+    return _rank_one_sq_diffs(
+        _col_dots(a1, a1),
+        _col_dots(v1, v1),
+        _col_dots(a2, a2),
+        _col_dots(v2, v2),
+        _col_dots(a1, a2),
+        _col_dots(v1, v2),
+        w1 - w2,
     )
-    wd = w1 - w2
-    return np.maximum(outer, 0.0) + np.einsum("ij,ij->j", wd, wd)
+
+
+def _col_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Column-wise inner products of two matrices, or of two stacks of
+    matrices slice by slice; a slice sums in the same order as a matrix."""
+    return np.einsum("...ij,...ij->...j", x, y)
+
+
+def _rank_one_sq_diffs(aa1, vv1, aa2, vv2, a12, v12, wd) -> np.ndarray:
+    """|a1 b1^T - a2 b2^T|_F^2 + |wd|^2 per sample, by the rank-one identity
+    |a b^T - c d^T|_F^2 = |a|^2 |b|^2 - 2 <a, c> <b, d> + |c|^2 |d|^2 from the
+    column norms (aa, vv) and cross products (a12, v12), the outer part
+    clamped at zero against roundoff.  ``wd`` is the V-block difference."""
+    outer = aa1 * vv1 - 2.0 * a12 * v12 + aa2 * vv2
+    return np.maximum(outer, 0.0) + _col_dots(wd, wd)
+
+
+def _mt(x: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack (a view)."""
+    return np.swapaxes(x, -1, -2)
 
 
 class Problem:
@@ -271,10 +292,12 @@ class Problem:
         return self._table(x.u, x.v[:, idx], self.m_data[:, idx])
 
     def _table(self, u: np.ndarray, vt: np.ndarray, m_cols: np.ndarray):
-        a = (vt.T @ u.T).T
+        # u and vt may also be stacks of factors, one per point; each slice
+        # then takes the same GEMMs as a single point, with the same layouts.
+        a = _mt(_mt(vt) @ _mt(u))
         a -= m_cols
         a *= float(self.n_samples)
-        return a, vt, u.T @ a
+        return a, vt, _mt(u) @ a
 
     # -- graph hooks (only the graph-regularized kind overrides) ---------
 
@@ -418,6 +441,7 @@ class GraphRegularizedNMF(Problem):
             self.laplacian = None
             self.norm_l_fro = 0.0
             self._norm_l_2 = 0.0
+        self._kernel = KernelSpec(3.0, self.norm_m + self.mu0 * self.norm_l_fro, 0.0)
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
         self._check_point(x)
@@ -437,7 +461,10 @@ class GraphRegularizedNMF(Problem):
         return self.mu0 * self._norm_l_2
 
     def kernel(self, eta: float = 0.0) -> KernelSpec:
-        return KernelSpec(3.0, self.norm_m + self.mu0 * self.norm_l_fro, 0.0)
+        """The kernel a = 3, b = |M|_F + mu0 |L|_F.  It does not depend on
+        eta, so it is built once, at construction, and every call returns
+        that one spec."""
+        return self._kernel
 
     def _prox_shapes(self, neg_p, neg_q, eta):
         return project_nonneg(neg_p), project_nonneg(neg_q)
@@ -474,7 +501,8 @@ class WeaklyConvexMF(Problem):
 
     def kernel(self, eta: float = 0.0) -> KernelSpec:
         """The U-only quadratic eta*lambda2 cancels the concave part of h in
-        the proximal subproblem, keeping it convex along the U block."""
+        the proximal subproblem, keeping it convex along the U block.  The
+        spec depends on eta, so each call builds one."""
         return KernelSpec(3.0, self.norm_m, float(eta) * self.lambda2)
 
     def _prox_shapes(self, neg_p, neg_q, eta):
@@ -496,6 +524,7 @@ class SparseNMF(Problem):
             raise ValueError(f"s2 must be in [1, {d}], got {s2}")
         self.s1 = int(s1)
         self.s2 = int(s2)
+        self._kernel = KernelSpec(3.0, self.norm_m, 0.0)
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
         self._check_point(x)
@@ -514,7 +543,9 @@ class SparseNMF(Problem):
         return False
 
     def kernel(self, eta: float = 0.0) -> KernelSpec:
-        return KernelSpec(3.0, self.norm_m, 0.0)
+        """The kernel a = 3, b = |M|_F.  It does not depend on eta, so it is
+        built once, at construction, and every call returns that one spec."""
+        return self._kernel
 
     def _prox_shapes(self, neg_p, neg_q, eta):
         # Projection first, then selection: clip negatives, then keep the

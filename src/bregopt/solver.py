@@ -359,8 +359,12 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     epoch's last iterate and its other scalars as epoch means, so a failed
     epoch adds no row), per-iteration audit records when auditing is
     enabled, and a failure flag with the iteration number if a step fails.
-    The run stops early once the per-epoch mean Bregman step stays below
-    ``stop_tol`` for ``stop_window`` consecutive epochs.
+    An audited step's ``bregman_prev``, D(x_{k-1}, x_k) under this step's
+    kernel, is the previous step's Bregman step when the kernel is unchanged
+    (always for gnmf and ssnmf, for wcmf while eta holds) and is computed
+    otherwise, as at k = 0.  The run stops early once the per-epoch mean
+    Bregman step stays below ``stop_tol`` for ``stop_window`` consecutive
+    epochs.
     """
     cfg = cfg.resolved()
     _validate_start(problem, x0)
@@ -404,6 +408,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     x_k = x0
     eta_prev = cfg.eta0
     kern_prev = problem.kernel(eta_prev)
+    d_last = math.nan  # D(x_{k-1}, x_k) under kern_prev, from the last step
     l_prev = 0.0  # no curvature estimate exists before the first step
     k_global = 0
     quiet_epochs = 0
@@ -446,7 +451,10 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
             if audited:
                 aud = estimator.audit(x_bar, g)
-                d_prev = bregman_distance(kern, x_km1, x_k)
+                if k_global > 0 and kern == kern_prev:
+                    d_prev = d_last
+                else:
+                    d_prev = bregman_distance(kern, x_km1, x_k)
                 psi = lyapunov(
                     eta,
                     obj,
@@ -487,7 +495,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 boundary = (psi, wit, result.audits[-1].gamma)
 
             x_km1, x_k = x_k, x_next
-            eta_prev, kern_prev = eta, kern
+            eta_prev, kern_prev, d_last = eta, kern, d_next
             l_prev = l_eff
             k_global += 1
             if cfg.keep_iterates:
@@ -495,11 +503,12 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
         if result.failed:
             break
+        step_mean = float(np.mean(ep_d))
         trace.append(
             IterationTrace(
                 epoch=epoch,
                 objective=obj,
-                bregman_step=float(np.mean(ep_d)),
+                bregman_step=step_mean,
                 lyapunov=boundary[0],
                 stationarity=boundary[1],
                 eta=float(np.mean(ep_eta)),
@@ -509,7 +518,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 feasible=True,
             )
         )
-        if float(np.mean(ep_d)) < cfg.stop_tol:
+        if step_mean < cfg.stop_tol:
             quiet_epochs += 1
             if quiet_epochs >= cfg.stop_window:
                 break

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bregopt import estimators
 from bregopt.estimators import (
     SAGA,
     SARAH,
@@ -23,6 +25,7 @@ from bregopt.problems import (
     GraphRegularizedNMF,
     build_knn_laplacian,
     build_problem,
+    factored_sq_diffs,
 )
 
 from .test_kernels import random_pair
@@ -305,6 +308,28 @@ def test_sarah_recursion_matches_dense_reference(gnmf_problem):
         prev_est, prev_x = want, x
 
 
+def test_sarah_audit_takes_one_data_pass(monkeypatch):
+    rng = make_rng(25)
+    m_data = rng.uniform(0.1, 1.0, (8, 12))
+    lap = build_knn_laplacian(m_data, p_neighbors=3)
+    prob = build_problem("gnmf", m_data, 2, mu0=0.4, laplacian=lap)
+    est = SARAH(prob, 3, 0.5, make_rng(26))
+    x = random_pair(rng, 8, 2, 12, 0.1, 1.0)
+    est.estimate(x)
+    y = random_pair(rng, 8, 2, 12, 0.1, 1.0)
+    g = est.estimate(y)
+    passes = []
+    data_gradient = prob.data_gradient
+    monkeypatch.setattr(
+        prob, "data_gradient", lambda z: passes.append(z) or data_gradient(z)
+    )
+    aud = est.audit(y, g)
+    assert len(passes) == 1
+    monkeypatch.undo()
+    assert aud.realized_sq_error == (g - prob.full_gradient(y)).norm_sq()
+    assert aud.gamma == (est._prev_est - prob.data_gradient(y)).norm_sq()
+
+
 def test_sarah_audit_zero_after_restart(gnmf_problem):
     est = SARAH(gnmf_problem, 2, 1.0, make_rng(22))
     x = random_pair(make_rng(23), 6, 3, 20, 0.1, 1.0)
@@ -388,3 +413,73 @@ def test_estimate_sample_lipschitz_needs_two_points(gnmf_problem):
         estimate_sample_lipschitz(
             gnmf_problem, [random_pair(make_rng(34), 6, 3, 20)]
         )
+
+
+def pairwise_sample_lipschitz(problem, points):
+    """Reference: one pair at a time, two tables per pair."""
+    best = 0.0
+    for prev, cur in zip(points, points[1:]):
+        dist = (cur - prev).norm()
+        if dist > 1e-14:
+            sq = factored_sq_diffs(
+                problem.gradient_table(cur), problem.gradient_table(prev)
+            )
+            best = max(best, math.sqrt(float(sq.max())) / dist)
+    return best
+
+
+@pytest.mark.parametrize(
+    "kind, m, d, rank",
+    [("gnmf", 6, 20, 3), ("wcmf", 7, 9, 3), ("ssnmf", 5, 8, 2), ("wcmf", 4, 1, 1)],
+)
+def test_estimate_sample_lipschitz_equals_pairwise_loop(kind, m, d, rank, monkeypatch):
+    params = {
+        "gnmf": {"mu0": 0.3, "laplacian": None},
+        "wcmf": {"lambda1": 0.2, "lambda2": 0.1},
+        "ssnmf": {"s1": 2, "s2": 3},
+    }[kind]
+    rng = make_rng(35)
+    m_data = rng.uniform(0.1, 1.0, (m, d))
+    if kind == "gnmf":
+        params["laplacian"] = build_knn_laplacian(m_data, p_neighbors=2)
+    prob = build_problem(kind, m_data, rank, **params)
+    points = [
+        FactorPair(rng.standard_normal((m, rank)), rng.standard_normal((rank, d)))
+        for _ in range(9)
+    ]
+    points[4] = points[3]  # a repeated point: the pair is skipped
+    chunk = 3
+    for budget in (estimators._SWEEP_CHUNK_BYTES, chunk * 8 * m * d):
+        monkeypatch.setattr(estimators, "_SWEEP_CHUNK_BYTES", budget)
+        # 3 and 4 points sit on either side of the first chunk boundary.
+        for length in (2, 3, chunk, chunk + 1, 5, 9):
+            got = estimate_sample_lipschitz(prob, points[:length])
+            assert got == pairwise_sample_lipschitz(prob, points[:length])
+        assert estimate_sample_lipschitz(prob, points[3:5]) == 0.0
+    wrong = FactorPair(np.ones((m + 1, rank)), np.ones((rank, d)))
+    for bad in ([wrong, points[0]], [points[0], points[1], wrong]):
+        with pytest.raises(ValueError, match="point shape"):
+            estimate_sample_lipschitz(prob, bad)
+
+
+def test_estimate_sample_lipschitz_memory_is_bounded_by_the_chunk(monkeypatch):
+    rng = make_rng(36)
+    m, r, d = 200, 5, 300
+    prob = build_problem("gnmf", rng.uniform(0.1, 1.0, (m, d)), r)
+    points = [random_pair(rng, m, r, d, 0.0, 1.0) for _ in range(12)]
+    md_bytes = m * d * 8
+    want = pairwise_sample_lipschitz(prob, points)
+    for budget in (estimators._SWEEP_CHUNK_BYTES, 4 * md_bytes):
+        monkeypatch.setattr(estimators, "_SWEEP_CHUNK_BYTES", budget)
+        estimate_sample_lipschitz(prob, points)  # warm up
+        tracemalloc.start()
+        try:
+            got = estimate_sample_lipschitz(prob, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        # At most two chunks are alive, the one being built and the one
+        # before it (its last table is a view into it), plus their factors;
+        # the 12 tables together take 12 * md_bytes.
+        assert peak < 2 * max(budget, md_bytes) + md_bytes

@@ -6,13 +6,13 @@ import pytest
 from bregopt.numeric import (
     as_dense,
     cubic_root,
-    hard_threshold,
     make_rng,
     project_nonneg,
     soft_threshold,
     spawn_rngs,
     spectral_norm,
 )
+from bregopt.problems import hard_threshold_axis
 
 
 def bisect_root(a, b, tol=1e-15):
@@ -85,44 +85,19 @@ def test_soft_threshold_rejects_negative_tau():
         soft_threshold(np.ones(3), -0.1)
 
 
-def test_hard_threshold_exhaustive_oracle():
-    # Best s-sparse approximation in squared error, checked against every
-    # support of size s (vectors short enough to enumerate).
-    import itertools
-
-    rng = make_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(1, 9))
-        s = int(rng.integers(0, n + 1))
-        y = rng.standard_normal(n)
-        z = hard_threshold(y, s)
-        assert np.count_nonzero(z) <= s
-        err = np.sum((y - z) ** 2)
-        best = min(
-            np.sum(np.delete(y, list(keep)) ** 2) if keep else np.sum(y**2)
-            for keep in itertools.combinations(range(n), s)
-        ) if s > 0 else np.sum(y**2)
-        assert err <= best + 1e-12
-
-
-def test_hard_threshold_tie_keeps_lowest_index():
-    out = hard_threshold(np.array([1.0, 1.0, 1.0]), 2)
-    assert np.array_equal(out, [1.0, 1.0, 0.0])
-    out = hard_threshold(np.array([-2.0, 2.0, 2.0]), 2)
-    assert np.array_equal(out, [-2.0, 2.0, 0.0])
-
-
-def test_hard_threshold_validation():
-    with pytest.raises(ValueError):
-        hard_threshold(np.ones((2, 2)), 1)
-    with pytest.raises(ValueError):
-        hard_threshold(np.ones(3), 4)
-
-
 def test_project_nonneg():
     out = project_nonneg(np.array([[1.0, -2.0], [-0.0, 3.0]]))
     assert np.array_equal(out, [[1.0, 0.0], [0.0, 3.0]])
     assert out.min() == 0.0
+
+
+def test_hard_threshold_tie_keeps_lowest_index():
+    # Equal magnitudes keep the lowest index first; one-row inputs of
+    # hard_threshold_axis, the one hard-thresholding rule.
+    out = hard_threshold_axis(np.array([[1.0, 1.0, 1.0]]), 2, axis=1)
+    assert np.array_equal(out, [[1.0, 1.0, 0.0]])
+    out = hard_threshold_axis(np.array([[-2.0, 2.0, 2.0]]), 2, axis=1)
+    assert np.array_equal(out, [[-2.0, 2.0, 0.0]])
 
 
 # -- spectral norm ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Problem kinds: objectives, gradients, kernels, and the closed-form prox."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.sparse
 
 from bregopt.kernels import FactorPair, KernelSpec
-from bregopt.numeric import hard_threshold, make_rng
+from bregopt.numeric import make_rng
 from bregopt.problems import (
     GraphRegularizedNMF,
     SparseNMF,
@@ -46,21 +47,59 @@ def test_validate_indices():
         validate_indices([-1], 5)
 
 
+def hard_threshold_1d(y, s):
+    """Oracle: keep the s largest-magnitude entries of a 1-D array, the
+    lowest index first among equal magnitudes."""
+    out = np.zeros_like(y)
+    keep = np.argsort(-np.abs(y), kind="stable")[:s]
+    out[keep] = y[keep]
+    return out
+
+
 def test_hard_threshold_axis_matches_1d_rule():
     rng = make_rng(2)
     a = rng.standard_normal((5, 4))
     for s in (1, 2, 5):
         got = hard_threshold_axis(a, s, axis=0)
         for j in range(a.shape[1]):
-            assert np.array_equal(got[:, j], hard_threshold(a[:, j], s))
+            assert np.array_equal(got[:, j], hard_threshold_1d(a[:, j], s))
     got = hard_threshold_axis(a, 2, axis=1)
     for i in range(a.shape[0]):
-        assert np.array_equal(got[i], hard_threshold(a[i], 2))
+        assert np.array_equal(got[i], hard_threshold_1d(a[i], 2))
+
+
+def test_hard_threshold_axis_exhaustive_oracle():
+    # Best s-sparse approximation of one row in squared error, checked
+    # against every support of size s (rows short enough to enumerate).
+    rng = make_rng(3)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        s = int(rng.integers(0, n + 1))
+        y = rng.standard_normal((1, n))
+        z = hard_threshold_axis(y, s, axis=1)
+        assert np.count_nonzero(z) <= s
+        err = np.sum((y - z) ** 2)
+        best = min(
+            np.sum(np.delete(y, list(keep)) ** 2)
+            for keep in itertools.combinations(range(n), s)
+        )
+        assert err <= best + 1e-12
 
 
 def test_hard_threshold_axis_tie_rule():
     a = np.array([[1.0, 1.0, 1.0]])
     assert np.array_equal(hard_threshold_axis(a, 2, axis=1), [[1.0, 1.0, 0.0]])
+    a = np.array([[-2.0, 2.0, 2.0]]).T
+    assert np.array_equal(hard_threshold_axis(a, 2, axis=0), [[-2.0], [2.0], [0.0]])
+
+
+def test_hard_threshold_axis_validation():
+    with pytest.raises(ValueError):
+        hard_threshold_axis(np.ones((1, 3)), 4, axis=1)
+    with pytest.raises(ValueError):
+        hard_threshold_axis(np.ones((1, 3)), -1, axis=1)
+    with pytest.raises(ValueError):
+        hard_threshold_axis(np.ones((1, 3)), 2, axis=0)
 
 
 def test_factored_sq_diffs_against_dense():
@@ -321,11 +360,21 @@ def test_prescribed_kernels():
         np.linalg.norm(m_data[:2]) + 0.5 * np.linalg.norm(lap)
     )
 
-    k = build_problem("wcmf", m_data, 2, lambda1=0.4, lambda2=0.2).kernel(0.3)
+    wcmf = build_problem("wcmf", m_data, 2, lambda1=0.4, lambda2=0.2)
+    k = wcmf.kernel(0.3)
     assert k.u_quadratic == pytest.approx(0.3 * 0.2)
+    assert wcmf.kernel(0.7) != k
 
     k = build_problem("ssnmf", m_data, 2, s1=1, s2=1).kernel(0.7)
     assert k.u_quadratic == 0.0
+
+    # The eta-free kernels are built once and shared by every call.
+    for fixed in (
+        prob,
+        build_problem("gnmf", m_data, 2),
+        build_problem("ssnmf", m_data, 2, s1=1, s2=1),
+    ):
+        assert fixed.kernel(0.1) is fixed.kernel(0.7)
 
 
 def test_local_lipschitz_matches_direct_norms():

@@ -424,6 +424,34 @@ def test_run_checks_each_iterate_once(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_run_audit_bregman_prev_is_the_previous_step(kind):
+    problem = kind_problem(kind)
+    cfg = SolverConfig(
+        algorithm="bpsge",
+        batch_size=3,
+        max_epochs=4,
+        audit_per_iteration=True,
+        keep_iterates=True,
+        seed=8,
+    )
+    res = run(problem, cfg, start_point(problem))
+    assert not res.failed
+    recs, xs = res.audits, res.iterates
+    assert recs[0].bregman_prev == 0.0
+    if kind == "wcmf":
+        # The kernel follows eta: where eta moved, D(x_{k-1}, x_k) is taken
+        # again under the new kernel; elsewhere the last step is reused.
+        moved = [k for k in range(1, len(recs)) if recs[k].eta != recs[k - 1].eta]
+        assert 0 < len(moved) < len(recs) - 1
+        for k in range(1, len(recs)):
+            want = bregman_distance(problem.kernel(recs[k].eta), xs[k - 1], xs[k])
+            assert recs[k].bregman_prev == want
+    else:
+        for prev, rec in zip(recs, recs[1:]):
+            assert rec.bregman_prev == prev.bregman_step
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
 def test_run_fails_on_non_finite_estimate(kind, monkeypatch):
     problem = kind_problem(kind)
     calls = []
