@@ -19,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -324,9 +326,16 @@ def init_point(m: int, r: int, d: int, rng: np.random.Generator) -> FactorPair:
 # clustering score
 
 
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300):
+# Bound on the (restarts, n, k, r) difference array that Lloyd's distance step
+# forms; beyond it the restarts are taken a few at a time.
+_DIST_CHUNK_BYTES = 1 << 23
+
+
+def _kmeans_pp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: k rows of x, the first drawn uniformly, each next one
+    with probability proportional to its squared distance to the nearest
+    center so far (uniformly when every row coincides with a chosen center)."""
     n = x.shape[0]
-    # k-means++ seeding.
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
     d2 = np.sum((x - centers[0]) ** 2, axis=1)
@@ -339,24 +348,79 @@ def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int 
             pick = rng.integers(n)
         centers[j] = x[pick]
         d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+    return centers
 
-    assign = np.full(n, -1)
+
+def _sq_dists(xk: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(restarts, n, k) squared distances from the rows of x to each set in a
+    (restarts, k, r) stack of centers.
+
+    ``xk`` is x with each row repeated k times, (n, k, r), so the subtraction
+    runs over k * r contiguous values.  The squares are summed over the
+    contiguous coordinate axis, for as many restarts at a time as keep the
+    difference array within ``_DIST_CHUNK_BYTES``.
+    """
+    step = max(1, _DIST_CHUNK_BYTES // xk.nbytes)
+    dist = np.empty((len(centers),) + xk.shape[:2])
+    for lo in range(0, len(centers), step):
+        chunk = slice(lo, lo + step)
+        np.sum((xk - centers[chunk, None]) ** 2, axis=-1, out=dist[chunk])
+    return dist
+
+
+def _cluster_means(x: np.ndarray, assign: np.ndarray, served: np.ndarray, k: int):
+    """(restarts, k, r) means of the rows of x per (restart, cluster) group.
+
+    Each group's rows are summed one by one in row order, by one weighted
+    ``np.bincount`` over every (coordinate, group) cell, and divided by their
+    count.  A cluster left empty is re-seeded at the row its restart serves
+    worst: the largest of that restart's ``served`` distances.
+    """
+    n_sets, r = len(assign), x.shape[1]
+    n_groups = n_sets * k
+    groups = (assign + k * np.arange(n_sets)[:, None]).ravel()
+    counts = np.bincount(groups, minlength=n_groups).reshape(n_sets, k, 1)
+    cells = (groups + n_groups * np.arange(r)[:, None]).ravel()
+    sums = np.bincount(
+        cells, weights=np.tile(x.T, n_sets).ravel(), minlength=r * n_groups
+    )
+    means = sums.reshape(r, n_sets, k).transpose(1, 2, 0)
+    np.divide(means, counts, out=means, where=counts > 0)
+    empty_set, empty_j = np.nonzero(counts[..., 0] == 0)
+    if empty_set.size:
+        means[empty_set, empty_j] = x[served[empty_set].argmax(axis=1)]
+    return means
+
+
+def _lloyd(x: np.ndarray, centers: np.ndarray, max_iter: int = 300):
+    """Lloyd's algorithm from each set of a (restarts, k, r) stack of start
+    centers, all restarts iterated together; returns (assign, inertia) with
+    one row of assignments and one inertia per restart.
+
+    A restart stops at the first iteration that leaves its assignment
+    unchanged, or after ``max_iter`` iterations; its inertia sums the
+    distances of that last iteration.
+    """
+    n_sets, k, _ = centers.shape
+    n = x.shape[0]
+    xk = np.repeat(x[:, None, :], k, axis=1)
+    # Flat index of each row's first distance in a (restarts, n, k) array.
+    row_at = k * np.arange(n_sets * n).reshape(n_sets, n)
+    centers = centers.copy()
+    assign = np.full((n_sets, n), -1)
+    served = np.empty(assign.shape)  # each row's distance to its own center
+    active = np.arange(n_sets)
     for _ in range(max_iter):
-        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dist.argmin(axis=1)
-        if np.array_equal(new_assign, assign):
+        dist = _sq_dists(xk, centers[active])
+        new = dist.argmin(axis=-1)
+        served[active] = np.take(dist, row_at[: len(active)] + new)
+        moved = (new != assign[active]).any(axis=1)
+        active, new = active[moved], new[moved]
+        if not active.size:
             break
-        assign = new_assign
-        for j in range(k):
-            mask = assign == j
-            if mask.any():
-                centers[j] = x[mask].mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the worst-served point.
-                far = dist[np.arange(n), assign].argmax()
-                centers[j] = x[far]
-    inertia = float(dist[np.arange(n), assign].sum())
-    return assign, inertia
+        assign[active] = new
+        centers[active] = _cluster_means(x, new, served[active], k)
+    return assign, served.sum(axis=1)
 
 
 def kmeans_accuracy(
@@ -368,9 +432,18 @@ def kmeans_accuracy(
 ) -> float:
     """Best-permutation clustering accuracy of k-means on the rows of ``u``.
 
-    Runs Lloyd's algorithm with k-means++ seeding ``restarts`` times, keeps
-    the lowest-inertia assignment, then matches clusters to label classes by
-    a maximum-agreement assignment; returns matched fraction in [0, 1].
+    Seeds ``restarts`` k-means++ center sets in order from the one ``rng``
+    (Lloyd's iterations draw no random numbers), runs Lloyd's algorithm on all
+    of them together, keeps the first lowest-inertia assignment, then matches
+    clusters to label classes by a maximum-agreement assignment; returns the
+    matched fraction in [0, 1].
+
+    Each restart gets the bits it would get if run on its own: distances are
+    summed over the contiguous coordinate axis, and a cluster's new center
+    is its rows summed one by one in row order and divided by their count,
+    which is how ``x[mask].mean(axis=0)`` reduces a (rows, r) block for
+    r >= 2.  For r = 1 that mean sums pairwise instead, so a rank-1 center
+    can differ from it in the last bit.
     """
     u = as_dense(u, "u")
     labels = np.asarray(labels, dtype=np.int64).ravel()
@@ -387,15 +460,16 @@ def kmeans_accuracy(
     if rng is None:
         rng = np.random.default_rng()
 
+    centers = np.stack([_kmeans_pp(u, k, rng) for _ in range(restarts)])
     best_assign, best_inertia = None, math.inf
-    for _ in range(restarts):
-        assign, inertia = _kmeans_once(u, k, rng)
+    for assign, inertia in zip(*_lloyd(u, centers)):
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
 
     n_classes = int(labels.max()) + 1
-    confusion = np.zeros((k, n_classes))
-    np.add.at(confusion, (best_assign, labels), 1.0)
+    confusion = np.bincount(
+        best_assign * n_classes + labels, minlength=k * n_classes
+    ).reshape(k, n_classes)
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / labels.size)
 
@@ -455,6 +529,14 @@ class ClusteringConfig:
     k: int
     restarts: int = 10
     labels_path: str | None = None
+
+    def __post_init__(self):
+        for name in ("k", "restarts"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(
+                    f"clustering.{name} must be an integer >= 1, got {value!r}"
+                )
 
     @staticmethod
     def from_dict(d: dict) -> "ClusteringConfig":
@@ -574,7 +656,19 @@ def load_experiment_data(cfg: ExperimentConfig):
         raise ConfigError(f"data file not found: {data.path}") from None
     labels = None
     if cfg.clustering is not None and cfg.clustering.labels_path is not None:
-        labels = np.loadtxt(cfg.clustering.labels_path, dtype=np.int64, ndmin=1)
+        path = cfg.clustering.labels_path
+        try:
+            labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+        except FileNotFoundError:
+            raise ConfigError(f"labels file not found: {path}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if labels.size != m_data.shape[0]:
+            raise ConfigError(
+                f"{path}: got {labels.size} labels for {m_data.shape[0]} rows of M"
+            )
+        if labels.min() < 0:
+            raise ConfigError(f"{path}: labels must be nonnegative integers")
     return m_data, labels
 
 
@@ -658,37 +752,31 @@ def _run_trials(
 
 
 _TRACE_FIELDS = ("objective", "bregman_step", "stationarity", "eta", "beta")
-
-
-def _padded_rows(res: RunResult, n_rows: int):
-    rows = list(res.trace)
-    padded = 0
-    while len(rows) < n_rows:
-        last = rows[-1]
-        rows.append(replace(last, epoch=len(rows)))
-        padded += 1
-    return rows, padded
+_trace_values = attrgetter(*_TRACE_FIELDS)
 
 
 def aggregate_traces(outcomes: list[TrialOutcome], max_epochs: int):
     """Pointwise mean/std rows across trials; early-stopped trials are padded
-    by carrying their final row forward.  Returns (rows, padded_trials)."""
+    by carrying their final row forward.  Returns (rows, padded_trials).
+
+    The trials of each (row, field) cell lie along the contiguous last axis of
+    one (rows, fields, trials) array, so one ``mean``/``std`` call reduces
+    every cell exactly as the 1-D ``np.mean``/``np.std`` of its values would.
+    """
     n_rows = max_epochs + 1
-    all_rows = []
+    epochs = np.arange(n_rows)
+    cells = np.empty((n_rows, len(_TRACE_FIELDS), len(outcomes)))
     padded_trials = 0
-    for out in outcomes:
-        rows, padded = _padded_rows(out.result, n_rows)
-        if padded:
-            padded_trials += 1
-        all_rows.append(rows)
-    agg = []
-    for e in range(n_rows):
-        row = {"epoch": e}
-        for name in _TRACE_FIELDS:
-            vals = np.array([getattr(rows[e], name) for rows in all_rows])
-            row[f"{name}_mean"] = float(np.mean(vals))
-            row[f"{name}_std"] = float(np.std(vals))
-        agg.append(row)
+    for t, out in enumerate(outcomes):
+        vals = np.array([_trace_values(row) for row in out.result.trace])
+        cells[:, :, t] = vals[np.minimum(epochs, len(vals) - 1)]
+        padded_trials += len(vals) < n_rows
+    stats = np.stack([cells.mean(axis=-1), cells.std(axis=-1)], axis=-1)
+    keys = [f"{name}_{stat}" for name in _TRACE_FIELDS for stat in ("mean", "std")]
+    agg = [
+        {"epoch": e, **dict(zip(keys, vals))}
+        for e, vals in enumerate(stats.reshape(n_rows, -1).tolist())
+    ]
     return agg, padded_trials
 
 
@@ -762,9 +850,10 @@ def _summarize(cfg: ExperimentConfig, solver_cfg: SolverConfig, outcomes, padded
 
 
 def _write_json(path, payload) -> None:
+    # One write: with ``indent``, json.dump streams through the pure-Python
+    # encoder in many small writes.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
@@ -799,12 +888,23 @@ def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
 
 
 def _prepare(cfg: ExperimentConfig, out_dir):
-    """Shared driver start: (start time, output dir, problem, labels)."""
+    """Shared driver start: (start time, output dir, problem, labels).
+
+    The clustering block is checked against the data here (its labels file
+    where it is read), before any solve and before the output directory is
+    made.
+    """
     t0 = time.perf_counter()
+    m_data, labels = load_experiment_data(cfg)
+    rows = m_data.shape[0]
+    if cfg.clustering is not None and cfg.clustering.k > rows:
+        raise ConfigError(
+            f"clustering.k = {cfg.clustering.k} exceeds the {rows} rows of M"
+        )
+    problem = build_experiment_problem(cfg, m_data)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    m_data, labels = load_experiment_data(cfg)
-    return t0, out, build_experiment_problem(cfg, m_data), labels
+    return t0, out, problem, labels
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):

@@ -155,7 +155,7 @@ def _rank_one_sq_diffs(aa1, vv1, aa2, vv2, a12, v12, wd) -> np.ndarray:
 
 def _mt(x: np.ndarray) -> np.ndarray:
     """Transpose of a matrix, or of each matrix in a stack (a view)."""
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 class Problem:

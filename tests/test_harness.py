@@ -1,11 +1,16 @@
 """Harness: file IO, synthetic data, clustering score, experiment drivers, CLI."""
 
+import functools
 import json
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from bregopt import harness
 from bregopt.cli import main as cli_main
 from bregopt.harness import (
     ClusteringConfig,
@@ -27,6 +32,7 @@ from bregopt.harness import (
     run_gen,
     save_matrix,
     write_pgm,
+    _write_json,
 )
 from bregopt.numeric import make_rng
 from bregopt.solver import SolverConfig
@@ -225,6 +231,177 @@ def test_kmeans_accuracy_is_bounded_and_validates():
         kmeans_accuracy(pts, labels, 2, restarts=0)
 
 
+# Per-restart k-means as the harness ran it before the restarts were batched:
+# the oracle the batched Lloyd loop must match bit for bit.  ``mean`` is the
+# center rule; the default is numpy's axis-0 mean of the cluster's rows.
+def _oracle_lloyd(x, centers, max_iter=300, mean=lambda rows: rows.mean(axis=0)):
+    n, k = x.shape[0], centers.shape[0]
+    centers = centers.copy()
+    assign = np.full(n, -1)
+    for _ in range(max_iter):
+        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = dist.argmin(axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            mask = assign == j
+            if mask.any():
+                centers[j] = mean(x[mask])
+            else:
+                far = dist[np.arange(n), assign].argmax()
+                centers[j] = x[far]
+    inertia = float(dist[np.arange(n), assign].sum())
+    return assign, inertia
+
+
+def _kmeans_once(x, k, rng, max_iter=300, **kw):
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            probs = d2 / total
+            pick = rng.choice(n, p=probs)
+        else:
+            pick = rng.integers(n)
+        centers[j] = x[pick]
+        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+    return _oracle_lloyd(x, centers, max_iter, **kw)
+
+
+def _oracle_accuracy(runs, labels, k):
+    best_assign, best_inertia = None, math.inf
+    for assign, inertia in runs:
+        if inertia < best_inertia:
+            best_assign, best_inertia = assign, inertia
+    confusion = np.zeros((k, int(labels.max()) + 1))
+    np.add.at(confusion, (best_assign, labels), 1.0)
+    rows, cols = linear_sum_assignment(-confusion)
+    return float(confusion[rows, cols].sum() / labels.size)
+
+
+def _sequential_mean(rows):
+    # Rows summed one by one in row order, then divided by their count.
+    return functools.reduce(np.add, rows) / len(rows)
+
+
+def _random_kmeans_case(g, rank):
+    n = int(g.integers(1, 30))
+    if g.random() < 0.5:
+        x = g.standard_normal((n, rank))
+    else:
+        x = np.round(g.random((n, rank)) * 3.0) / 3.0  # many exact ties
+    if n > 2 and g.random() < 0.3:
+        x[g.integers(n, size=n // 2)] = x[0]  # duplicate rows
+    choice = g.random()
+    if choice < 0.15:
+        k = 1
+    elif choice < 0.3:
+        k = n
+    else:
+        k = int(g.integers(1, min(n, 7) + 1))
+    max_iter = 300 if g.random() < 0.8 else int(g.integers(1, 4))
+    return x, k, int(g.integers(1, 7)), max_iter
+
+
+def _check_batched_against_oracle(x, k, restarts, max_iter, seed, **kw):
+    rng = make_rng(seed)
+    want = [_kmeans_once(x, k, rng, max_iter, **kw) for _ in range(restarts)]
+    rng = make_rng(seed)
+    centers = np.stack([harness._kmeans_pp(x, k, rng) for _ in range(restarts)])
+    assign, inertia = harness._lloyd(x, centers, max_iter)
+    for i, (want_assign, want_inertia) in enumerate(want):
+        assert np.array_equal(assign[i], want_assign)
+        assert float(inertia[i]) == want_inertia
+    return want
+
+
+def test_batched_kmeans_equals_per_restart_oracle(monkeypatch):
+    g = make_rng(90)
+    for case in range(240):
+        rank = 2 + case % 8  # 2..9: both sides of numpy's 8-wide unrolled sum
+        x, k, restarts, max_iter = _random_kmeans_case(g, rank)
+        seed = int(g.integers(1 << 30))
+        want = _check_batched_against_oracle(x, k, restarts, max_iter, seed)
+        if max_iter == 300:
+            labels = g.integers(0, 3, size=x.shape[0])
+            acc = kmeans_accuracy(x, labels, k, restarts=restarts, rng=make_rng(seed))
+            assert acc == _oracle_accuracy(want, labels, k)
+    # Distances formed one restart at a time give the same bits.
+    x = g.standard_normal((25, 4))
+    centers = np.stack([harness._kmeans_pp(x, 4, g) for _ in range(5)])
+    whole = harness._lloyd(x, centers)
+    monkeypatch.setattr(harness, "_DIST_CHUNK_BYTES", 1)
+    chunked = harness._lloyd(x, centers)
+    assert np.array_equal(whole[0], chunked[0])
+    assert np.array_equal(whole[1], chunked[1])
+
+
+def test_batched_kmeans_edge_cases():
+    g = make_rng(91)
+    x = g.standard_normal((12, 3))
+    _check_batched_against_oracle(x, 1, 4, 300, seed=1)  # k = 1
+    _check_batched_against_oracle(x, 12, 4, 300, seed=2)  # k = number of rows
+    _check_batched_against_oracle(x, 4, 5, 1, seed=3)  # stops at max_iter
+    _check_batched_against_oracle(x, 4, 5, 2, seed=4)
+    ties = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 3, axis=0)
+    _check_batched_against_oracle(ties, 4, 6, 300, seed=5)
+    # Which restarts stop first differs between start sets.
+    centers = np.stack([ties[[0, 3]], ties[[0, 8]], ties[[0, 1]]])
+    assign, inertia = harness._lloyd(ties, centers)
+    for i in range(3):
+        want_assign, want_inertia = _oracle_lloyd(ties, centers[i])
+        assert np.array_equal(assign[i], want_assign)
+        assert float(inertia[i]) == want_inertia
+    # Two restarts tie at the lowest inertia with different accuracies; the
+    # first of them wins.
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    by_row = np.array([0, 0, 1, 1])
+    rng = make_rng(9)
+    runs = [_kmeans_once(square, 2, rng) for _ in range(4)]
+    best = min(inertia for _, inertia in runs)
+    tied = [_oracle_accuracy([run], by_row, 2) for run in runs if run[1] == best]
+    assert tied == [1.0, 0.5]
+    assert kmeans_accuracy(square, by_row, 2, restarts=4, rng=make_rng(9)) == 1.0
+
+
+def test_batched_kmeans_reseeds_empty_clusters_without_warnings():
+    x = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.2], [3.0, 3.0], [3.1, 3.0]])
+    # Set 0: its second and third centers are far from every row, so both
+    # clusters empty on the first iteration.  Set 1: identical start centers
+    # leave every cluster but the first empty.
+    centers = np.array(
+        [
+            [[0.0, 0.0], [50.0, 50.0], [60.0, 60.0]],
+            [[3.0, 3.0], [3.0, 3.0], [3.0, 3.0]],
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assign, inertia = harness._lloyd(x, centers)
+        dup = np.zeros((6, 2))  # every k-means++ pick duplicates the first
+        _check_batched_against_oracle(dup, 3, 3, 300, seed=6)
+    for i in range(2):
+        want_assign, want_inertia = _oracle_lloyd(x, centers[i])
+        assert np.array_equal(assign[i], want_assign)
+        assert float(inertia[i]) == want_inertia
+
+
+def test_batched_kmeans_rank_one_sums_in_row_order():
+    # For r = 1 numpy's x[mask].mean(axis=0) sums a contiguous column
+    # pairwise; the batched centers are the row-order sums, as for r >= 2.
+    g = make_rng(92)
+    for _ in range(200):
+        x, k, restarts, max_iter = _random_kmeans_case(g, 1)
+        seed = int(g.integers(1 << 30))
+        _check_batched_against_oracle(
+            x, k, restarts, max_iter, seed, mean=_sequential_mean
+        )
+
+
 # -- configuration ----------------------------------------------------------
 
 
@@ -283,6 +460,79 @@ def test_data_config_needs_exactly_one_source():
 def test_clustering_config_needs_k():
     with pytest.raises(ConfigError):
         ClusteringConfig.from_dict({"restarts": 3})
+
+
+def test_clustering_config_rejects_bad_k_and_restarts():
+    for d in ({"k": 0}, {"k": 2.5}, {"k": "3"}):
+        with pytest.raises(ConfigError, match="clustering.k must be an integer >= 1"):
+            ClusteringConfig.from_dict(d)
+    with pytest.raises(ConfigError, match="clustering.restarts must be an integer"):
+        ClusteringConfig.from_dict({"k": 2, "restarts": 0})
+    with pytest.raises(ConfigError, match="clustering.restarts must be an integer"):
+        ClusteringConfig(k=2, restarts=-1)
+    assert ClusteringConfig(k=np.int64(3)).k == 3
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before the clustering block was checked")
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "audit"])
+@pytest.mark.parametrize(
+    "clustering, message",
+    [
+        ('{"k":2,"restarts":0}', "clustering.restarts must be an integer >= 1"),
+        ('{"k":50}', "clustering.k = 50 exceeds the 12 rows of M"),
+    ],
+)
+def test_cli_rejects_clustering_block_before_solving(
+    tmp_path, capsys, monkeypatch, verb, clustering, message
+):
+    monkeypatch.setattr(harness, "run", _no_solve)
+    out = tmp_path / "out"
+    code = cli_main(
+        [
+            verb,
+            "--set",
+            'problem={"kind":"gnmf","rank":2,"data":{"synthetic":{"m":12,"d":8,"r_true":2}}}',
+            "--set",
+            f"clustering={clustering}",
+            "--out",
+            str(out),
+            "--quiet",
+        ]
+    )
+    assert code == 1
+    assert f"bregopt: config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (None, "labels file not found"),
+        ("0\n1\n0\n1\n0\n", "got 5 labels for 6 rows of M"),
+        ("0\n1\n0\n-1\n0\n1\n", "labels must be nonnegative integers"),
+        ("0\n1.5\n0\n1\n0\n1\n", "could not convert"),
+    ],
+)
+def test_run_rejects_bad_labels_file_before_solving(
+    tmp_path, monkeypatch, labels, message
+):
+    data = tmp_path / "m.csv"
+    save_matrix(data, make_rng(94).random((6, 5)))
+    labels_path = tmp_path / "labels.csv"
+    if labels is not None:
+        labels_path.write_text(labels)
+    monkeypatch.setattr(harness, "run", _no_solve)
+    d = {
+        "problem": {"kind": "gnmf", "rank": 2, "data": {"path": str(data)}},
+        "clustering": {"k": 2, "labels_path": str(labels_path)},
+        "out_dir": str(tmp_path / "out"),
+    }
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(ExperimentConfig.from_dict(d))
+    assert not (tmp_path / "out").exists()
 
 
 # -- experiment drivers -----------------------------------------------------
@@ -357,6 +607,62 @@ def test_aggregate_traces_pads_short_trials(experiment):
     assert [r["epoch"] for r in rows] == list(range(51))
     last_real = max(len(o.result.trace) for o in outcomes) - 1
     assert rows[50]["objective_mean"] == rows[last_real]["objective_mean"]
+
+
+def _fake_outcome(g, n_rows):
+    rows = [
+        SimpleNamespace(
+            epoch=e,
+            objective=float(g.standard_normal()) * 10.0 ** int(g.integers(-3, 4)),
+            bregman_step=float(g.random()),
+            stationarity=math.nan,  # auditing off
+            eta=float(g.random()),
+            beta=float(g.integers(0, 3)) / 4.0,
+        )
+        for e in range(n_rows)
+    ]
+    return SimpleNamespace(result=SimpleNamespace(trace=rows))
+
+
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 33])
+def test_aggregate_traces_matches_per_cell_reduction(trials):
+    g = make_rng(93 + trials)
+    max_epochs = 12
+    # Every other trial stops early and is padded with its final row.
+    lengths = [max_epochs + 1 if t % 2 else int(g.integers(1, max_epochs + 1))
+               for t in range(trials)]
+    outcomes = [_fake_outcome(g, n) for n in lengths]
+    rows, padded = aggregate_traces(outcomes, max_epochs)
+    assert padded == sum(n <= max_epochs for n in lengths)
+    assert [r["epoch"] for r in rows] == list(range(max_epochs + 1))
+    for e, row in enumerate(rows):
+        for name in ("objective", "bregman_step", "stationarity", "eta", "beta"):
+            vals = np.array(
+                [getattr(o.result.trace[min(e, n - 1)], name)
+                 for o, n in zip(outcomes, lengths)]
+            )
+            for stat, fn in (("mean", np.mean), ("std", np.std)):
+                got = np.float64(row[f"{name}_{stat}"])
+                assert type(row[f"{name}_{stat}"]) is float
+                assert got.tobytes() == np.float64(fn(vals)).tobytes()
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    payload = {
+        "name": "x",
+        "combos": {"bpg": {"final_objective_mean": math.nan, "accuracy": None,
+                           "init_hashes": ["a", "b"], "trace": [1.5, -0.0, 1e-300]}},
+        "status": "ok",
+        "empty": [],
+        "nested": [[1, 2], {"z": math.inf, "a": -math.inf}],
+    }
+    path = tmp_path / "out.json"
+    _write_json(path, payload)
+    want = tmp_path / "want.json"
+    with open(want, "w", encoding="utf-8", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == want.read_bytes()
 
 
 def test_run_compare_shares_initial_points(tmp_path):
