@@ -84,6 +84,8 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(
                 f"config {args.config} is not valid JSON: {exc}"
             ) from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     else:
         raw = {}
     raw = _apply_updates(raw, _parse_set(args.set))
@@ -91,8 +93,6 @@ def _load_config(args) -> ExperimentConfig:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out_dir"] = args.out
-    if "problem" not in raw:
-        raise ConfigError("no problem configured; pass --config or --set problem.*")
     return ExperimentConfig.from_dict(raw)
 
 

@@ -16,12 +16,14 @@ output uses 17 significant digits so float64 values round-trip exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -478,10 +480,75 @@ def kmeans_accuracy(
 # experiment configuration
 
 
-def _check_keys(d: dict, allowed, where: str):
-    unknown = set(d) - set(allowed)
+# How a message names what each leaf type accepts.
+_LEAF_NAMES = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    str: "a string",
+    dict: "an object",
+}
+
+
+@functools.cache
+def _field_types(cls):
+    """(resolved type of each field, names of required fields) of ``cls``."""
+    needed = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
+    return typing.get_type_hints(cls), needed
+
+
+def _from_dict(cls, d, where: str):
+    """The config dataclass ``cls`` built from the JSON object ``d``.
+
+    Every key and leaf type is checked against the fields of ``cls``, and
+    nested blocks are read the same way; ``where`` is the dotted ``--set``
+    path of ``d`` that messages name.  A plain ``ValueError`` from the
+    constructor's range rules becomes a ``ConfigError`` naming the block.
+    """
+    block = where or "config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{block} must be an object, got {d!r}")
+    types, needed = _field_types(cls)
+    unknown = set(d) - set(types)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {block}: {sorted(unknown)}")
+    for name in needed:
+        if name not in d:
+            raise ConfigError(f"{block} needs {name!r}")
+    at = f"{where}." if where else ""
+    kwargs = {name: _leaf(types[name], v, at + name) for name, v in d.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{block}: {exc}") from None
+
+
+def _leaf(tp, v, where: str):
+    """The value ``v`` checked against the field type ``tp``; JSON lists
+    become tuples and objects become nested config dataclasses."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        if v is None:
+            return None
+        tp, args = args[0], typing.get_args(args[0])
+    if is_dataclass(tp):
+        return _from_dict(tp, v, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {v!r}")
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(v)
+        elif len(v) != len(args):
+            raise ConfigError(f"{where} must hold {len(args)} values, got {v!r}")
+        items = enumerate(zip(args, v))
+        return tuple(_leaf(t, x, f"{where}[{i}]") for i, (t, x) in items)
+    if tp is object or tp is float and type(v) is int:  # an int is a valid float
+        return v
+    if type(v) is not tp or tp is float and not math.isfinite(v):
+        raise ConfigError(f"{where} must be {_LEAF_NAMES[tp]}, got {v!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -494,19 +561,6 @@ class DataConfig:
         if (self.path is None) == (self.synthetic is None):
             raise ConfigError("data needs exactly one of 'path' or 'synthetic'")
 
-    @staticmethod
-    def from_dict(d: dict) -> "DataConfig":
-        _check_keys(d, ("path", "fmt", "synthetic"), "data")
-        syn = d.get("synthetic")
-        if syn is not None:
-            _check_keys(
-                syn,
-                ("m", "d", "r_true", "cluster_count", "noise_sigma"),
-                "data.synthetic",
-            )
-            syn = SyntheticSpec(**syn)
-        return DataConfig(path=d.get("path"), fmt=d.get("fmt"), synthetic=syn)
-
 
 @dataclass(frozen=True)
 class LaplacianConfig:
@@ -515,13 +569,6 @@ class LaplacianConfig:
     neighbors: int = 5
     weighting: str = "binary"
     sigma: float | None = None
-
-    @staticmethod
-    def from_dict(d: dict) -> "LaplacianConfig":
-        _check_keys(
-            d, ("path", "fmt", "neighbors", "weighting", "sigma"), "laplacian"
-        )
-        return LaplacianConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -540,10 +587,7 @@ class ClusteringConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ClusteringConfig":
-        _check_keys(d, ("k", "restarts", "labels_path"), "clustering")
-        if "k" not in d:
-            raise ConfigError("clustering needs 'k'")
-        return ClusteringConfig(**d)
+        return _from_dict(ClusteringConfig, d, "clustering")
 
 
 @dataclass(frozen=True)
@@ -557,25 +601,6 @@ class ProblemConfig:
     lambda2: float = 0.02
     s1: int | None = None
     s2: int | None = None
-
-    @staticmethod
-    def from_dict(d: dict) -> "ProblemConfig":
-        _check_keys(
-            d,
-            ("kind", "rank", "data", "mu0", "laplacian", "lambda1", "lambda2", "s1", "s2"),
-            "problem",
-        )
-        for key in ("kind", "rank", "data"):
-            if key not in d:
-                raise ConfigError(f"problem needs {key!r}")
-        d = dict(d)
-        d["data"] = DataConfig.from_dict(d["data"])
-        if "laplacian" in d:
-            d["laplacian"] = LaplacianConfig.from_dict(d["laplacian"])
-        return ProblemConfig(**d)
-
-
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 
 
 @dataclass(frozen=True)
@@ -597,44 +622,19 @@ class ExperimentConfig:
         bad = set(self.emit) - {"trace_csv", "summary_json", "per_trial_csv", "basis_pgm"}
         if bad:
             raise ConfigError(f"unknown emit option(s): {sorted(bad)}")
+        if "basis_pgm" in self.emit and self.basis_shape is None:
+            raise ConfigError("emit basis_pgm requires basis_shape")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        _check_keys(
-            d,
-            (
-                "problem",
-                "solver",
-                "trials",
-                "seed",
-                "out_dir",
-                "emit",
-                "basis_shape",
-                "clustering",
-                "compare",
-                "name",
-            ),
-            "config",
-        )
-        if "problem" not in d:
-            raise ConfigError("config needs a 'problem' block")
-        d = dict(d)
-        d["problem"] = ProblemConfig.from_dict(d["problem"])
+        """The experiment read from its JSON object.  Each compare entry
+        overrides the solver block for one combo; it is checked here, merged
+        over that block, so a bad entry fails before anything runs."""
+        cfg = _from_dict(ExperimentConfig, d, "")
         solver = d.get("solver", {})
-        _check_keys(solver, _SOLVER_KEYS, "solver")
-        try:
-            d["solver"] = SolverConfig(**solver)
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from None
-        if "emit" in d:
-            d["emit"] = tuple(d["emit"])
-        if d.get("basis_shape") is not None:
-            d["basis_shape"] = tuple(int(v) for v in d["basis_shape"])
-        if d.get("clustering") is not None:
-            d["clustering"] = ClusteringConfig.from_dict(d["clustering"])
-        if d.get("compare") is not None:
-            d["compare"] = tuple(d["compare"])
-        return ExperimentConfig(**d)
+        for i, overrides in enumerate(cfg.compare or ()):
+            _from_dict(SolverConfig, {**solver, **overrides}, f"compare[{i}]")
+        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +868,6 @@ def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
             write_trial_csv(p, out.result)
             paths.append(p)
     if "basis_pgm" in cfg.emit:
-        if cfg.basis_shape is None:
-            raise ConfigError("emit basis_pgm requires basis_shape")
         images = basis_images(outcomes[0].result.x.u, cfg.basis_shape)
         for j, img in enumerate(images):
             p = out_dir / f"basis_{tag}_{j:02d}.pgm"
@@ -956,11 +954,7 @@ def run_compare(cfg: ExperimentConfig, out_dir=None):
     statuses = []
     init_hashes = None
     for overrides in combos:
-        _check_keys(overrides, _SOLVER_KEYS, "compare entry")
-        try:
-            solver_cfg = replace(cfg.solver, **overrides)
-        except ValueError as exc:
-            raise ConfigError(f"compare entry {overrides}: {exc}") from None
+        solver_cfg = replace(cfg.solver, **overrides)
         tag = _combo_tag(solver_cfg)
         outcomes = _run_trials(cfg, problem, solver_cfg, labels)
         rows, padded = aggregate_traces(outcomes, solver_cfg.max_epochs)

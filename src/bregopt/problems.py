@@ -55,6 +55,7 @@ nonnegative root of a scalar cubic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,16 @@ __all__ = [
 # Largest share of nonzero Laplacian entries for which the graph product
 # goes through CSR; see the module docstring for the measurements.
 _SPARSE_MAX_DENSITY = 0.05
+
+
+def _count(value, name: str, hi: int) -> int:
+    """``value`` as an int in [1, hi]; a bool or a non-integral value is
+    rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 1 <= value <= hi:
+        raise ValueError(f"{name} must be in [1, {hi}], got {value}")
+    return int(value)
 
 
 def validate_indices(indices, n: int) -> np.ndarray:
@@ -174,10 +185,7 @@ class Problem:
     def __init__(self, m_data, rank: int):
         # Validating the transpose as C-ordered makes at most one copy.
         self.m_data = as_dense(np.transpose(m_data), "m_data").T
-        m, d = self.m_data.shape
-        if not 1 <= rank <= min(m, d):
-            raise ValueError(f"rank must be in [1, {min(m, d)}], got {rank}")
-        self.rank = int(rank)
+        self.rank = _count(rank, "rank", min(self.m_data.shape))
         self.norm_m = float(np.linalg.norm(self.m_data))
         if self.norm_m == 0.0:
             raise ValueError("data matrix must be nonzero")
@@ -518,12 +526,8 @@ class SparseNMF(Problem):
     def __init__(self, m_data, rank: int, s1: int, s2: int):
         super().__init__(m_data, rank)
         m, d = self.m_data.shape
-        if not 1 <= s1 <= m:
-            raise ValueError(f"s1 must be in [1, {m}], got {s1}")
-        if not 1 <= s2 <= d:
-            raise ValueError(f"s2 must be in [1, {d}], got {s2}")
-        self.s1 = int(s1)
-        self.s2 = int(s2)
+        self.s1 = _count(s1, "s1", m)
+        self.s2 = _count(s2, "s2", d)
         self._kernel = KernelSpec(3.0, self.norm_m, 0.0)
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:

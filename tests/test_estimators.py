@@ -197,12 +197,16 @@ def test_minibatch_exhaustive_mean_is_unbiased(gnmf_problem):
 # -- audits -----------------------------------------------------------------
 
 
-def test_full_gradient_audit_is_zero(gnmf_problem):
+def test_full_gradient_audit_is_zero(gnmf_problem, monkeypatch):
     est = FullGradient(gnmf_problem)
     x = random_pair(make_rng(11), 6, 3, 20, 0.1, 1.0)
-    aud = est.audit(x, est.estimate(x))
+    g = est.estimate(x)
+    passes = []
+    monkeypatch.setattr(gnmf_problem, "data_gradient", lambda *a: passes.append(a))
+    aud = est.audit(x, g)
     assert aud.gamma == 0.0 and aud.upsilon == 0.0
     assert aud.realized_sq_error == 0.0
+    assert passes == []  # the estimate is the full gradient: no data pass
 
 
 def test_sgd_audit_reports_realized_error_only(gnmf_problem):

@@ -3,11 +3,15 @@
 import functools
 import json
 import math
+import re
 import warnings
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from bregopt import harness
@@ -463,8 +467,13 @@ def test_clustering_config_needs_k():
 
 
 def test_clustering_config_rejects_bad_k_and_restarts():
-    for d in ({"k": 0}, {"k": 2.5}, {"k": "3"}):
-        with pytest.raises(ConfigError, match="clustering.k must be an integer >= 1"):
+    with pytest.raises(ConfigError, match="clustering.k must be an integer >= 1"):
+        ClusteringConfig.from_dict({"k": 0})
+    for d, message in (
+        ({"k": 2.5}, "clustering.k must be an integer, got 2.5"),
+        ({"k": "3"}, "clustering.k must be an integer, got '3'"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             ClusteringConfig.from_dict(d)
     with pytest.raises(ConfigError, match="clustering.restarts must be an integer"):
         ClusteringConfig.from_dict({"k": 2, "restarts": 0})
@@ -876,3 +885,222 @@ def test_cli_set_value_parsing(tmp_path):
     summary = json.loads((tmp_path / "summary_demo.json").read_text())
     assert summary["name"] == "demo"  # bare string fallback
     assert summary["trials"] == 2  # JSON integer
+
+
+# -- config boundary --------------------------------------------------------
+
+
+_SOLVER_KINDS = {
+    "algorithm": "str",
+    "estimator": "str",
+    "batch_size": "int",
+    "restart_prob": "float?",
+    "max_epochs": "int",
+    "beta_mode": "str",
+    "beta_scale": "float",
+    "delta": "float",
+    "epsilon": "float",
+    "eta0": "float",
+    "eta_floor": "float",
+    "l_under_mode": "str",
+    "strict_theory_stepsize": "bool",
+    "l_bar": "float",
+    "theory_alpha": "float?",
+    "theory_gamma": "float",
+    "theory_tau": "float",
+    "phi_lower_bound": "float",
+    "stop_tol": "float",
+    "stop_window": "int",
+    "audit_every": "int",
+    "audit_per_iteration": "bool",
+    "keep_iterates": "bool",
+}
+
+# The JSON kind of every config value by its path; "?" marks a nullable one.
+# ``solver.seed`` is typed ``object`` and takes any value.
+_CONFIG_KINDS = {
+    ("trials",): "int",
+    ("seed",): "int",
+    ("out_dir",): "str",
+    ("emit",): "list",
+    ("basis_shape",): "list?",
+    ("compare",): "list?",
+    ("name",): "str",
+    ("problem",): "object",
+    ("problem", "kind"): "str",
+    ("problem", "rank"): "int",
+    ("problem", "mu0"): "float",
+    ("problem", "lambda1"): "float",
+    ("problem", "lambda2"): "float",
+    ("problem", "s1"): "int?",
+    ("problem", "s2"): "int?",
+    ("problem", "data"): "object",
+    ("problem", "data", "path"): "str?",
+    ("problem", "data", "fmt"): "str?",
+    ("problem", "data", "synthetic"): "object?",
+    ("problem", "data", "synthetic", "m"): "int",
+    ("problem", "data", "synthetic", "d"): "int",
+    ("problem", "data", "synthetic", "r_true"): "int",
+    ("problem", "data", "synthetic", "cluster_count"): "int",
+    ("problem", "data", "synthetic", "noise_sigma"): "float",
+    ("problem", "laplacian"): "object",
+    ("problem", "laplacian", "path"): "str?",
+    ("problem", "laplacian", "fmt"): "str?",
+    ("problem", "laplacian", "neighbors"): "int",
+    ("problem", "laplacian", "weighting"): "str",
+    ("problem", "laplacian", "sigma"): "float?",
+    ("clustering",): "object?",
+    ("clustering", "k"): "int",
+    ("clustering", "restarts"): "int",
+    ("clustering", "labels_path"): "str?",
+    ("solver",): "object",
+    **{("solver", name): kind for name, kind in _SOLVER_KINDS.items()},
+    **{("compare", 0, name): kind for name, kind in _SOLVER_KINDS.items()},
+}
+
+_text = st.text(max_size=3)
+_WRONG = {
+    "int": st.one_of(_text, st.booleans(), st.floats(), st.lists(st.integers(), max_size=2)),
+    "float": st.one_of(
+        _text,
+        st.booleans(),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.lists(st.floats(), max_size=2),
+    ),
+    "str": st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(_text, max_size=2)),
+    "bool": st.one_of(_text, st.integers(), st.floats(), st.lists(st.booleans(), max_size=2)),
+    "list": st.one_of(_text, st.booleans(), st.integers(), st.floats()),
+    "object": st.one_of(_text, st.booleans(), st.integers(), st.lists(st.integers(), max_size=2)),
+}
+
+
+def _wrong_values(kind: str):
+    """Values of a wrong JSON type for ``kind``: null only where not nullable."""
+    if kind.endswith("?"):
+        return _WRONG[kind[:-1]]
+    return st.one_of(_WRONG[kind], st.none())
+
+
+def _dotted(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+def _put(cfg: dict, keys, value) -> None:
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    node[keys[-1]] = value
+
+
+def _valid_config(out_dir) -> dict:
+    return base_config_dict(
+        clustering={"k": 2}, compare=[{"algorithm": "bpg"}], out_dir=str(out_dir)
+    )
+
+
+def test_config_kinds_name_every_field():
+    blocks = {
+        (): ExperimentConfig,
+        ("problem",): ProblemConfig,
+        ("problem", "data"): DataConfig,
+        ("problem", "data", "synthetic"): SyntheticSpec,
+        ("problem", "laplacian"): harness.LaplacianConfig,
+        ("clustering",): ClusteringConfig,
+        ("solver",): SolverConfig,
+        ("compare", 0): SolverConfig,
+    }
+    every = {keys + (f.name,) for keys, cls in blocks.items() for f in fields(cls)}
+    nested = {keys for keys in blocks if keys not in ((), ("compare", 0))}
+    untyped = {("solver", "seed"), ("compare", 0, "seed")}
+    assert set(_CONFIG_KINDS) == (every | nested) - untyped
+    ExperimentConfig.from_dict(_valid_config("out"))
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_rejects_every_wrong_typed_value_before_solving(
+    tmp_path, capsys, monkeypatch, data
+):
+    monkeypatch.setattr(harness, "run", _no_solve)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    for keys, kind in _CONFIG_KINDS.items():
+        where = _dotted(keys)
+        cfg = _valid_config(out)
+        _put(cfg, keys, data.draw(_wrong_values(kind), label=where))
+        cfg_path.write_text(json.dumps(cfg))
+        verb = data.draw(st.sampled_from(["run", "compare", "audit"]))
+        assert cli_main([verb, "--config", str(cfg_path), "--quiet"]) == 1, where
+        assert f"bregopt: config error: {where}" in capsys.readouterr().err
+        assert not out.exists(), where
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ('trials="2"', "trials must be an integer, got '2'"),
+        ("seed=1.5", "seed must be an integer, got 1.5"),
+        ('solver.max_epochs="3"', "solver.max_epochs must be an integer, got '3'"),
+        ("solver.batch_size=true", "solver.batch_size must be an integer, got True"),
+        ('problem.rank="2"', "problem.rank must be an integer, got '2'"),
+        ("problem.rank=2.5", "problem.rank must be an integer, got 2.5"),
+        ("problem.s1=3.5", "problem.s1 must be an integer, got 3.5"),
+        ('problem.mu0="0.1"', "problem.mu0 must be a finite number, got '0.1'"),
+        (
+            'problem.data.synthetic.m="12"',
+            "problem.data.synthetic.m must be an integer, got '12'",
+        ),
+        (
+            "problem.data.synthetic.noise_sigma=NaN",
+            "problem.data.synthetic.noise_sigma must be a finite number, got nan",
+        ),
+        (
+            'problem.laplacian.neighbors="5"',
+            "problem.laplacian.neighbors must be an integer, got '5'",
+        ),
+        (
+            "problem.laplacian.neighbors=2.5",
+            "problem.laplacian.neighbors must be an integer, got 2.5",
+        ),
+        ("basis_shape=[3.7,4]", "basis_shape[0] must be an integer, got 3.7"),
+        ('emit="trace_csv"', "emit must be a list, got 'trace_csv'"),
+        (
+            'compare=[{"algorithm":"bpg"},{"bogus":1}]',
+            "unknown key(s) in compare[1]: ['bogus']",
+        ),
+        (
+            'compare=[{"algorithm":"bpg"},{"max_epochs":"3"}]',
+            "compare[1].max_epochs must be an integer, got '3'",
+        ),
+        (
+            'compare=[{"algorithm":"bpg"},{"algorithm":"sgd"}]',
+            "compare[1]: algorithm must be one of",
+        ),
+    ],
+)
+def test_cli_names_the_wrong_typed_field_before_any_output(
+    tmp_path, capsys, monkeypatch, setting, message
+):
+    monkeypatch.setattr(harness, "run", _no_solve)
+    cfg_path = tmp_path / "cfg.json"
+    cfg = base_config_dict(out_dir=str(tmp_path / "out"))
+    cfg["problem"]["mu0"] = 0.1
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli_main(["compare", "--config", str(cfg_path), "--set", setting, "--quiet"])
+    assert code == 1
+    assert f"bregopt: config error: {message}" in capsys.readouterr().err
+    # Not even the first combo of a compare grid is written.
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1]")
+    code = cli_main(["run", "--config", str(cfg_path), "--set", "trials=2", "--quiet"])
+    assert code == 1
+    assert "must hold a JSON object" in capsys.readouterr().err

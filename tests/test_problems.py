@@ -169,6 +169,25 @@ def test_ssnmf_budget_validation():
         SparseNMF(m_data, 2, s1=1, s2=5)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_rank_and_budgets_reject_non_integers_instead_of_truncating(bad):
+    m_data = np.ones((3, 4))
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        GraphRegularizedNMF(m_data, bad)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        build_problem("wcmf", m_data, bad, lambda1=0.1, lambda2=0.0)
+    with pytest.raises(ValueError, match="s1 must be an integer"):
+        SparseNMF(m_data, 2, s1=bad, s2=1)
+    with pytest.raises(ValueError, match="s2 must be an integer"):
+        SparseNMF(m_data, 2, s1=1, s2=bad)
+
+
+def test_rank_and_budgets_accept_numpy_integers():
+    prob = SparseNMF(np.ones((3, 4)), np.int64(2), s1=np.int64(2), s2=np.int32(3))
+    assert (prob.rank, prob.s1, prob.s2) == (2, 2, 3)
+    assert all(type(v) is int for v in (prob.rank, prob.s1, prob.s2))
+
+
 # -- objective values -------------------------------------------------------
 
 
