@@ -37,7 +37,7 @@ from .estimators import (
     estimate_sample_lipschitz,
 )
 from .kernels import FactorPair
-from .numeric import as_dense
+from .numeric import as_dense, make_rng
 from .problems import Problem, build_knn_laplacian, build_problem
 from .solver import RunResult, SolverConfig, rate_check, run
 
@@ -645,11 +645,7 @@ def load_experiment_data(cfg: ExperimentConfig):
     """(M, labels or None) for the experiment's data block."""
     data = cfg.problem.data
     if data.synthetic is not None:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((cfg.seed, 1)))
-        )
-        m_data, labels = generate_synthetic(data.synthetic, rng)
-        return m_data, labels
+        return generate_synthetic(data.synthetic, make_rng((cfg.seed, 1)))
     try:
         m_data = load_matrix(data.path, data.fmt)
     except FileNotFoundError:
@@ -699,11 +695,8 @@ def build_experiment_problem(cfg: ExperimentConfig, m_data: np.ndarray) -> Probl
 
 
 def _trial_init(cfg: ExperimentConfig, problem: Problem, t: int) -> FactorPair:
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((cfg.seed, 1000 + t)))
-    )
     m, r, d = problem.shape
-    return init_point(m, r, d, rng)
+    return init_point(m, r, d, make_rng((cfg.seed, 1000 + t)))
 
 
 def _point_hash(x: FactorPair) -> str:
@@ -733,15 +726,12 @@ def _run_trials(
         res = run(problem, trial_cfg, x0)
         out = TrialOutcome(result=res, init_hash=_point_hash(x0))
         if cfg.clustering is not None and labels is not None and not res.failed:
-            eval_rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((cfg.seed, 2, t)))
-            )
             out.accuracy = kmeans_accuracy(
                 res.x.u,
                 labels,
                 cfg.clustering.k,
                 restarts=cfg.clustering.restarts,
-                rng=eval_rng,
+                rng=make_rng((cfg.seed, 2, t)),
             )
         outcomes.append(out)
     return outcomes
@@ -796,22 +786,11 @@ def write_trace_csv(path, rows) -> None:
 
 def write_trial_csv(path, res: RunResult) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,objective,bregman_step,stationarity,eta,beta,feasible\n")
+        fh.write(",".join(("epoch", *_TRACE_FIELDS, "feasible")) + "\n")
         for row in res.trace:
-            fh.write(
-                ",".join(
-                    [
-                        str(row.epoch),
-                        FLOAT_FMT % row.objective,
-                        FLOAT_FMT % row.bregman_step,
-                        FLOAT_FMT % row.stationarity,
-                        FLOAT_FMT % row.eta,
-                        FLOAT_FMT % row.beta,
-                        "1" if row.feasible else "0",
-                    ]
-                )
-                + "\n"
-            )
+            floats = (FLOAT_FMT % v for v in _trace_values(row))
+            cells = (str(row.epoch), *floats, "1" if row.feasible else "0")
+            fh.write(",".join(cells) + "\n")
 
 
 def _status(outcomes: list[TrialOutcome]) -> str:
@@ -888,9 +867,9 @@ def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
 def _prepare(cfg: ExperimentConfig, out_dir):
     """Shared driver start: (start time, output dir, problem, labels).
 
-    The clustering block is checked against the data here (its labels file
-    where it is read), before any solve and before the output directory is
-    made.
+    The clustering block (its labels file where it is read) and an emitted
+    ``basis_shape`` are checked against the data here, before any solve and
+    before the output directory is made.
     """
     t0 = time.perf_counter()
     m_data, labels = load_experiment_data(cfg)
@@ -899,6 +878,12 @@ def _prepare(cfg: ExperimentConfig, out_dir):
         raise ConfigError(
             f"clustering.k = {cfg.clustering.k} exceeds the {rows} rows of M"
         )
+    if "basis_pgm" in cfg.emit:
+        h, w = cfg.basis_shape
+        if min(h, w) < 1 or h * w != rows:
+            raise ConfigError(
+                f"basis_shape {h}x{w} is not a positive shape of the {rows} rows of M"
+            )
     problem = build_experiment_problem(cfg, m_data)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

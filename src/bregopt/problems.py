@@ -122,10 +122,7 @@ def hard_threshold_axis(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     if s == a.shape[axis]:
         return a.copy()
     order = np.argsort(-np.abs(a), axis=axis, kind="stable")
-    rank = np.empty_like(order)
-    shape = [1, 1]
-    shape[axis] = a.shape[axis]
-    np.put_along_axis(rank, order, np.arange(a.shape[axis]).reshape(shape), axis)
+    rank = order.argsort(axis=axis, kind="stable")
     return np.where(rank < s, a, 0.0)
 
 

@@ -17,9 +17,10 @@ satisfies the distance-growth inequality
     D_psi(x_k, x_bar_k) <= (delta - eps)/(1 + L_under * eta_{k-1})
                            * D_psi(x_{k-1}, x_k)
 
-that the descent analysis assumes.  With ``strict_theory_stepsize`` the step
-is additionally capped by the global smooth-adaptability constant and by
-(1 - delta)/(alpha + 2 gamma); under those caps the Lyapunov sequence
+that the descent analysis assumes, with L_under the previous step's
+curvature.  With ``strict_theory_stepsize`` the step is additionally capped by
+the global smooth-adaptability constant and by (1 - delta)/alpha, alpha being
+the problem's weak-convexity modulus; under those caps the Lyapunov sequence
 computed by ``lyapunov`` is provably nonincreasing for deterministic runs.
 
 Traces are recorded per epoch: the objective at the epoch's last iterate and
@@ -60,7 +61,6 @@ __all__ = [
 _ALGORITHMS = ("bpg", "bpge", "bpsg", "bpsge")
 _ESTIMATORS = ("full", "sgd", "saga", "sarah")
 _BETA_MODES = ("off", "scheduled", "safeguarded")
-_L_UNDER_MODES = ("zero", "equal_to_l_bar")
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,11 @@ class SolverConfig:
     """Everything a run depends on besides the problem and the start point.
 
     ``batch_size`` 0 means 5% of the columns (at least one).  ``restart_prob``
-    None means one expected restart per epoch.  ``theory_alpha`` None defers
-    to the problem's weak-convexity modulus.  ``audit_every`` counts epochs
-    between audited boundaries; ``audit_per_iteration`` upgrades auditing to
-    every inner iteration regardless.
+    None means one expected restart per epoch.  ``strict_theory_stepsize``
+    caps the step by 1/``l_bar`` and by (1 - delta)/alpha, with alpha the
+    problem's weak-convexity modulus.  ``audit_every`` counts epochs between
+    audited boundaries; ``audit_per_iteration`` upgrades auditing to every
+    inner iteration regardless.
     """
 
     algorithm: str = "bpsge"
@@ -85,13 +86,8 @@ class SolverConfig:
     epsilon: float = 0.01
     eta0: float = 1.0
     eta_floor: float = 1e-8
-    l_under_mode: str = "equal_to_l_bar"
     strict_theory_stepsize: bool = False
     l_bar: float = 1.0
-    theory_alpha: float | None = None
-    theory_gamma: float = 0.0
-    theory_tau: float = 1.0
-    phi_lower_bound: float = 0.0
     stop_tol: float = 1e-12
     stop_window: int = 3
     audit_every: int = 0
@@ -106,8 +102,6 @@ class SolverConfig:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}")
         if self.beta_mode not in _BETA_MODES:
             raise ValueError(f"beta_mode must be one of {_BETA_MODES}")
-        if self.l_under_mode not in _L_UNDER_MODES:
-            raise ValueError(f"l_under_mode must be one of {_L_UNDER_MODES}")
         if not 0.0 < self.epsilon < self.delta < 1.0:
             raise ValueError(
                 f"need 0 < epsilon < delta < 1, got epsilon={self.epsilon}, "
@@ -135,10 +129,6 @@ class SolverConfig:
             raise ValueError("restart_prob must be in (0, 1]")
         if self.l_bar <= 0.0:
             raise ValueError("l_bar must be > 0")
-        if self.theory_gamma < 0.0 or self.theory_tau <= 0.0:
-            raise ValueError("theory_gamma must be >= 0 and theory_tau > 0")
-        if not math.isfinite(self.phi_lower_bound):
-            raise ValueError("phi_lower_bound must be finite")
         if self.stop_tol < 0.0:
             raise ValueError("stop_tol must be >= 0")
         if self.stop_window < 1:
@@ -225,12 +215,15 @@ def extrapolate(
     kernel: KernelSpec,
     eta_prev: float,
     l_under: float,
+    d_prev: float | None = None,
 ) -> tuple[FactorPair, float]:
     """Extrapolated point and the beta actually used at iteration k.
 
     Safeguarded mode halves the scheduled beta (at most 50 times, then 0)
     until the distance-growth inequality holds; if the last two iterates
     coincide the right-hand side is zero and beta collapses to 0.
+    ``d_prev`` is D(x_{k-1}, x_k) under ``kernel`` when the caller already
+    holds it; None computes it.
     """
     if cfg.beta_mode == "off" or k == 0:
         return x_k, 0.0
@@ -244,7 +237,9 @@ def extrapolate(
     if cfg.beta_mode == "scheduled":
         return FactorPair._unchecked(x_k.u + beta * du, x_k.v + beta * dv), beta
 
-    d_base = max(bregman_distance(kernel, x_km1, x_k), 0.0)
+    if d_prev is None:
+        d_prev = bregman_distance(kernel, x_km1, x_k)
+    d_base = max(d_prev, 0.0)
     bound = (cfg.delta - cfg.epsilon) / (1.0 + l_under * eta_prev) * d_base
     for _ in range(50):
         x_bar = FactorPair._unchecked(x_k.u + beta * du, x_k.v + beta * dv)
@@ -259,15 +254,15 @@ def step_size(
     x_bar: FactorPair,
     eta_prev: float,
     cfg: SolverConfig,
-    alpha: float | None = None,
 ) -> tuple[float, float, bool]:
     """(eta_k, effective upper constant, floor hit?) at the extrapolated point.
 
     eta_k = min(eta_prev, 1 / L_k) with L_k the exact blockwise curvature
     from ``problem.local_lipschitz`` (clamped below at 1e-12).  Strict mode
     additionally caps by the global constant ``l_bar`` and by
-    (1 - delta)/(alpha + 2 gamma).  The step never drops below
-    ``eta_floor``; hitting the floor is reported to the caller.
+    (1 - delta)/alpha, alpha the problem's weak-convexity modulus.  The step
+    never drops below ``eta_floor``; hitting the floor is reported to the
+    caller.
     """
     l_k = problem.local_lipschitz(x_bar)
     l_eff = l_k
@@ -275,11 +270,9 @@ def step_size(
     if cfg.strict_theory_stepsize:
         l_eff = max(l_k, cfg.l_bar)
         eta = min(eta, 1.0 / cfg.l_bar)
-        if alpha is None:
-            alpha = problem.weak_convexity
-        denom = alpha + 2.0 * cfg.theory_gamma
-        if denom > 0.0:
-            eta = min(eta, (1.0 - cfg.delta) / denom)
+        alpha = problem.weak_convexity
+        if alpha > 0.0:
+            eta = min(eta, (1.0 - cfg.delta) / alpha)
     floored = eta < cfg.eta_floor
     return max(eta, cfg.eta_floor), l_eff, floored
 
@@ -379,8 +372,6 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     if hasattr(estimator, "initialize"):
         estimator.initialize(x0)
 
-    alpha = cfg.theory_alpha if cfg.theory_alpha is not None else problem.weak_convexity
-
     x0_feasible = problem.is_feasible(x0)
     obj0 = problem.objective(x0) if x0_feasible else problem.smooth_value(x0)
     trace = [
@@ -424,13 +415,12 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
         for step in range(steps_per_epoch):
             last = step == steps_per_epoch - 1
             audited = cfg.audit_per_iteration or (last and audit_epoch)
-            l_under = 0.0 if cfg.l_under_mode == "zero" else l_prev
             x_bar, beta = extrapolate(
-                x_k, x_km1, k_global, cfg, kern_prev, eta_prev, l_under
+                x_k, x_km1, k_global, cfg, kern_prev, eta_prev, l_prev, d_last
             )
             try:
                 g = estimator.estimate(x_bar)
-                eta, l_eff, floored = step_size(problem, x_bar, eta_prev, cfg, alpha)
+                eta, l_eff, floored = step_size(problem, x_bar, eta_prev, cfg)
                 if floored:
                     result.hit_eta_floor = True
                 kern = problem.kernel(eta)
@@ -462,10 +452,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     d_prev,
                     aud.gamma if aud.gamma is not None else math.nan,
                     cfg.epsilon,
-                    alpha=alpha,
-                    gamma=cfg.theory_gamma,
-                    tau=cfg.theory_tau,
-                    phi_lower_bound=cfg.phi_lower_bound,
+                    alpha=problem.weak_convexity,
                 )
                 wit = stationarity_witness(problem, x_next, x_bar, g, eta, kern)
                 step_diff = x_next - x_k

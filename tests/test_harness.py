@@ -483,7 +483,7 @@ def test_clustering_config_rejects_bad_k_and_restarts():
 
 
 def _no_solve(*args, **kwargs):
-    raise AssertionError("solved before the clustering block was checked")
+    raise AssertionError("solved before the config was checked against the data")
 
 
 @pytest.mark.parametrize("verb", ["run", "compare", "audit"])
@@ -513,6 +513,34 @@ def test_cli_rejects_clustering_block_before_solving(
     )
     assert code == 1
     assert f"bregopt: config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+@pytest.mark.parametrize("shape", [(3, 3), (-3, -4)])
+def test_cli_rejects_mismatched_basis_shape_before_solving(
+    tmp_path, capsys, monkeypatch, verb, shape
+):
+    monkeypatch.setattr(harness, "run", _no_solve)
+    out = tmp_path / "out"
+    code = cli_main(
+        [
+            verb,
+            "--set",
+            'problem={"kind":"gnmf","rank":2,"data":{"synthetic":{"m":12,"d":8,"r_true":2}}}',
+            "--set",
+            'emit=["trace_csv","basis_pgm"]',
+            "--set",
+            f"basis_shape=[{shape[0]},{shape[1]}]",
+            "--out",
+            str(out),
+            "--quiet",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    h, w = shape
+    assert f"bregopt: config error: basis_shape {h}x{w} is not a positive shape" in err
     assert not out.exists()
 
 
@@ -902,13 +930,8 @@ _SOLVER_KINDS = {
     "epsilon": "float",
     "eta0": "float",
     "eta_floor": "float",
-    "l_under_mode": "str",
     "strict_theory_stepsize": "bool",
     "l_bar": "float",
-    "theory_alpha": "float?",
-    "theory_gamma": "float",
-    "theory_tau": "float",
-    "phi_lower_bound": "float",
     "stop_tol": "float",
     "stop_window": "int",
     "audit_every": "int",
@@ -1081,6 +1104,8 @@ def test_cli_rejects_every_wrong_typed_value_before_solving(
             'compare=[{"algorithm":"bpg"},{"algorithm":"sgd"}]',
             "compare[1]: algorithm must be one of",
         ),
+        ("solver.theory_gamma=0.1", "unknown key(s) in solver: ['theory_gamma']"),
+        ('solver.l_under_mode="zero"', "unknown key(s) in solver: ['l_under_mode']"),
     ],
 )
 def test_cli_names_the_wrong_typed_field_before_any_output(

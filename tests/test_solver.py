@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse
 
 from bregopt.kernels import FactorPair, bregman_distance
+from bregopt import solver
 from bregopt.numeric import make_rng
 from bregopt.problems import build_knn_laplacian, build_problem
 from bregopt.solver import (
@@ -116,11 +117,40 @@ def test_safeguarded_beta_respects_distance_inequality(small_gnmf):
         y = random_pair(rng, 8, 2, 10, 0.0, 1.0)
         l_under, eta_prev = 2.0, 0.25
         x_bar, beta = extrapolate(x, y, k, cfg, kern, eta_prev, l_under)
-        bound = (0.9 - 0.1) / (1.0 + l_under * eta_prev) * max(
-            bregman_distance(kern, y, x), 0.0
-        )
+        d_prev = bregman_distance(kern, y, x)
+        bound = (0.9 - 0.1) / (1.0 + l_under * eta_prev) * max(d_prev, 0.0)
         assert bregman_distance(kern, x, x_bar) <= bound + 1e-12
         assert 0.0 <= beta <= 0.6 * (k - 1) / (k + 2)
+        # A caller that holds D(x_{k-1}, x_k) gets the same point and beta.
+        x_given, beta_given = extrapolate(
+            x, y, k, cfg, kern, eta_prev, l_under, d_prev=d_prev
+        )
+        assert beta_given == beta
+        assert np.array_equal(x_given.u, x_bar.u)
+        assert np.array_equal(x_given.v, x_bar.v)
+
+
+def test_safeguard_reuses_the_previous_bregman_step(small_gnmf, monkeypatch):
+    # Each D(x_k, x_{k+1}) is computed once, as the step's Bregman step; the
+    # next safeguard reads it from the loop instead of computing it again.
+    pairs = []
+    distance = solver.bregman_distance
+
+    def recording(kernel, x, y):
+        pairs.append((x, y))  # holds the points, so their ids stay unique
+        return distance(kernel, x, y)
+
+    monkeypatch.setattr(solver, "bregman_distance", recording)
+    cfg = SolverConfig(
+        algorithm="bpge", beta_mode="safeguarded", max_epochs=30, keep_iterates=True
+    )
+    res = run(small_gnmf, cfg, start_point(small_gnmf))
+    assert not res.failed
+    assert any(row.beta > 0.0 for row in res.trace)
+    xs = res.iterates
+    steps = {(id(a), id(b)) for a, b in zip(xs, xs[1:])}
+    on_steps = [(id(x), id(y)) in steps for x, y in pairs]
+    assert sum(on_steps) == res.iterations_run
 
 
 # -- step size --------------------------------------------------------------
@@ -176,6 +206,38 @@ def test_lyapunov_stochastic_form():
     want = 0.5 * 2.0 + t_k * 0.3 + (0.5 * 0.25 / 2 + 0.01) * 0.1
     want += 0.5 * 4.0 / (2 * 0.5 * 0.25)
     assert psi == pytest.approx(want)
+
+
+@pytest.mark.parametrize(
+    "algorithm, estimator", [("bpsge", "saga"), ("bpsge", "sarah"), ("bpge", "full")]
+)
+def test_audit_records_hold_every_lyapunov_input(algorithm, estimator):
+    # Each record alone reproduces its Lyapunov value, so a variant with
+    # another gamma, tau or lower bound is one ``lyapunov`` call per record.
+    problem = kind_problem("wcmf")
+    cfg = SolverConfig(
+        algorithm=algorithm,
+        estimator=estimator,
+        batch_size=3,
+        max_epochs=4,
+        audit_per_iteration=True,
+        seed=9,
+    )
+    res = run(problem, cfg, start_point(problem))
+    assert not res.failed and res.audits
+    assert problem.weak_convexity > 0.0
+    for rec in res.audits:
+        psi = lyapunov(
+            rec.eta,
+            rec.objective,
+            rec.bregman_step,
+            rec.bregman_prev,
+            rec.gamma,
+            cfg.epsilon,
+            alpha=problem.weak_convexity,
+        )
+        assert psi == rec.lyapunov
+        assert math.isfinite(rec.gamma)
 
 
 def test_stationarity_witness_zero_at_fixed_point(small_gnmf):
