@@ -132,8 +132,10 @@ class FullGradient(GradientEstimator):
         super().__init__(problem)
         self.batch_size = problem.n_samples
 
-    def estimate(self, x_bar: FactorPair) -> FactorPair:
-        return self.problem.full_gradient(x_bar)
+    def estimate(self, x_bar: FactorPair, products=None) -> FactorPair:
+        """The full gradient at x_bar; ``products`` as for
+        ``Problem.data_gradient``."""
+        return self.problem.full_gradient(x_bar, products)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:
         # The estimate is the full gradient itself: no error, no data pass.

@@ -64,7 +64,11 @@ def cubic_root(a: float, b: float, tol: float = 1e-13, max_iter: int = 200) -> f
     in (0, 1/b].  Newton from t = 1/b converges monotonically (g is convex on
     t >= 0); a bisection bracket guards against any overshoot.
 
-    Returns the root with residual |g(t)| <= 1e-12.
+    Returns the root with residual |g(t)| <= 1e-12.  Where the loop ends
+    above that residual, as for a >= 1e150 with b = 1 (Newton then needs
+    more than ``max_iter`` steps down to t ~ a^(-1/3)), the root comes
+    from ``_cubic_closed_form`` instead; every other input keeps Newton's
+    result.
     """
     a = float(a)
     b = float(b)
@@ -94,10 +98,29 @@ def cubic_root(a: float, b: float, tol: float = 1e-13, max_iter: int = 200) -> f
             return t
         t = t_new
     if abs(a * t * t * t + b * t - 1.0) > 1e-12:
-        raise ArithmeticError(
-            f"cubic_root failed to reach residual 1e-12 for a={a}, b={b}"
-        )
+        t = _cubic_closed_form(a, b)
+        if abs(a * t * t * t + b * t - 1.0) > 1e-12:
+            raise ArithmeticError(
+                f"cubic_root failed to reach residual 1e-12 for a={a}, b={b}"
+            )
     return t
+
+
+def _cubic_closed_form(a: float, b: float) -> float:
+    """Root of a t^3 + b t = 1 for a > 0, b > 0, without iteration.
+
+    With t = s/b and c = a/b^3 the cubic is c s^3 + s = 1, whose real root
+    is s = (2/sqrt(3c)) sinh(asinh(1.5 sqrt(3c)) / 3).  sqrt(3c) is formed
+    as sqrt(3a)/b/sqrt(b) so that c itself is never formed.  Where
+    sqrt(3c) > 1e150, so that c may overflow, the root is taken from
+    a t^3 = 1 instead: with t0 = a^(-1/3) and e = b t0 = c^(-1/3) < 1e-99,
+    t = t0 (1 - e/3 + O(e^3)), which is t0 (1 - e/3) to rounding.
+    """
+    w = math.sqrt(3.0 * a) / b / math.sqrt(b)
+    if w <= 1e150:
+        return 2.0 / w * math.sinh(math.asinh(1.5 * w) / 3.0) / b
+    t0 = 1.0 / float(np.cbrt(a))
+    return t0 * (1.0 - b * t0 / 3.0)
 
 
 def soft_threshold(y, tau: float) -> np.ndarray:

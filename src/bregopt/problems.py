@@ -33,6 +33,17 @@ ms on a C-ordered M, r = 10), and ``smooth_value`` forms the residual
 transposed, in C order, because ``np.vdot`` copies a Fortran-ordered operand
 first.
 
+The data term reads M only through the products (U^T M, M V^T) of
+``data_products``.  A caller that holds them, as a full-gradient run does
+for each iterate, passes them to ``data_gradient`` (the same bits as a call
+without them) and to ``smooth_value``, which then takes the Gram form of
+|UV - M|^2 when it is at least 1e-3 |M|^2 / 2 and the residual form below
+that; the two agree to about 1e-15 relative on solver iterates and to
+5e-12 at worst (see ``smooth_value``).  At 500 x 1000, r = 10, with one
+OpenBLAS thread on an x86-64 VM, the products, the residual form and a
+gradient without products take about 1 ms each; given the products, the
+gradient takes 0.05 ms and the Gram-form value 0.03 ms.
+
 A 5-NN graph Laplacian has about 8 nonzeros per row, so the graph product
 is applied through a CSR matrix when at most 5% of the Laplacian's entries
 are nonzero and through the dense array otherwise; the choice is made once,
@@ -85,6 +96,10 @@ __all__ = [
 # Largest share of nonzero Laplacian entries for which the graph product
 # goes through CSR; see the module docstring for the measurements.
 _SPARSE_MAX_DENSITY = 0.05
+
+# Share of |M|^2 / 2 below which ``smooth_value`` takes the data term in the
+# residual form even when given the data products; see its docstring.
+_GRAM_MIN_SHARE = 1e-3
 
 
 def _count(value, name: str, hi: int) -> int:
@@ -186,6 +201,7 @@ class Problem:
         self.norm_m = float(np.linalg.norm(self.m_data))
         if self.norm_m == 0.0:
             raise ValueError("data matrix must be nonzero")
+        self._sq_norm_m = float(np.vdot(self.m_data.T, self.m_data.T))
 
     # -- dimensions ------------------------------------------------------
 
@@ -204,35 +220,59 @@ class Problem:
 
     # -- objective -------------------------------------------------------
 
-    def smooth_value(self, x: FactorPair) -> float:
+    def smooth_value(self, x: FactorPair, products=None) -> float:
         """f(x) = |UV - M|_F^2 / 2 plus the graph term.
 
-        Forms the transposed residual V^T U^T - M^T in one C-ordered d x m
-        array (``np.vdot`` would copy a Fortran-ordered one) and takes its
-        squared norm with one dot.  The Gram expansion
-        |M|^2 - 2 <U^T M, V> + tr(U^T U V V^T) needs no m x d array, but it
-        cancels catastrophically near a good fit and can even come out
-        negative, so the residual form stays.
+        Given ``products``, the pair ``data_products(x)``, the data term is
+        taken in the Gram form (|M|^2 - 2 <U^T M, V> + <U^T U, V V^T>) / 2:
+        no pass over M and no m x d array.  The form cancels near a good
+        fit.  It differs from the residual form by at most
+        4 eps (|M|^2 + |UV|^2), eps = 2.2e-16; the most measured was 2.6 eps
+        (|M|^2 + |UV|^2), over 3000 random, signed, rank-deficient and
+        near-fit points with |M| from 1e-6 to 1e6.  So where the Gram form
+        comes out below 1e-3 |M|^2 / 2 (``_GRAM_MIN_SHARE``), or NaN, the
+        residual form is taken instead.  Above that threshold the relative
+        error is at most about 5e-12 (5.4e-13 measured near it).  On every
+        bpg/bpge iterate of wcmf 500 x 1000 and of gnmf, wcmf and ssnmf at
+        60 x 40 (60 epochs, 2 seeds) it was at most 1.9e-15.
+
+        The residual form, the only one without ``products``, takes the
+        transposed residual V^T U^T - M^T in one C-ordered d x m array
+        (``np.vdot`` would copy a Fortran-ordered one) and its squared norm
+        with one dot.
         """
         self._check_point(x)
+        if products is not None:
+            data = 0.5 * (
+                self._sq_norm_m
+                - 2.0 * float(np.vdot(products[0], x.v))
+                + float(np.vdot(x.u.T @ x.u, x.v @ x.v.T))
+            )
+            if data >= _GRAM_MIN_SHARE * 0.5 * self._sq_norm_m:
+                return data + self._graph_value(x.u)
+        return self._residual_value(x) + self._graph_value(x.u)
+
+    def _residual_value(self, x: FactorPair) -> float:
+        """|UV - M|_F^2 / 2 from the residual, one pass over M."""
         rt = x.v.T @ x.u.T
         rt -= self.m_data.T
-        return 0.5 * float(np.vdot(rt, rt)) + self._graph_value(x.u)
+        return 0.5 * float(np.vdot(rt, rt))
 
     def nonsmooth_value(self, x: FactorPair) -> float:
         """Finite part of h; indicator kinds return 0 on the feasible set."""
         return 0.0
 
-    def objective(self, x: FactorPair) -> float:
+    def objective(self, x: FactorPair, products=None) -> float:
         """f(x) + h(x); ``math.inf`` when x violates a constraint.
 
         Infinity only ever arises for the constrained kinds, and only for
         points outside the feasible set; trace writers must consult
-        ``is_feasible`` rather than serializing the infinity.
+        ``is_feasible`` rather than serializing the infinity.  ``products``
+        is passed on to ``smooth_value``.
         """
         if not self.is_feasible(x):
             return math.inf
-        return self.smooth_value(x) + self.nonsmooth_value(x)
+        return self.smooth_value(x, products) + self.nonsmooth_value(x)
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
         self._check_point(x)
@@ -240,24 +280,36 @@ class Problem:
 
     # -- gradients -------------------------------------------------------
 
-    def data_gradient(self, x: FactorPair) -> FactorPair:
+    def data_products(self, x: FactorPair) -> tuple[np.ndarray, np.ndarray]:
+        """(U^T M, M V^T): the two GEMM reads of M, about 4mrd flops, that
+        the data term reads M through.  M V^T is taken as (V M^T)^T, the
+        fast form for the Fortran-ordered M.  Both are linear in the factor,
+        so the products at an extrapolated point x_k + beta (x_k - x_{k-1})
+        are P_k + beta (P_k - P_{k-1}) for each product P."""
+        self._check_point(x)
+        return x.u.T @ self.m_data, (x.v @ self.m_data.T).T
+
+    def data_gradient(self, x: FactorPair, products=None) -> FactorPair:
         """Gradient of the data-fitting term |M - UV|^2 / 2 alone.
 
         Uses the Gram form ((UV - M) V^T, U^T (UV - M)) =
         (U (V V^T) - M V^T, (U^T U) V - U^T M): two r x r Gram matrices and
-        two GEMM reads of M, about 4mrd flops, and no m x d array; the
-        largest temporaries are the m x r and r x d blocks.  M V^T is taken
-        as (V M^T)^T, the fast form for the Fortran-ordered M.
+        no m x d array; the largest temporaries are the m x r and r x d
+        blocks.  M is read only through ``products``, the pair
+        (U^T M, M V^T); None takes them with ``data_products``, so a call
+        without them returns the same bits as one given the products at x.
         """
         self._check_point(x)
+        utm, mvt = self.data_products(x) if products is None else products
         gu = x.u @ (x.v @ x.v.T)
-        gu -= (x.v @ self.m_data.T).T
+        gu -= mvt
         gv = (x.u.T @ x.u) @ x.v
-        gv -= x.u.T @ self.m_data
+        gv -= utm
         return FactorPair._unchecked(gu, gv)
 
-    def full_gradient(self, x: FactorPair) -> FactorPair:
-        return self._with_graph(self.data_gradient(x), x)
+    def full_gradient(self, x: FactorPair, products=None) -> FactorPair:
+        """Gradient of f at x; ``products`` as for ``data_gradient``."""
+        return self._with_graph(self.data_gradient(x, products), x)
 
     def sample_gradient(self, x: FactorPair, indices) -> FactorPair:
         """Minibatch gradient (1/|B|) sum_{i in B} grad f_i at x.

@@ -61,6 +61,28 @@ def test_cubic_root_extreme_coefficients():
         assert abs(a * t**3 + b * t - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1e150, 1.0),
+        (1e200, 1.0),
+        (1e250, 1.0),
+        (1e300, 1.0),
+        (1.7e308, 1.0),
+        (1e300, 1e-10),  # a / b^3 overflows
+        (1e-300, 1e-300),  # so does 1 / b^3 at t = 1/b
+        (1e-300, 1e-140),
+    ],
+)
+def test_cubic_root_huge_quartic_coefficient(a, b):
+    # Newton from t = 1/b needs hundreds of steps down to t ~ a^(-1/3) here;
+    # the closed form takes over where the loop stops short.
+    t = cubic_root(a, b)
+    assert t > 0.0
+    assert abs(a * t * t * t + b * t - 1.0) <= 1e-12
+    assert t == pytest.approx(a ** (-1.0 / 3.0), rel=1e-6)
+
+
 def test_cubic_root_rejects_bad_coefficients():
     with pytest.raises(ValueError):
         cubic_root(-1.0, 1.0)

@@ -361,6 +361,85 @@ def test_full_passes_allocate_at_most_one_data_sized_array(kind):
     assert peak(prob.smooth_value) < 1.5 * md_bytes
 
 
+# -- data products ------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_gradient_given_the_products_is_bit_identical(kind):
+    rng = make_rng(24)
+    m, r, d = 220, 4, 30
+    m_data = rng.uniform(0.1, 1.0, (m, d))
+    params = {
+        "gnmf": {"mu0": 0.4, "laplacian": build_knn_laplacian(m_data, 5)},
+        "wcmf": {"lambda1": 0.3, "lambda2": 0.1},
+        "ssnmf": {"s1": 20, "s2": 10},
+    }[kind]
+    prob = build_problem(kind, m_data, r, **params)
+    if kind == "gnmf":
+        assert scipy.sparse.issparse(prob.laplacian)
+    for x in _reference_pairs(rng, m, r, d):
+        products = prob.data_products(x)
+        for grad in (prob.data_gradient, prob.full_gradient):
+            direct, given = grad(x), grad(x, products)
+            assert _same_bits(direct.u, given.u) and _same_bits(direct.v, given.v)
+
+
+def _gram_bound(prob, x):
+    """The documented bound on |Gram form - residual form|: 4 eps (|M|^2 +
+    |UV|^2)."""
+    uv = x.u @ x.v
+    sq = np.linalg.norm(prob.m_data) ** 2 + float(np.vdot(uv, uv))
+    return 4.0 * np.finfo(float).eps * sq
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_gram_form_value_matches_residual_form(scale, monkeypatch):
+    rng = make_rng(25)
+    m, r, d = 30, 4, 20
+    u0, v0 = rng.standard_normal((m, r)), rng.standard_normal((r, d))
+    noise = rng.standard_normal((m, d))
+    root = math.sqrt(scale)
+    prob = WeaklyConvexMF(scale * (u0 @ v0 + 0.1 * noise), r, 0.0, 0.0)
+    floor = 1e-3 * 0.5 * np.linalg.norm(prob.m_data) ** 2
+    passes = []
+    residual_value = prob._residual_value
+    monkeypatch.setattr(
+        prob, "_residual_value", lambda x: passes.append(x) or residual_value(x)
+    )
+    points = [
+        FactorPair(root * x.u, root * x.v) for x in _reference_pairs(rng, m, r, d)
+    ]
+    points.append(FactorPair(root * u0, root * v0))  # a fit to 0.3% of |M|^2
+    for x in points:
+        want = prob.smooth_value(x)  # the residual form
+        passes.clear()
+        got = prob.smooth_value(x, prob.data_products(x))
+        assert want >= floor and not passes  # the Gram form was taken
+        assert abs(got - want) <= _gram_bound(prob, x)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_gram_form_falls_back_to_the_residual_form_near_a_fit(scale):
+    rng = make_rng(26)
+    m, r, d = 30, 4, 20
+    u0 = rng.integers(-3, 4, (m, r)).astype(float)
+    v0 = rng.integers(-3, 4, (r, d)).astype(float)
+    root = math.sqrt(scale)
+    exact = WeaklyConvexMF(u0 @ v0, r, 0.0, 0.0)
+    x = FactorPair(u0, v0)
+    assert exact.smooth_value(x, exact.data_products(x)) == 0.0
+    # Off the integers the fit is exact only to rounding, where the Gram
+    # form alone could come out negative.
+    prob = WeaklyConvexMF(scale * (u0 @ v0), r, 0.0, 0.0)
+    x = FactorPair(root * u0, root * v0)
+    got = prob.smooth_value(x, prob.data_products(x))
+    assert got == prob.smooth_value(x) and got >= 0.0
+
+
 # -- kernels per kind -------------------------------------------------------
 
 

@@ -519,8 +519,8 @@ def test_run_fails_on_non_finite_estimate(kind, monkeypatch):
     calls = []
     data_gradient = problem.data_gradient
 
-    def poisoned(x):
-        g = data_gradient(x)
+    def poisoned(x, *args, **kwargs):
+        g = data_gradient(x, *args, **kwargs)
         calls.append(None)
         if len(calls) == 3:
             g.u[0, 0] = np.nan
@@ -531,6 +531,100 @@ def test_run_fails_on_non_finite_estimate(kind, monkeypatch):
     assert res.failed
     assert res.message.startswith("iteration 2:")
     assert np.isfinite(res.x.u).all() and np.isfinite(res.x.v).all()
+
+
+def graph_problem():
+    m_data = make_rng(61).uniform(0.1, 1.0, (8, 10))
+    lap = build_knn_laplacian(m_data, 3)
+    return build_problem("gnmf", m_data, 2, mu0=0.3, laplacian=lap)
+
+
+@pytest.mark.parametrize(
+    "algorithm, beta_mode",
+    [("bpg", "off"), ("bpge", "scheduled"), ("bpge", "safeguarded")],
+)
+@pytest.mark.parametrize("audit", [False, True])
+def test_full_gradient_run_reads_m_once_per_step(
+    algorithm, beta_mode, audit, monkeypatch
+):
+    # One pair of data products per iterate serves the gradient at the next
+    # extrapolated point, the objective and the audit's witness; away from a
+    # fit the objective takes no residual pass.
+    problem = graph_problem()
+    products, residuals = [], []
+    data_products = problem.data_products
+    residual_value = problem._residual_value
+    monkeypatch.setattr(
+        problem, "data_products", lambda x: products.append(x) or data_products(x)
+    )
+    monkeypatch.setattr(
+        problem, "_residual_value", lambda x: residuals.append(x) or residual_value(x)
+    )
+    cfg = SolverConfig(
+        algorithm=algorithm,
+        beta_mode=beta_mode,
+        max_epochs=30,
+        audit_per_iteration=audit,
+        keep_iterates=True,
+    )
+    res = run(problem, cfg, start_point(problem))
+    assert not res.failed and res.iterations_run == 30
+    assert len(products) == res.iterations_run + 1
+    assert all(p is x for p, x in zip(products, res.iterates))
+    floor = 1e-3 * 0.5 * np.linalg.norm(problem.m_data) ** 2
+    assert all(t.objective > floor for t in res.trace)
+    assert not residuals
+    for t, x in zip(res.trace, res.iterates):
+        want = residual_value(x) + problem._graph_value(x.u)
+        assert t.objective == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf", "gnmf-graph"])
+@pytest.mark.parametrize("audit", [False, True])
+def test_bpg_iterates_match_a_direct_per_step_oracle(kind, audit):
+    # bpg never extrapolates, so each gradient is taken from the products at
+    # the iterate itself: the same GEMMs as a direct pass, the same bits.
+    problem = graph_problem() if kind == "gnmf-graph" else kind_problem(kind)
+    cfg = SolverConfig(
+        algorithm="bpg", max_epochs=25, audit_per_iteration=audit, keep_iterates=True
+    )
+    x = start_point(problem)
+    res = run(problem, cfg, x)
+    assert not res.failed and len(res.iterates) == 26
+    eta = cfg.eta0
+    for k, x_run in enumerate(res.iterates[1:]):
+        g = problem.full_gradient(x)
+        eta = step_size(problem, x, eta, cfg)[0]
+        x_next = problem.prox_step(g, x, eta)
+        assert x_next.u.tobytes() == x_run.u.tobytes()
+        assert x_next.v.tobytes() == x_run.v.tobytes()
+        if audit:
+            wit = stationarity_witness(problem, x_next, x, g, eta, problem.kernel(eta))
+            assert res.audits[k].stationarity == wit
+        x = x_next
+
+
+@pytest.mark.parametrize("kind", ["wcmf", "gnmf-graph"])
+@pytest.mark.parametrize("beta_mode", ["scheduled", "safeguarded"])
+def test_bpge_steps_match_a_direct_pass_at_the_extrapolated_point(kind, beta_mode):
+    # bpge takes the gradient at x_bar from the products of x_k and x_{k-1};
+    # from the run's own x_k, x_{k-1} and beta, a direct pass at x_bar gives
+    # the same step to rounding.
+    problem = graph_problem() if kind == "gnmf-graph" else kind_problem(kind)
+    cfg = SolverConfig(
+        algorithm="bpge", beta_mode=beta_mode, max_epochs=25, keep_iterates=True
+    )
+    res = run(problem, cfg, start_point(problem))
+    xs = res.iterates
+    assert not res.failed and len(xs) == 26
+    assert sum(t.beta > 0.0 for t in res.trace) > 10
+    eta = cfg.eta0
+    for k in range(25):
+        beta = res.trace[k + 1].beta  # one step per epoch
+        x_bar = xs[k] + (xs[k] - xs[k - 1 if k else 0]).scale(beta)
+        eta = step_size(problem, x_bar, eta, cfg)[0]
+        x_next = problem.prox_step(problem.full_gradient(x_bar), x_bar, eta)
+        assert (x_next - xs[k + 1]).norm() <= 1e-12 * xs[k + 1].norm()
 
 
 def test_run_early_stop_on_quiet_epochs():
