@@ -75,6 +75,10 @@ __all__ = [
 # ``estimate_sample_lipschitz`` builds; see the module docstring.
 _SWEEP_CHUNK_BYTES = 1 << 19
 
+# SAGA recomputes its running table averages from the table after this many
+# minibatch estimates, so that rounding in the updates cannot accumulate.
+_SAGA_RESYNC_EVERY = 100
+
 
 @dataclass(frozen=True)
 class VarianceAudit:
@@ -185,17 +189,10 @@ class SAGA(GradientEstimator):
 
     name = "saga"
 
-    def __init__(
-        self,
-        problem: Problem,
-        batch_size: int,
-        rng: np.random.Generator,
-        resync_every: int = 100,
-    ):
+    def __init__(self, problem: Problem, batch_size: int, rng: np.random.Generator):
         super().__init__(problem)
         self.batch_size = _check_batch_size(batch_size, problem.n_samples)
         self.rng = rng
-        self.resync_every = int(resync_every)
         self._initialized = False
         self._estimates_since_resync = 0
 
@@ -250,7 +247,7 @@ class SAGA(GradientEstimator):
         self._w[:, idx] = fresh_w
 
         self._estimates_since_resync += 1
-        if self._estimates_since_resync >= self.resync_every:
+        if self._estimates_since_resync >= _SAGA_RESYNC_EVERY:
             self._resync()
         return self.problem._with_graph(FactorPair._unchecked(gu, gv), x_bar)
 

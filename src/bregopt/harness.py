@@ -102,7 +102,10 @@ def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     """Read a dense, finite matrix from CSV or MatrixMarket array format."""
     path = Path(path)
     fmt = _detect_format(path, fmt)
-    return _load_csv(path) if fmt == "csv" else _load_mm(path)
+    try:
+        return _load_csv(path) if fmt == "csv" else _load_mm(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def save_matrix(path, a, fmt: str | None = None) -> None:

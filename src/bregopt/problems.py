@@ -445,8 +445,9 @@ class Problem:
         """Objective of the proximal subproblem at a candidate point.
 
         eta * (h(cand) + <grad, cand - x_bar>) + D_psi(cand, x_bar); infinite
-        for infeasible candidates of the constrained kinds.  Used by
-        self-checks that compare the closed form against explicit search.
+        for infeasible candidates of the constrained kinds.  Demo 01,
+        acceptance criterion 1 and ``test_prox_beats_random_candidates``
+        compare ``prox_step`` against explicit search with it.
         """
         if not self.is_feasible(cand):
             return math.inf

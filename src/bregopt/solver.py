@@ -398,7 +398,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     prods = problem.data_products(x0) if full else None
     x0_feasible = problem.is_feasible(x0)
     value = problem.objective if x0_feasible else problem.smooth_value
-    obj0 = value(x0, prods) if full else value(x0)
+    obj0 = value(x0, prods)
     trace = [
         IterationTrace(
             epoch=0,
@@ -457,10 +457,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 x_next = problem.prox_step(g, x_bar, eta)
                 prods_next = problem.data_products(x_next) if full else None
                 if last or audited:  # only the trace and audits read it
-                    if full:
-                        obj = problem.objective(x_next, prods_next)
-                    else:  # a full pass
-                        obj = problem.objective(x_next)
+                    obj = problem.objective(x_next, prods_next)
                     if not math.isfinite(obj):
                         raise ArithmeticError("objective became non-finite")
             except (ValueError, ArithmeticError) as exc:

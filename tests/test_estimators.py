@@ -248,8 +248,9 @@ def test_saga_audit_requires_initialization(gnmf_problem):
         est.audit(random_pair(make_rng(15), 6, 3, 20))
 
 
-def test_saga_running_average_stays_synced(gnmf_problem):
-    est = SAGA(gnmf_problem, 3, make_rng(16), resync_every=10**9)
+def test_saga_running_average_stays_synced(gnmf_problem, monkeypatch):
+    monkeypatch.setattr(estimators, "_SAGA_RESYNC_EVERY", 10**9)
+    est = SAGA(gnmf_problem, 3, make_rng(16))
     points = random_walk(gnmf_problem, make_rng(17), steps=40)
     est.initialize(points[0])
     for x in points[1:]:

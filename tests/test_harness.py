@@ -1,11 +1,13 @@
 """Harness: file IO, synthetic data, clustering score, experiment drivers, CLI."""
 
+import argparse
 import functools
 import json
 import math
 import re
 import warnings
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from bregopt import harness
+from bregopt.cli import build_parser
 from bregopt.cli import main as cli_main
 from bregopt.harness import (
     ClusteringConfig,
@@ -899,10 +902,83 @@ def test_cli_audit_clamps_batch_to_columns(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_selftest(capsys):
-    assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all selftest checks passed" in out
+def test_cli_has_no_selftest_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["selftest"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'selftest'" in err
+    for verb in ("run", "compare", "audit", "gen"):
+        assert repr(verb) in err
+
+
+def test_readme_cli_block_lists_exactly_the_parser_verbs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.strip()]
+    (subs,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert listed == list(subs.choices)
+
+
+def _file_error_case(tmp_path, case):
+    """(argv, path the error must name) for one unreadable-file case."""
+    data = tmp_path / "m.csv"
+    save_matrix(data, make_rng(3).uniform(0.1, 1.0, (10, 8)))
+    missing, folder = tmp_path / "missing.csv", tmp_path / "folder.csv"
+    out = tmp_path / "out"
+    folder.mkdir()
+    problem = {"kind": "gnmf", "rank": 2, "data": {"path": str(data)}}
+    cfg, verb = {"problem": problem}, "run"
+    if case == "laplacian-missing":
+        problem.update(mu0=0.5, laplacian={"path": str(missing)})
+        bad = missing
+    elif case == "laplacian-directory":
+        problem.update(mu0=0.5, laplacian={"path": str(folder)})
+        bad = folder
+    elif case == "data-directory":
+        problem["data"] = {"path": str(folder)}
+        bad = folder
+    elif case == "labels-directory":
+        cfg["clustering"] = {"k": 2, "labels_path": str(folder)}
+        bad = folder
+    elif case == "data-not-utf8":
+        data.write_bytes(b"\xff\xfe0.5,0.25\n")
+        bad = data
+    else:  # out-is-file, gen-out-is-file
+        out.write_text("")
+        bad = out
+        if case == "gen-out-is-file":
+            verb = "gen"
+            problem["data"] = {"synthetic": {"m": 10, "d": 8, "r_true": 2}}
+    argv = [verb, "--out", str(out), "--quiet"]
+    for key, value in cfg.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    return argv, bad
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "laplacian-missing",
+        "laplacian-directory",
+        "data-directory",
+        "labels-directory",
+        "out-is-file",
+        "gen-out-is-file",
+        "data-not-utf8",
+    ],
+)
+def test_cli_file_errors_exit_1_naming_the_path(tmp_path, capsys, case):
+    argv, bad = _file_error_case(tmp_path, case)
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bregopt: config error:")
+    assert str(bad) in err
+    assert "Traceback" not in err
+    if "out" not in case:  # failed before the output directory was made
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_set_value_parsing(tmp_path):

@@ -406,7 +406,9 @@ def test_run_evaluates_objective_once_per_epoch(
     calls = []
     objective = small_gnmf.objective
     monkeypatch.setattr(
-        small_gnmf, "objective", lambda x: calls.append(x) or objective(x)
+        small_gnmf,
+        "objective",
+        lambda x, *args: calls.append(x) or objective(x, *args),
     )
     cfg = SolverConfig(
         algorithm=algorithm, estimator=estimator, batch_size=3, max_epochs=4, seed=4
