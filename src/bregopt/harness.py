@@ -627,6 +627,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown emit option(s): {sorted(bad)}")
         if "basis_pgm" in self.emit and self.basis_shape is None:
             raise ConfigError("emit basis_pgm requires basis_shape")
+        # Clustering labels come from exactly one source: synthetic data
+        # brings its own, file data needs a labels file.
+        if self.clustering is not None:
+            synthetic = self.problem.data.synthetic is not None
+            if synthetic and self.clustering.labels_path is not None:
+                raise ConfigError(
+                    "clustering.labels_path must be omitted with synthetic data, "
+                    "which brings its own labels"
+                )
+            if not synthetic and self.clustering.labels_path is None:
+                raise ConfigError("clustering.labels_path is required with data.path")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -654,7 +665,7 @@ def load_experiment_data(cfg: ExperimentConfig):
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {data.path}") from None
     labels = None
-    if cfg.clustering is not None and cfg.clustering.labels_path is not None:
+    if cfg.clustering is not None:
         path = cfg.clustering.labels_path
         try:
             labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
@@ -728,7 +739,7 @@ def _run_trials(
         trial_cfg = replace(solver_cfg, seed=(cfg.seed, 2000 + t))
         res = run(problem, trial_cfg, x0)
         out = TrialOutcome(result=res, init_hash=_point_hash(x0))
-        if cfg.clustering is not None and labels is not None and not res.failed:
+        if cfg.clustering is not None and not res.failed:
             out.accuracy = kmeans_accuracy(
                 res.x.u,
                 labels,
@@ -870,7 +881,7 @@ def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
 def _prepare(cfg: ExperimentConfig, out_dir):
     """Shared driver start: (start time, output dir, problem, labels).
 
-    The clustering block (its labels file where it is read) and an emitted
+    The clustering block (with the labels file of file data) and an emitted
     ``basis_shape`` are checked against the data here, before any solve and
     before the output directory is made.
     """

@@ -495,6 +495,10 @@ def _no_solve(*args, **kwargs):
     [
         ('{"k":2,"restarts":0}', "clustering.restarts must be an integer >= 1"),
         ('{"k":50}', "clustering.k = 50 exceeds the 12 rows of M"),
+        (
+            '{"k":2,"labels_path":"/nonexistent/labels.csv"}',
+            "clustering.labels_path must be omitted with synthetic data",
+        ),
     ],
 )
 def test_cli_rejects_clustering_block_before_solving(
@@ -554,6 +558,7 @@ def test_cli_rejects_mismatched_basis_shape_before_solving(
         ("0\n1\n0\n1\n0\n", "got 5 labels for 6 rows of M"),
         ("0\n1\n0\n-1\n0\n1\n", "labels must be nonnegative integers"),
         ("0\n1.5\n0\n1\n0\n1\n", "could not convert"),
+        ("omit", "clustering.labels_path is required with data.path"),
     ],
 )
 def test_run_rejects_bad_labels_file_before_solving(
@@ -562,12 +567,15 @@ def test_run_rejects_bad_labels_file_before_solving(
     data = tmp_path / "m.csv"
     save_matrix(data, make_rng(94).random((6, 5)))
     labels_path = tmp_path / "labels.csv"
-    if labels is not None:
+    clustering = {"k": 2, "labels_path": str(labels_path)}
+    if labels == "omit":
+        del clustering["labels_path"]
+    elif labels is not None:
         labels_path.write_text(labels)
     monkeypatch.setattr(harness, "run", _no_solve)
     d = {
         "problem": {"kind": "gnmf", "rank": 2, "data": {"path": str(data)}},
-        "clustering": {"k": 2, "labels_path": str(labels_path)},
+        "clustering": clustering,
         "out_dir": str(tmp_path / "out"),
     }
     with pytest.raises(ConfigError, match=message):

@@ -1,5 +1,8 @@
 """Low-level numeric helpers against independent oracles."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -55,7 +58,14 @@ def test_cubic_root_matches_bisection_sweep():
 
 
 def test_cubic_root_extreme_coefficients():
-    for a, b in [(1e8, 1e-4), (1e-8, 1e4), (100.0, 1e-6), (0.0, 1e-6)]:
+    for a, b in [
+        (1e8, 1e-4),
+        (1e-8, 1e4),
+        (100.0, 1e-6),
+        (0.0, 1e-6),
+        (5e-324, 1.0),
+        (1e-300, 1e300),
+    ]:
         t = cubic_root(a, b)
         assert t > 0.0
         assert abs(a * t**3 + b * t - 1.0) <= 1e-12
@@ -75,12 +85,54 @@ def test_cubic_root_extreme_coefficients():
     ],
 )
 def test_cubic_root_huge_quartic_coefficient(a, b):
-    # Newton from t = 1/b needs hundreds of steps down to t ~ a^(-1/3) here;
-    # the closed form takes over where the loop stops short.
+    # sqrt(3a/b^3) > 1e150 here, or a / b^3 overflows: the root comes from
+    # the a t^3 = 1 branch, t ~ a^(-1/3).
     t = cubic_root(a, b)
     assert t > 0.0
     assert abs(a * t * t * t + b * t - 1.0) <= 1e-12
     assert t == pytest.approx(a ** (-1.0 / 3.0), rel=1e-6)
+
+
+def decimal_root(a, b):
+    """Root of a t^3 + b t - 1 = 0 by Newton in 60-digit decimal arithmetic.
+
+    Starts at min(1/b, a^(-1/3)), an upper bound within a factor 1.5 of the
+    root, so that the convex Newton iteration converges in a few steps.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(a), Decimal(b)
+        t = 1 / b
+        if a > 0:
+            t = min(t, (-a.ln() / 3).exp())
+        for _ in range(50):
+            step = (a * t * t * t + b * t - 1) / (3 * a * t * t + b)
+            t -= step
+            if abs(step) <= t * Decimal("1e-50"):
+                return t
+    raise AssertionError(f"decimal Newton did not converge for a={a}, b={b}")
+
+
+def test_cubic_root_matches_decimal_oracle():
+    rng = make_rng(19)
+    cases = list(
+        zip(
+            (10.0 ** rng.uniform(-300.0, 300.0, 5000)).tolist(),
+            (10.0 ** rng.uniform(-150.0, 150.0, 5000)).tolist(),
+        )
+    )
+    # Both sides of the regime switches at w = sqrt(3a)/b^1.5 = 1e-150, 1e150.
+    for w in (1e-150, 1e150):
+        for f in (0.5, 0.99, 1.0, 1.01, 2.0):
+            for b in (1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150):
+                s = f * w * b * math.sqrt(b)
+                if 0.0 < s * s / 3.0 < math.inf:
+                    cases.append((s * s / 3.0, b))
+    for a, b in cases:
+        t = cubic_root(a, b)
+        ref = decimal_root(a, b)
+        assert abs(Decimal(t) - ref) <= Decimal("5e-14") * ref, (a, b)
+        assert abs(a * t * t * t + b * t - 1.0) <= 1e-12, (a, b)
 
 
 def test_cubic_root_rejects_bad_coefficients():
