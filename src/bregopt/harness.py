@@ -622,6 +622,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.compare is not None and not self.compare:
+            raise ConfigError("compare must hold at least one entry")
         bad = set(self.emit) - {"trace_csv", "summary_json", "per_trial_csv", "basis_pgm"}
         if bad:
             raise ConfigError(f"unknown emit option(s): {sorted(bad)}")
@@ -643,11 +647,24 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         """The experiment read from its JSON object.  Each compare entry
         overrides the solver block for one combo; it is checked here, merged
-        over that block, so a bad entry fails before anything runs."""
+        over that block, so a bad entry fails before anything runs.  Two
+        entries that run as the same combo would write the same files.  A
+        solver seed is rejected: each trial's comes from the top-level one."""
         cfg = _from_dict(ExperimentConfig, d, "")
         solver = d.get("solver", {})
-        for i, overrides in enumerate(cfg.compare or ()):
-            _from_dict(SolverConfig, {**solver, **overrides}, f"compare[{i}]")
+        compare = {f"compare[{i}]": e for i, e in enumerate(cfg.compare or ())}
+        for where, entry in {"solver": solver, **compare}.items():
+            if "seed" in entry:
+                raise ConfigError(
+                    f"{where}.seed is not accepted: each trial's seed comes "
+                    "from the top-level 'seed'"
+                )
+        tags = {}
+        for where, overrides in compare.items():
+            tag = _combo_tag(_from_dict(SolverConfig, {**solver, **overrides}, where))
+            if tag in tags:
+                raise ConfigError(f"{tags[tag]} and {where} both run as {tag!r}")
+            tags[tag] = where
         return cfg
 
 
@@ -1068,7 +1085,7 @@ def run_audit(cfg: ExperimentConfig, out_dir=None):
                 tau = b / (2.0 * n)
                 v_gamma = (2.0 * b + 4.0 * n) * m1 * m1 / (b * b)
             else:
-                tau = effective_restart_prob(solver_cfg.restart_prob, n, b)
+                tau = effective_restart_prob(None, n, b)
                 v_gamma = 2.0 * m1 * m1
             records = [
                 (

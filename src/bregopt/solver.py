@@ -10,18 +10,19 @@ thin restrictions of the same loop:
     bpsg   stochastic estimator, no extrapolation
     bpsge  stochastic estimator, extrapolation
 
-Extrapolation modes: ``scheduled`` uses beta_k = beta_scale * (k-1)/(k+2);
+Extrapolation modes: ``scheduled`` uses beta_k = 0.6 (k-1)/(k+2);
 ``safeguarded`` starts there and halves beta until the extrapolated point
 satisfies the distance-growth inequality
 
     D_psi(x_k, x_bar_k) <= (delta - eps)/(1 + L_under * eta_{k-1})
                            * D_psi(x_{k-1}, x_k)
 
-that the descent analysis assumes, with L_under the previous step's
-curvature.  With ``strict_theory_stepsize`` the step is additionally capped by
-the global smooth-adaptability constant and by (1 - delta)/alpha, alpha being
-the problem's weak-convexity modulus; under those caps the Lyapunov sequence
-computed by ``lyapunov`` is provably nonincreasing for deterministic runs.
+that the descent analysis assumes, with delta = 0.99 and L_under the previous
+step's curvature.  The first step is 1/L_bar, L_bar the global smooth-
+adaptability constant; ``strict_theory_stepsize`` caps every step by it and
+by (1 - delta)/alpha, alpha the problem's weak-convexity modulus.  Under
+those caps the Lyapunov sequence computed by ``lyapunov`` is provably
+nonincreasing for deterministic runs.
 
 Traces are recorded per epoch: the objective at the epoch's last iterate and
 means of the Bregman step, eta and beta over its iterations; a failed epoch
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,34 +72,37 @@ _ALGORITHMS = ("bpg", "bpge", "bpsg", "bpsge")
 _ESTIMATORS = ("full", "sgd", "saga", "sarah")
 _BETA_MODES = ("off", "scheduled", "safeguarded")
 
+# Scale of the scheduled beta; the convergence analysis needs it below 1/sqrt(2).
+_BETA_SCALE = 0.6
+# delta of the descent analysis (epsilon < delta < 1); near 1 it admits most beta.
+_DELTA = 0.99
+# Smallest step taken; a run whose step would fall below it reports the hit.
+_ETA_FLOOR = 1e-8
+# Quiet epochs in a row that stop a run early; one alone can be a lull.
+_STOP_WINDOW = 3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything a run depends on besides the problem and the start point.
 
-    ``batch_size`` 0 means 5% of the columns (at least one).  ``restart_prob``
-    None means one expected restart per epoch.  ``strict_theory_stepsize``
-    caps the step by 1/``l_bar`` and by (1 - delta)/alpha, with alpha the
-    problem's weak-convexity modulus.  ``audit_every`` counts epochs between
-    audited boundaries; ``audit_per_iteration`` upgrades auditing to every
-    inner iteration regardless.
+    ``batch_size`` 0 means 5% of the columns (at least one).  The first step
+    is 1/``l_bar``; ``strict_theory_stepsize`` caps every step by it and by
+    (1 - delta)/alpha, with alpha the problem's weak-convexity modulus.
+    ``audit_every`` counts epochs between audited boundaries;
+    ``audit_per_iteration`` upgrades auditing to every inner iteration
+    regardless.
     """
 
     algorithm: str = "bpsge"
     estimator: str = "saga"
     batch_size: int = 0
-    restart_prob: float | None = None
     max_epochs: int = 50
     beta_mode: str = "scheduled"
-    beta_scale: float = 0.6
-    delta: float = 0.99
     epsilon: float = 0.01
-    eta0: float = 1.0
-    eta_floor: float = 1e-8
     strict_theory_stepsize: bool = False
     l_bar: float = 1.0
     stop_tol: float = 1e-12
-    stop_window: int = 3
     audit_every: int = 0
     audit_per_iteration: bool = False
     keep_iterates: bool = False
@@ -112,37 +115,16 @@ class SolverConfig:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}")
         if self.beta_mode not in _BETA_MODES:
             raise ValueError(f"beta_mode must be one of {_BETA_MODES}")
-        if not 0.0 < self.epsilon < self.delta < 1.0:
-            raise ValueError(
-                f"need 0 < epsilon < delta < 1, got epsilon={self.epsilon}, "
-                f"delta={self.delta}"
-            )
-        if self.beta_scale < 0.0:
-            raise ValueError("beta_scale must be >= 0")
-        if self.beta_scale >= 1.0 / math.sqrt(2.0):
-            warnings.warn(
-                f"beta_scale={self.beta_scale} is at or above 1/sqrt(2); the "
-                "convergence analysis does not cover such aggressive "
-                "extrapolation",
-                UserWarning,
-                stacklevel=2,
-            )
-        if not (self.eta0 > 0.0 and math.isfinite(self.eta0)):
-            raise ValueError("eta0 must be positive and finite")
-        if not 0.0 < self.eta_floor <= self.eta0:
-            raise ValueError("need 0 < eta_floor <= eta0")
+        if not 0.0 < self.epsilon < _DELTA:
+            raise ValueError(f"need 0 < epsilon < {_DELTA}, got {self.epsilon}")
+        if not (self.l_bar > 0.0 and 0.0 < 1.0 / self.l_bar < math.inf):
+            raise ValueError(f"l_bar must be > 0 with 1/l_bar finite, got {self.l_bar}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 = auto)")
-        if self.restart_prob is not None and not 0.0 < self.restart_prob <= 1.0:
-            raise ValueError("restart_prob must be in (0, 1]")
-        if self.l_bar <= 0.0:
-            raise ValueError("l_bar must be > 0")
         if self.stop_tol < 0.0:
             raise ValueError("stop_tol must be >= 0")
-        if self.stop_window < 1:
-            raise ValueError("stop_window must be >= 1")
         if self.audit_every < 0:
             raise ValueError("audit_every must be >= 0")
 
@@ -213,10 +195,6 @@ class RunResult:
     iterates: list[FactorPair] | None = None
 
 
-def _scheduled_beta(k: int, scale: float) -> float:
-    return max(0.0, scale * (k - 1) / (k + 2))
-
-
 def extrapolate(
     x_k: FactorPair,
     x_km1: FactorPair,
@@ -237,7 +215,7 @@ def extrapolate(
     """
     if cfg.beta_mode == "off" or k == 0:
         return x_k, 0.0
-    beta = _scheduled_beta(k, cfg.beta_scale)
+    beta = max(0.0, _BETA_SCALE * (k - 1) / (k + 2))
     if beta == 0.0:
         return x_k, 0.0
     du = x_k.u - x_km1.u
@@ -250,7 +228,7 @@ def extrapolate(
     if d_prev is None:
         d_prev = bregman_distance(kernel, x_km1, x_k)
     d_base = max(d_prev, 0.0)
-    bound = (cfg.delta - cfg.epsilon) / (1.0 + l_under * eta_prev) * d_base
+    bound = (_DELTA - cfg.epsilon) / (1.0 + l_under * eta_prev) * d_base
     for _ in range(50):
         x_bar = FactorPair._unchecked(x_k.u + beta * du, x_k.v + beta * dv)
         if bregman_distance(kernel, x_k, x_bar) <= bound:
@@ -269,10 +247,9 @@ def step_size(
 
     eta_k = min(eta_prev, 1 / L_k) with L_k the exact blockwise curvature
     from ``problem.local_lipschitz`` (clamped below at 1e-12).  Strict mode
-    additionally caps by the global constant ``l_bar`` and by
-    (1 - delta)/alpha, alpha the problem's weak-convexity modulus.  The step
-    never drops below ``eta_floor``; hitting the floor is reported to the
-    caller.
+    additionally caps by 1/``l_bar`` and by (1 - delta)/alpha, alpha the
+    problem's weak-convexity modulus.  The step never drops below 1e-8;
+    hitting that floor is reported to the caller.
     """
     l_k = problem.local_lipschitz(x_bar)
     l_eff = l_k
@@ -282,9 +259,8 @@ def step_size(
         eta = min(eta, 1.0 / cfg.l_bar)
         alpha = problem.weak_convexity
         if alpha > 0.0:
-            eta = min(eta, (1.0 - cfg.delta) / alpha)
-    floored = eta < cfg.eta_floor
-    return max(eta, cfg.eta_floor), l_eff, floored
+            eta = min(eta, (1.0 - _DELTA) / alpha)
+    return max(eta, _ETA_FLOOR), l_eff, eta < _ETA_FLOOR
 
 
 def lyapunov(
@@ -377,8 +353,8 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     kernel, is the previous step's Bregman step when the kernel is unchanged
     (always for gnmf and ssnmf, for wcmf while eta holds) and is computed
     otherwise, as at k = 0.  The run stops early once the per-epoch mean
-    Bregman step stays below ``stop_tol`` for ``stop_window`` consecutive
-    epochs.
+    Bregman step stays below ``stop_tol`` for 3 consecutive epochs.  SARAH
+    restarts once per epoch in expectation.
     """
     cfg = cfg.resolved()
     _validate_start(problem, x0)
@@ -387,15 +363,14 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     steps_per_epoch = 1 if cfg.estimator == "full" else math.ceil(n / batch)
 
     (est_rng,) = spawn_rngs(cfg.seed, 1)
-    estimator = make_estimator(
-        cfg.estimator, problem, batch, cfg.restart_prob, est_rng
-    )
+    estimator = make_estimator(cfg.estimator, problem, batch, rng=est_rng)
     if hasattr(estimator, "initialize"):
         estimator.initialize(x0)
 
     # (U^T M, M V^T) at x_k and x_{k-1}, for full-gradient runs only
     full = cfg.estimator == "full"
     prods = problem.data_products(x0) if full else None
+    eta_prev = 1.0 / cfg.l_bar  # the first step's upper bound
     x0_feasible = problem.is_feasible(x0)
     value = problem.objective if x0_feasible else problem.smooth_value
     obj0 = value(x0, prods)
@@ -406,7 +381,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
             bregman_step=0.0,
             lyapunov=math.nan,
             stationarity=math.nan,
-            eta=cfg.eta0,
+            eta=eta_prev,
             beta=0.0,
             gamma_audit=math.nan,
             wall_ms=0.0,
@@ -423,7 +398,6 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     x_km1 = x0
     x_k = x0
     prods_prev = prods
-    eta_prev = cfg.eta0
     kern_prev = problem.kernel(eta_prev)
     d_last = math.nan  # D(x_{k-1}, x_k) under kern_prev, from the last step
     l_prev = 0.0  # no curvature estimate exists before the first step
@@ -541,7 +515,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
         )
         if step_mean < cfg.stop_tol:
             quiet_epochs += 1
-            if quiet_epochs >= cfg.stop_window:
+            if quiet_epochs >= _STOP_WINDOW:
                 break
         else:
             quiet_epochs = 0

@@ -645,9 +645,7 @@ def test_aggregate_traces_pads_short_trials(experiment):
     m_data, labels = load_experiment_data(experiment)
     problem = build_experiment_problem(experiment, m_data)
     # Force heavy early stopping with a coarse tolerance.
-    solver_cfg = SolverConfig(
-        algorithm="bpg", max_epochs=50, stop_tol=1e-2, stop_window=1
-    )
+    solver_cfg = SolverConfig(algorithm="bpg", max_epochs=50, stop_tol=1e-2)
     outcomes = _run_trials(experiment, problem, solver_cfg, labels)
     rows, padded = aggregate_traces(outcomes, 50)
     assert len(rows) == 51
@@ -1006,25 +1004,20 @@ _SOLVER_KINDS = {
     "algorithm": "str",
     "estimator": "str",
     "batch_size": "int",
-    "restart_prob": "float?",
     "max_epochs": "int",
     "beta_mode": "str",
-    "beta_scale": "float",
-    "delta": "float",
     "epsilon": "float",
-    "eta0": "float",
-    "eta_floor": "float",
     "strict_theory_stepsize": "bool",
     "l_bar": "float",
     "stop_tol": "float",
-    "stop_window": "int",
     "audit_every": "int",
     "audit_per_iteration": "bool",
     "keep_iterates": "bool",
 }
 
 # The JSON kind of every config value by its path; "?" marks a nullable one.
-# ``solver.seed`` is typed ``object`` and takes any value.
+# ``solver.seed`` is rejected whatever its value: each trial's seed comes from
+# the top-level ``seed``.
 _CONFIG_KINDS = {
     ("trials",): "int",
     ("seed",): "int",
@@ -1190,6 +1183,33 @@ def test_cli_rejects_every_wrong_typed_value_before_solving(
         ),
         ("solver.theory_gamma=0.1", "unknown key(s) in solver: ['theory_gamma']"),
         ('solver.l_under_mode="zero"', "unknown key(s) in solver: ['l_under_mode']"),
+        ("solver.eta0=1.0", "unknown key(s) in solver: ['eta0']"),
+        ("solver.eta_floor=1e-8", "unknown key(s) in solver: ['eta_floor']"),
+        ("solver.beta_scale=0.6", "unknown key(s) in solver: ['beta_scale']"),
+        ("solver.delta=0.99", "unknown key(s) in solver: ['delta']"),
+        ("solver.stop_window=3", "unknown key(s) in solver: ['stop_window']"),
+        ("solver.restart_prob=0.5", "unknown key(s) in solver: ['restart_prob']"),
+        ('compare=[{"restart_prob":0.5}]', "unknown key(s) in compare[0]: ['restart_prob']"),
+        (
+            'compare=[{"algorithm":"bpsge","estimator":"saga","batch_size":1},'
+            '{"algorithm":"bpsge","estimator":"saga","batch_size":5}]',
+            "compare[0] and compare[1] both run as 'bpsge_saga'",
+        ),
+        (
+            'compare=[{"algorithm":"bpg"},{"algorithm":"bpge"},'
+            '{"algorithm":"bpg","estimator":"sarah"}]',
+            "compare[0] and compare[2] both run as 'bpg'",
+        ),
+        ("compare=[]", "compare must hold at least one entry"),
+        ("seed=-1", "seed must be >= 0, got -1"),
+        *(
+            (f"solver.seed={value}", "solver.seed is not accepted: each trial's seed")
+            for value in ("-5", '"abc"', "[1,2]", "3")
+        ),
+        (
+            'compare=[{"algorithm":"bpg"},{"algorithm":"bpge","seed":3}]',
+            "compare[1].seed is not accepted: each trial's seed",
+        ),
     ],
 )
 def test_cli_names_the_wrong_typed_field_before_any_output(

@@ -47,17 +47,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(estimator="svrg")
     with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.5, delta=0.4)
+        SolverConfig(epsilon=solver._DELTA)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(eta0=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(eta_floor=2.0, eta0=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(restart_prob=1.5)
-    with pytest.warns(UserWarning, match="sqrt"):
-        SolverConfig(beta_scale=0.9)
+    for l_bar in (0.0, -1.0, 5e-324, math.inf, math.nan):
+        with pytest.raises(ValueError, match="l_bar"):
+            SolverConfig(l_bar=l_bar)
 
 
 def test_config_resolution_forces_variant_restrictions():
@@ -75,7 +70,7 @@ def test_config_resolution_forces_variant_restrictions():
 
 
 def test_beta_schedule_values(small_gnmf):
-    cfg = SolverConfig(beta_mode="scheduled", beta_scale=0.6)
+    cfg = SolverConfig(beta_mode="scheduled")
     kern = small_gnmf.kernel(1.0)
     x = start_point(small_gnmf)
     y = start_point(small_gnmf, seed=52)
@@ -99,7 +94,7 @@ def test_extrapolate_off_and_no_movement(small_gnmf):
 
 
 def test_extrapolated_point_formula(small_gnmf):
-    cfg = SolverConfig(beta_mode="scheduled", beta_scale=0.5)
+    cfg = SolverConfig(beta_mode="scheduled")
     kern = small_gnmf.kernel(1.0)
     x = start_point(small_gnmf)
     y = start_point(small_gnmf, 52)
@@ -109,7 +104,7 @@ def test_extrapolated_point_formula(small_gnmf):
 
 
 def test_safeguarded_beta_respects_distance_inequality(small_gnmf):
-    cfg = SolverConfig(beta_mode="safeguarded", delta=0.9, epsilon=0.1)
+    cfg = SolverConfig(beta_mode="safeguarded", epsilon=0.1)
     kern = small_gnmf.kernel(1.0)
     rng = make_rng(53)
     for k in (2, 5, 20):
@@ -118,7 +113,8 @@ def test_safeguarded_beta_respects_distance_inequality(small_gnmf):
         l_under, eta_prev = 2.0, 0.25
         x_bar, beta = extrapolate(x, y, k, cfg, kern, eta_prev, l_under)
         d_prev = bregman_distance(kern, y, x)
-        bound = (0.9 - 0.1) / (1.0 + l_under * eta_prev) * max(d_prev, 0.0)
+        growth = (solver._DELTA - 0.1) / (1.0 + l_under * eta_prev)
+        bound = growth * max(d_prev, 0.0)
         assert bregman_distance(kern, x, x_bar) <= bound + 1e-12
         assert 0.0 <= beta <= 0.6 * (k - 1) / (k + 2)
         # A caller that holds D(x_{k-1}, x_k) gets the same point and beta.
@@ -170,7 +166,7 @@ def test_step_size_inverse_curvature(small_gnmf):
 
 
 def test_step_size_strict_mode_caps(small_gnmf):
-    cfg = SolverConfig(strict_theory_stepsize=True, l_bar=5.0, delta=0.99)
+    cfg = SolverConfig(strict_theory_stepsize=True, l_bar=5.0)
     x = start_point(small_gnmf)  # tiny factors, so local curvature << 5
     eta, l_eff, _ = step_size(small_gnmf, x, 10.0, cfg)
     assert eta == pytest.approx(0.2)
@@ -182,10 +178,10 @@ def test_step_size_strict_mode_caps(small_gnmf):
 
 
 def test_step_size_floor(small_gnmf):
-    cfg = SolverConfig(eta0=1.0, eta_floor=0.5)
+    cfg = SolverConfig()
     x = start_point(small_gnmf)
-    eta, _, floored = step_size(small_gnmf, x, 1e-3, cfg)
-    assert eta == 0.5 and floored
+    eta, _, floored = step_size(small_gnmf, x, solver._ETA_FLOOR / 10, cfg)
+    assert eta == solver._ETA_FLOOR and floored
 
 
 # -- lyapunov and witness ---------------------------------------------------
@@ -593,7 +589,7 @@ def test_bpg_iterates_match_a_direct_per_step_oracle(kind, audit):
     x = start_point(problem)
     res = run(problem, cfg, x)
     assert not res.failed and len(res.iterates) == 26
-    eta = cfg.eta0
+    eta = 1.0 / cfg.l_bar
     for k, x_run in enumerate(res.iterates[1:]):
         g = problem.full_gradient(x)
         eta = step_size(problem, x, eta, cfg)[0]
@@ -620,7 +616,7 @@ def test_bpge_steps_match_a_direct_pass_at_the_extrapolated_point(kind, beta_mod
     xs = res.iterates
     assert not res.failed and len(xs) == 26
     assert sum(t.beta > 0.0 for t in res.trace) > 10
-    eta = cfg.eta0
+    eta = 1.0 / cfg.l_bar
     for k in range(25):
         beta = res.trace[k + 1].beta  # one step per epoch
         x_bar = xs[k] + (xs[k] - xs[k - 1 if k else 0]).scale(beta)
@@ -634,7 +630,7 @@ def test_run_early_stop_on_quiet_epochs():
     # the interior, so steps collapse immediately.
     prob = build_problem("gnmf", [[1.0]], 1)
     cfg = SolverConfig(
-        algorithm="bpg", max_epochs=200, stop_tol=1e-10, stop_window=3, seed=2
+        algorithm="bpg", max_epochs=200, stop_tol=1e-10, seed=2
     )
     res = run(prob, cfg, FactorPair([[1.0]], [[1.0]]))
     assert not res.failed
