@@ -49,12 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import FactorPair
-from .problems import (
-    Problem,
-    _col_dots,
-    _rank_one_sq_diffs,
-    factored_sq_diffs,
-)
+from .problems import Problem, _normed_sq_diffs, _with_norms, factored_sq_diffs
 
 __all__ = [
     "VarianceAudit",
@@ -79,26 +74,30 @@ _SWEEP_CHUNK_BYTES = 1 << 19
 # minibatch estimates, so that rounding in the updates cannot accumulate.
 _SAGA_RESYNC_EVERY = 100
 
+# Standard errors over which a decay-check iteration violates (2.3% one-sided).
+_DECAY_SE_FACTOR = 2.0
+# Share of violating iterations the decay check passes, over those false alarms.
+_DECAY_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class VarianceAudit:
-    """MSE trackers for one estimate.
+    """MSE trackers for one estimate; NaN marks a quantity not tracked.
 
-    ``gamma`` is the squared tracker of the estimator's analysis (None for
+    ``gamma`` is the squared tracker of the estimator's analysis (NaN for
     plain minibatch SGD, which tracks nothing), ``upsilon`` its first-order
     companion, ``realized_sq_error`` the actual |estimate - full gradient|^2
-    (None when no estimate was supplied).
+    (NaN when no estimate was supplied).
     """
 
-    gamma: float | None
-    upsilon: float | None
-    realized_sq_error: float | None
+    gamma: float
+    upsilon: float
+    realized_sq_error: float
 
 
 class GradientEstimator:
     """Common interface: ``estimate`` at a point, ``audit`` the last one."""
 
-    name = "abstract"
     batch_size: int
 
     def __init__(self, problem: Problem):
@@ -115,14 +114,14 @@ class GradientEstimator:
         x_bar: FactorPair,
         estimate: FactorPair | None,
         g_data: FactorPair | None = None,
-    ) -> float | None:
-        """|estimate - full gradient at x_bar|^2, None without an estimate.
+    ) -> float:
+        """|estimate - full gradient at x_bar|^2, NaN without an estimate.
 
         ``g_data`` is the data-term gradient at x_bar when the caller has
         already taken that pass.
         """
         if estimate is None:
-            return None
+            return math.nan
         if g_data is None:
             g_data = self.problem.data_gradient(x_bar)
         diff = estimate - self.problem._with_graph(g_data, x_bar)
@@ -130,8 +129,6 @@ class GradientEstimator:
 
 
 class FullGradient(GradientEstimator):
-    name = "full"
-
     def __init__(self, problem: Problem):
         super().__init__(problem)
         self.batch_size = problem.n_samples
@@ -161,8 +158,6 @@ def _check_batch_size(b: int, n: int) -> int:
 class MinibatchSGD(GradientEstimator):
     """Plain unbiased minibatch gradient; carries no variance tracker."""
 
-    name = "sgd"
-
     def __init__(self, problem: Problem, batch_size: int, rng: np.random.Generator):
         super().__init__(problem)
         self.batch_size = _check_batch_size(batch_size, problem.n_samples)
@@ -173,21 +168,19 @@ class MinibatchSGD(GradientEstimator):
         return self.problem.sample_gradient(x_bar, idx)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:
-        return VarianceAudit(None, None, self._realized(x_bar, estimate))
+        return VarianceAudit(math.nan, math.nan, self._realized(x_bar, estimate))
 
 
 class SAGA(GradientEstimator):
     """Variance reduction with a per-sample memory of factored gradients.
 
-    The table is initialized by a full pass at one point; each estimate
-    corrects a minibatch against its stored entries plus the running table
-    average, then overwrites the sampled entries with the fresh values.  With
+    The first estimate, or ``initialize``, builds the table by a full pass;
+    each estimate corrects a minibatch against its stored entries plus the
+    running table average, then overwrites the sampled entries.  With
     batch_size == n every entry refreshes each step and the estimate reduces
     exactly to the full gradient (computed through the same code path, so the
     equality is bit-for-bit).
     """
-
-    name = "saga"
 
     def __init__(self, problem: Problem, batch_size: int, rng: np.random.Generator):
         super().__init__(problem)
@@ -222,10 +215,9 @@ class SAGA(GradientEstimator):
 
         if b == n:
             # Every entry refreshes: correction - stored mean + average is
-            # exactly zero, so take the full-gradient path and resync.
+            # exactly zero, so take the full-gradient path and rebuild.
             g_data = self.problem.data_gradient(x_bar)
-            self._a, self._v, self._w = self.problem.gradient_table(x_bar)
-            self._resync()
+            self.initialize(x_bar)
             return self.problem._with_graph(g_data, x_bar)
 
         idx = _draw_batch(self.rng, n, b)
@@ -274,8 +266,6 @@ class SAGA(GradientEstimator):
 class SARAH(GradientEstimator):
     """Recursive estimator with probabilistic full-gradient restarts."""
 
-    name = "sarah"
-
     def __init__(
         self,
         problem: Problem,
@@ -308,7 +298,7 @@ class SARAH(GradientEstimator):
             gv[:, idx] += (fresh_w - old_w) / b
             g_data = FactorPair._unchecked(gu, gv)
         self._prev_est = g_data
-        self._prev_point = x_bar.copy()
+        self._prev_point = x_bar
         return self.problem._with_graph(g_data, x_bar)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:
@@ -388,16 +378,15 @@ def check_geometric_decay(
     records,
     tau: float,
     v_gamma: float,
-    se_factor: float = 2.0,
-    threshold: float = 0.05,
 ) -> DecayReport:
     """Test E[Gamma_{k+1}] <= (1 - tau) Gamma_k + V (d_k^2 + d_{k-1}^2).
 
     ``records`` is a list over seeds of (gamma, step_sq) array pairs where
     gamma[j] is the tracker produced at iteration j and step_sq[j] the
     squared step length of that iteration.  For each iteration index the
-    across-seed mean of lhs - rhs is compared to ``se_factor`` standard
-    errors; an iteration violates when the mean is significantly positive.
+    across-seed mean of lhs - rhs is compared to 2 standard errors; an
+    iteration violates when the mean is significantly positive, and the check
+    passes when at most 5% of the iterations violate.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
@@ -410,7 +399,7 @@ def check_geometric_decay(
         raise ValueError("need at least 3 recorded iterations")
 
     violations = 0
-    checked = 0
+    checked = length - 2
     n_seeds = len(records)
     for j in range(2, length):
         diffs = np.empty(n_seeds)
@@ -421,10 +410,9 @@ def check_geometric_decay(
             diffs[s] = gamma[j] - rhs
         mean = diffs.mean()
         se = diffs.std(ddof=1) / math.sqrt(n_seeds) if n_seeds > 1 else 0.0
-        if mean > se_factor * se:
+        if mean > _DECAY_SE_FACTOR * se:
             violations += 1
-        checked += 1
-    return DecayReport(violations / checked, checked, threshold, tau, v_gamma)
+    return DecayReport(violations / checked, checked, _DECAY_THRESHOLD, tau, v_gamma)
 
 
 def estimate_sample_lipschitz(problem: Problem, points) -> float:
@@ -472,26 +460,15 @@ def _sweep_chunk(problem: Problem, chunk: list, last):
     A table here is (A, Vt, W, |A_i|^2, |Vt_i|^2) with a leading axis over
     points; ``last`` is the previous chunk's last table, or None.
     """
-    a, vt, w = problem._table(
-        np.stack([x.u for x in chunk]), np.stack([x.v for x in chunk]), problem.m_data
-    )
-    tab = (a, vt, w, _col_dots(a, a), _col_dots(vt, vt))
+    u, vt = np.stack([x.u for x in chunk]), np.stack([x.v for x in chunk])
+    tab = _with_norms(problem._table(u, vt, problem.m_data))
     maxes = []
     if last is not None:
-        maxes.extend(_pair_sq_diffs([t[:1] for t in tab], last).max(axis=-1))
+        maxes.extend(_normed_sq_diffs([t[:1] for t in tab], last).max(axis=-1))
     # A block over the bound gives one-point chunks with no inner pair;
     # skipping the empty-stack calls keeps them as fast as the pairwise loop.
     if len(chunk) > 1:
         cur = [t[1:] for t in tab]
         prev = [t[:-1] for t in tab]
-        maxes.extend(_pair_sq_diffs(cur, prev).max(axis=-1))
+        maxes.extend(_normed_sq_diffs(cur, prev).max(axis=-1))
     return maxes, [t[-1:] for t in tab]
-
-
-def _pair_sq_diffs(t1, t2) -> np.ndarray:
-    """``factored_sq_diffs`` for stacked tables with their column norms."""
-    a1, v1, w1, aa1, vv1 = t1
-    a2, v2, w2, aa2, vv2 = t2
-    return _rank_one_sq_diffs(
-        aa1, vv1, aa2, vv2, _col_dots(a1, a2), _col_dots(v1, v2), w1 - w2
-    )

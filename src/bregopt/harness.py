@@ -593,6 +593,15 @@ class ClusteringConfig:
         return _from_dict(ClusteringConfig, d, "clustering")
 
 
+# The problem keys each kind's constructor reads; ``build_experiment_problem``
+# passes exactly these, and a config that sets another kind's key is rejected.
+_KIND_KEYS = {
+    "gnmf": ("mu0", "laplacian"),
+    "wcmf": ("lambda1", "lambda2"),
+    "ssnmf": ("s1", "s2"),
+}
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     kind: str
@@ -604,6 +613,10 @@ class ProblemConfig:
     lambda2: float = 0.02
     s1: int | None = None
     s2: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in _KIND_KEYS:
+            raise ConfigError(f"unknown problem kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -649,8 +662,17 @@ class ExperimentConfig:
         overrides the solver block for one combo; it is checked here, merged
         over that block, so a bad entry fails before anything runs.  Two
         entries that run as the same combo would write the same files.  A
-        solver seed is rejected: each trial's comes from the top-level one."""
+        solver seed is rejected: each trial's comes from the top-level one,
+        and so is a problem key that only another kind reads."""
         cfg = _from_dict(ExperimentConfig, d, "")
+        kind = cfg.problem.kind
+        own = _KIND_KEYS[kind]
+        for key in d["problem"]:
+            if key not in own and any(key in keys for keys in _KIND_KEYS.values()):
+                raise ConfigError(
+                    f"problem.{key} does not apply to kind {kind!r}, which "
+                    f"reads {' and '.join(own)}"
+                )
         solver = d.get("solver", {})
         compare = {f"compare[{i}]": e for i, e in enumerate(cfg.compare or ())}
         for where, entry in {"solver": solver, **compare}.items():
@@ -701,28 +723,20 @@ def load_experiment_data(cfg: ExperimentConfig):
 
 def build_experiment_problem(cfg: ExperimentConfig, m_data: np.ndarray) -> Problem:
     p = cfg.problem
+    params = {key: getattr(p, key) for key in _KIND_KEYS[p.kind]}
     if p.kind == "gnmf":
-        lap = None
-        if p.mu0 > 0.0:
-            if p.laplacian.path is not None:
-                lap = load_matrix(p.laplacian.path, p.laplacian.fmt)
-            else:
-                lap = build_knn_laplacian(
-                    m_data,
-                    p_neighbors=p.laplacian.neighbors,
-                    weighting=p.laplacian.weighting,
-                    sigma=p.laplacian.sigma,
-                )
-        return build_problem("gnmf", m_data, p.rank, mu0=p.mu0, laplacian=lap)
-    if p.kind == "wcmf":
-        return build_problem(
-            "wcmf", m_data, p.rank, lambda1=p.lambda1, lambda2=p.lambda2
-        )
-    if p.kind == "ssnmf":
-        if p.s1 is None or p.s2 is None:
-            raise ConfigError("ssnmf needs s1 and s2")
-        return build_problem("ssnmf", m_data, p.rank, s1=p.s1, s2=p.s2)
-    raise ConfigError(f"unknown problem kind {p.kind!r}")
+        lap = p.laplacian
+        if p.mu0 <= 0.0:
+            params["laplacian"] = None
+        elif lap.path is not None:
+            params["laplacian"] = load_matrix(lap.path, lap.fmt)
+        else:
+            params["laplacian"] = build_knn_laplacian(
+                m_data, lap.neighbors, lap.weighting, lap.sigma
+            )
+    if p.kind == "ssnmf" and None in params.values():
+        raise ConfigError("ssnmf needs s1 and s2")
+    return build_problem(p.kind, m_data, p.rank, **params)
 
 
 def _trial_init(cfg: ExperimentConfig, problem: Problem, t: int) -> FactorPair:

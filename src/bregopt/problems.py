@@ -146,19 +146,9 @@ def factored_sq_diffs(t1, t2) -> np.ndarray:
 
     A table (A, Vt, W) encodes per-sample gradients: sample i has U-block
     A[:, i] Vt[:, i]^T and V-block W[:, i] (living in column i).  Returns the
-    vector of |grad_i(t1) - grad_i(t2)|^2; see ``_rank_one_sq_diffs``.
+    vector of |grad_i(t1) - grad_i(t2)|^2; see ``_normed_sq_diffs``.
     """
-    a1, v1, w1 = t1
-    a2, v2, w2 = t2
-    return _rank_one_sq_diffs(
-        _col_dots(a1, a1),
-        _col_dots(v1, v1),
-        _col_dots(a2, a2),
-        _col_dots(v2, v2),
-        _col_dots(a1, a2),
-        _col_dots(v1, v2),
-        w1 - w2,
-    )
+    return _normed_sq_diffs(_with_norms(t1), _with_norms(t2))
 
 
 def _col_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,12 +157,24 @@ def _col_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...j", x, y)
 
 
-def _rank_one_sq_diffs(aa1, vv1, aa2, vv2, a12, v12, wd) -> np.ndarray:
-    """|a1 b1^T - a2 b2^T|_F^2 + |wd|^2 per sample, by the rank-one identity
-    |a b^T - c d^T|_F^2 = |a|^2 |b|^2 - 2 <a, c> <b, d> + |c|^2 |d|^2 from the
-    column norms (aa, vv) and cross products (a12, v12), the outer part
-    clamped at zero against roundoff.  ``wd`` is the V-block difference."""
-    outer = aa1 * vv1 - 2.0 * a12 * v12 + aa2 * vv2
+def _with_norms(table):
+    """A table (A, Vt, W), or a stack of them, with its column norms
+    |A_i|^2 and |Vt_i|^2 appended."""
+    a, vt, w = table
+    return a, vt, w, _col_dots(a, a), _col_dots(vt, vt)
+
+
+def _normed_sq_diffs(t1, t2) -> np.ndarray:
+    """``factored_sq_diffs`` of two tables given with their column norms.
+
+    |a1 b1^T - a2 b2^T|_F^2 + |w1 - w2|^2 per sample, by the rank-one
+    identity |a b^T - c d^T|_F^2 = |a|^2 |b|^2 - 2 <a, c> <b, d> + |c|^2 |d|^2,
+    the outer part clamped at zero against roundoff.  Stacked tables give
+    one row per slice."""
+    a1, v1, w1, aa1, vv1 = t1
+    a2, v2, w2, aa2, vv2 = t2
+    outer = aa1 * vv1 - 2.0 * _col_dots(a1, a2) * _col_dots(v1, v2) + aa2 * vv2
+    wd = w1 - w2
     return np.maximum(outer, 0.0) + _col_dots(wd, wd)
 
 
@@ -185,7 +187,8 @@ class Problem:
     """Shared behaviour for the three factorization problems.
 
     Subclasses set ``kind`` and implement the regularizer-specific pieces:
-    feasibility, the nonsmooth value, and the proximal shape operator.
+    the nonsmooth value and the proximal shape operator, plus feasibility
+    beyond the sign rule that ``nonnegative`` switches on.
 
     ``m_data`` is the one copy of M, stored in Fortran order so that a
     sample (a column) is contiguous; ``m_data.T`` is M^T in C order.  The
@@ -193,6 +196,8 @@ class Problem:
     """
 
     kind = "abstract"
+    # Whether h holds the indicator of U >= 0, V >= 0.
+    nonnegative = False
 
     def __init__(self, m_data, rank: int):
         # Validating the transpose as C-ordered makes at most one copy.
@@ -275,8 +280,10 @@ class Problem:
         return self.smooth_value(x, products) + self.nonsmooth_value(x)
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
+        """Whether x meets the constraints of h up to ``tol``.  A NaN entry
+        fails the sign rule, as ``min() >= -tol`` reads False on it."""
         self._check_point(x)
-        return True
+        return not self.nonnegative or bool(x.u.min() >= -tol and x.v.min() >= -tol)
 
     # -- gradients -------------------------------------------------------
 
@@ -361,18 +368,17 @@ class Problem:
     def _graph_value(self, u: np.ndarray) -> float:
         return 0.0
 
-    def _graph_gradient(self, u: np.ndarray):
-        return None
-
     def _with_graph(self, g_data: FactorPair, x: FactorPair) -> FactorPair:
         """A data-term gradient at x plus the exact graph-term gradient."""
-        gg = self._graph_gradient(x.u)
-        return g_data if gg is None else FactorPair._unchecked(g_data.u + gg, g_data.v)
+        return g_data
 
     # -- kernel and curvature --------------------------------------------
 
     def kernel(self, eta: float = 0.0) -> KernelSpec:
-        raise NotImplementedError
+        """The prescribed kernel for step eta.  The indicator kinds' kernel
+        does not depend on eta, so it is built once, at construction, and
+        every call returns that one spec."""
+        return self._kernel
 
     @property
     def weak_convexity(self) -> float:
@@ -468,6 +474,7 @@ class GraphRegularizedNMF(Problem):
     """
 
     kind = "gnmf"
+    nonnegative = True
 
     def __init__(self, m_data, rank: int, mu0: float = 0.0, laplacian=None):
         super().__init__(m_data, rank)
@@ -499,30 +506,22 @@ class GraphRegularizedNMF(Problem):
             self.laplacian = None
             self.norm_l_fro = 0.0
             self._norm_l_2 = 0.0
+        # a = 3, b = |M|_F + mu0 |L|_F
         self._kernel = KernelSpec(3.0, self.norm_m + self.mu0 * self.norm_l_fro, 0.0)
-
-    def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
-        self._check_point(x)
-        return bool(x.u.min() >= -tol and x.v.min() >= -tol)
 
     def _graph_value(self, u: np.ndarray) -> float:
         if self.mu0 == 0.0:
             return 0.0
         return 0.5 * self.mu0 * float(np.vdot(u, self.laplacian @ u))
 
-    def _graph_gradient(self, u: np.ndarray):
+    def _with_graph(self, g_data: FactorPair, x: FactorPair) -> FactorPair:
         if self.mu0 == 0.0:
-            return None
-        return self.mu0 * (self.laplacian @ u)
+            return g_data
+        gu = g_data.u + self.mu0 * (self.laplacian @ x.u)
+        return FactorPair._unchecked(gu, g_data.v)
 
     def _graph_operator_norm(self) -> float:
         return self.mu0 * self._norm_l_2
-
-    def kernel(self, eta: float = 0.0) -> KernelSpec:
-        """The kernel a = 3, b = |M|_F + mu0 |L|_F.  It does not depend on
-        eta, so it is built once, at construction, and every call returns
-        that one spec."""
-        return self._kernel
 
     def _prox_shapes(self, neg_p, neg_q, eta):
         return project_nonneg(neg_p), project_nonneg(neg_q)
@@ -572,34 +571,27 @@ class SparseNMF(Problem):
     nonzeros per column of U and s2 per row of V."""
 
     kind = "ssnmf"
+    nonnegative = True
 
     def __init__(self, m_data, rank: int, s1: int, s2: int):
         super().__init__(m_data, rank)
         m, d = self.m_data.shape
         self.s1 = _count(s1, "s1", m)
         self.s2 = _count(s2, "s2", d)
-        self._kernel = KernelSpec(3.0, self.norm_m, 0.0)
+        self._kernel = KernelSpec(3.0, self.norm_m, 0.0)  # a = 3, b = |M|_F
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
-        self._check_point(x)
-        if x.u.min() < -tol or x.v.min() < -tol:
-            return False
-        if (np.abs(x.u) > tol).sum(axis=0).max() > self.s1:
-            return False
-        if (np.abs(x.v) > tol).sum(axis=1).max() > self.s2:
-            return False
-        return True
+        return bool(
+            super().is_feasible(x, tol)
+            and (np.abs(x.u) > tol).sum(axis=0).max() <= self.s1
+            and (np.abs(x.v) > tol).sum(axis=1).max() <= self.s2
+        )
 
     @property
     def lemma_audits_exact(self) -> bool:
         # The sparsity indicator is not weakly convex, so descent-lemma
         # audits are heuristic for this kind.
         return False
-
-    def kernel(self, eta: float = 0.0) -> KernelSpec:
-        """The kernel a = 3, b = |M|_F.  It does not depend on eta, so it is
-        built once, at construction, and every call returns that one spec."""
-        return self._kernel
 
     def _prox_shapes(self, neg_p, neg_q, eta):
         # Projection first, then selection: clip negatives, then keep the

@@ -13,8 +13,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # Demos may write output directories into their working directory.
-    env = dict(os.environ)
+    # Demos may write output directories into their working directory.  A
+    # warning in a demo fails it, as it fails a test.
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

@@ -94,6 +94,19 @@ def test_saga_full_batch_is_bitwise_full_gradient(gnmf_problem):
         assert np.array_equal(g.v, full.v)
 
 
+def test_saga_lazy_start_is_bitwise_an_explicit_initialize(gnmf_problem):
+    # ``run`` leaves the table to the first estimate, at x_bar = x0; a table
+    # built by ``initialize(x0)`` gives the same estimates, bit for bit.
+    points = random_walk(gnmf_problem, make_rng(18), steps=8)
+    lazy = SAGA(gnmf_problem, 3, make_rng(19))
+    eager = SAGA(gnmf_problem, 3, make_rng(19))
+    eager.initialize(points[0])
+    for x in points:
+        g_lazy, g_eager = lazy.estimate(x), eager.estimate(x)
+        assert np.array_equal(g_lazy.u, g_eager.u)
+        assert np.array_equal(g_lazy.v, g_eager.v)
+
+
 def test_sarah_always_restart_is_bitwise_full_gradient(gnmf_problem):
     rng = make_rng(8)
     est = SARAH(gnmf_problem, 3, 1.0, make_rng(1))
@@ -214,7 +227,7 @@ def test_sgd_audit_reports_realized_error_only(gnmf_problem):
     x = random_pair(make_rng(12), 6, 3, 20, 0.1, 1.0)
     g = est.estimate(x)
     aud = est.audit(x, g)
-    assert aud.gamma is None and aud.upsilon is None
+    assert math.isnan(aud.gamma) and math.isnan(aud.upsilon)
     assert aud.realized_sq_error > 0.0
 
 
@@ -236,7 +249,7 @@ def test_saga_audit_positive_when_table_stale(gnmf_problem):
     aud = est.audit(points[-1], None)
     assert aud.gamma > 0.0
     assert aud.upsilon > 0.0
-    assert aud.realized_sq_error is None
+    assert math.isnan(aud.realized_sq_error)
     # Cauchy-Schwarz ties the two trackers: upsilon^2 <= n/b * gamma... the
     # cheap direction that must always hold is upsilon^2 <= n * gamma / 1.
     assert aud.upsilon**2 <= gnmf_problem.n_samples * aud.gamma + 1e-9

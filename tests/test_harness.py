@@ -1227,6 +1227,46 @@ def test_cli_names_the_wrong_typed_field_before_any_output(
     assert not (tmp_path / "out").exists()
 
 
+# Every problem key a kind reads, with a valid value.
+_OWN_KEYS = {
+    "gnmf": {"mu0": 0.1, "laplacian": {"neighbors": 3}},
+    "wcmf": {"lambda1": 0.1, "lambda2": 0.01},
+    "ssnmf": {"s1": 2, "s2": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OWN_KEYS))
+def test_cli_rejects_another_kinds_problem_key_before_loading_data(
+    tmp_path, capsys, kind
+):
+    # The data file does not exist, so a check that came after the data load
+    # would report that instead.
+    problem = {"kind": kind, "rank": 2, "data": {"path": str(tmp_path / "none.csv")}}
+    problem.update(_OWN_KEYS[kind])
+    out = tmp_path / "out"
+    foreign = {k: v for other in _OWN_KEYS.values() for k, v in other.items()}
+    for key in sorted(set(foreign) - set(_OWN_KEYS[kind])):
+        setting = f"problem={json.dumps({**problem, key: foreign[key]})}"
+        code = cli_main(["run", "--set", setting, "--out", str(out), "--quiet"])
+        assert code == 1, key
+        err = capsys.readouterr().err
+        assert f"config error: problem.{key} does not apply to kind '{kind}'" in err
+        assert not out.exists(), key
+    # With only its own keys the config is read, and the data load fails.
+    setting = f"problem={json.dumps(problem)}"
+    assert cli_main(["run", "--set", setting, "--out", str(out), "--quiet"]) == 1
+    assert "data file not found" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_unknown_kind_before_loading_data(tmp_path, capsys):
+    problem = {"kind": "pca", "rank": 2, "data": {"path": str(tmp_path / "none.csv")}}
+    out = tmp_path / "out"
+    setting = f"problem={json.dumps(problem)}"
+    assert cli_main(["run", "--set", setting, "--out", str(out), "--quiet"]) == 1
+    assert "config error: unknown problem kind 'pca'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text("[1]")

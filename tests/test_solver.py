@@ -7,6 +7,8 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregopt.kernels import FactorPair, bregman_distance
 from bregopt import solver
@@ -651,6 +653,55 @@ def test_run_rejects_bad_start(small_gnmf):
     wrong = FactorPair(np.ones((3, 2)), np.ones((2, 10)))
     with pytest.raises(ValueError, match="shape"):
         run(small_gnmf, SolverConfig(), wrong)
+
+
+_RULE_M, _RULE_R, _RULE_D = 4, 2, 5
+_RULE_DATA = make_rng(61).uniform(0.1, 1.0, (_RULE_M, _RULE_D))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_nonnegativity_rule_of_every_kind(data):
+    # Entries sit on either side of -tol and of the budgets' tol, so the
+    # property pins where each check draws its line.
+    kind = data.draw(st.sampled_from(["gnmf", "wcmf", "ssnmf"]), label="kind")
+    tol = data.draw(st.sampled_from([1e-12, 1e-3]), label="tol")
+    # A drawn subset of the levels, so that starts with no entry below -tol
+    # are as common as the others.
+    every_level = [0.0, tol / 2, -tol / 2, 2 * tol, -2 * tol]
+    levels = sorted(data.draw(st.sets(st.sampled_from(every_level), min_size=1)))
+    n_u, n_v = _RULE_M * _RULE_R, _RULE_R * _RULE_D
+    size = n_u + n_v
+    entries = data.draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size))
+    u = np.reshape(entries[:n_u], (_RULE_M, _RULE_R))
+    v = np.reshape(entries[n_u:], (_RULE_R, _RULE_D))
+    s1 = data.draw(st.integers(1, _RULE_M), label="s1")
+    s2 = data.draw(st.integers(1, _RULE_D), label="s2")
+    params = {"wcmf": {"lambda1": 0.1, "lambda2": 0.05}, "ssnmf": {"s1": s1, "s2": s2}}
+    prob = build_problem(kind, _RULE_DATA, _RULE_R, **params.get(kind, {}))
+    x = FactorPair(u, v)
+
+    signs_ok = u.min() >= -tol and v.min() >= -tol
+    budgets_ok = (np.abs(u) > tol).sum(axis=0).max() <= s1
+    budgets_ok &= (np.abs(v) > tol).sum(axis=1).max() <= s2
+    want = {"gnmf": signs_ok, "wcmf": True, "ssnmf": signs_ok and budgets_ok}[kind]
+    assert prob.is_feasible(x, tol) is bool(want)
+
+    if kind != "wcmf":
+        # A NaN entry in either factor reads infeasible.
+        flat = np.array(entries)
+        flat[data.draw(st.integers(0, size - 1), label="NaN at")] = math.nan
+        bad_u, bad_v = flat[:n_u].reshape(u.shape), flat[n_u:].reshape(v.shape)
+        assert not prob.is_feasible(FactorPair._unchecked(bad_u, bad_v), tol)
+
+    # ``run`` checks the sign rule at its own tol, 1e-12, and not the budgets.
+    cfg = SolverConfig(max_epochs=0)
+    if kind != "wcmf" and min(u.min(), v.min()) < -1e-12:
+        message = f"^{kind} requires a nonnegative start point$"
+        with pytest.raises(ValueError, match=message):
+            run(prob, cfg, x)
+    else:
+        assert run(prob, cfg, x).x is x
 
 
 def test_run_ssnmf_accepts_dense_start_and_lands_feasible():
