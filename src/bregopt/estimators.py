@@ -208,8 +208,6 @@ class SAGA(GradientEstimator):
         return float(max(du, dv))
 
     def estimate(self, x_bar: FactorPair) -> FactorPair:
-        if not self._initialized:
-            self.initialize(x_bar)
         n = self.problem.n_samples
         b = self.batch_size
 
@@ -220,6 +218,8 @@ class SAGA(GradientEstimator):
             self.initialize(x_bar)
             return self.problem._with_graph(g_data, x_bar)
 
+        if not self._initialized:
+            self.initialize(x_bar)
         idx = _draw_batch(self.rng, n, b)
         fresh_a, fresh_v, fresh_w = self.problem.batch_table(x_bar, idx)
         stored_a = self._a[:, idx]

@@ -99,7 +99,8 @@ def _detect_format(path: Path, fmt: str | None) -> str:
 
 
 def load_matrix(path, fmt: str | None = None) -> np.ndarray:
-    """Read a dense, finite matrix from CSV or MatrixMarket array format."""
+    """Read a dense, finite matrix from CSV or MatrixMarket array format;
+    a leading UTF-8 byte-order mark (spreadsheet exports) is skipped."""
     path = Path(path)
     fmt = _detect_format(path, fmt)
     try:
@@ -121,7 +122,7 @@ def save_matrix(path, a, fmt: str | None = None) -> None:
 def _load_csv(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -156,7 +157,7 @@ def _save_csv(path: Path, a: np.ndarray) -> None:
 
 
 def _load_mm(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     if not lines:
         raise MatrixParseError(path, 1, "empty file")
@@ -588,10 +589,6 @@ class ClusteringConfig:
                     f"clustering.{name} must be an integer >= 1, got {value!r}"
                 )
 
-    @staticmethod
-    def from_dict(d: dict) -> "ClusteringConfig":
-        return _from_dict(ClusteringConfig, d, "clustering")
-
 
 # The problem keys each kind's constructor reads; ``build_experiment_problem``
 # passes exactly these, and a config that sets another kind's key is rejected.
@@ -663,7 +660,8 @@ class ExperimentConfig:
         over that block, so a bad entry fails before anything runs.  Two
         entries that run as the same combo would write the same files.  A
         solver seed is rejected: each trial's comes from the top-level one,
-        and so is a problem key that only another kind reads."""
+        and so is a problem key that only another kind reads, or a
+        Laplacian block that mu0 = 0 leaves unread."""
         cfg = _from_dict(ExperimentConfig, d, "")
         kind = cfg.problem.kind
         own = _KIND_KEYS[kind]
@@ -673,6 +671,11 @@ class ExperimentConfig:
                     f"problem.{key} does not apply to kind {kind!r}, which "
                     f"reads {' and '.join(own)}"
                 )
+        if "laplacian" in d["problem"] and cfg.problem.mu0 == 0.0:
+            raise ConfigError(
+                "problem.laplacian is unused while problem.mu0 is 0: set "
+                "problem.mu0 > 0 for the graph term, or drop the block"
+            )
         solver = d.get("solver", {})
         compare = {f"compare[{i}]": e for i, e in enumerate(cfg.compare or ())}
         for where, entry in {"solver": solver, **compare}.items():
@@ -754,7 +757,6 @@ def _point_hash(x: FactorPair) -> str:
 @dataclass
 class TrialOutcome:
     result: RunResult
-    init_hash: str
     accuracy: float | None = None
 
 
@@ -763,13 +765,14 @@ def _run_trials(
     problem: Problem,
     solver_cfg: SolverConfig,
     labels,
+    starts: list[FactorPair],
 ) -> list[TrialOutcome]:
+    """One outcome per trial: trial t runs from ``starts[t]``."""
     outcomes = []
-    for t in range(cfg.trials):
-        x0 = _trial_init(cfg, problem, t)
+    for t, x0 in enumerate(starts):
         trial_cfg = replace(solver_cfg, seed=(cfg.seed, 2000 + t))
         res = run(problem, trial_cfg, x0)
-        out = TrialOutcome(result=res, init_hash=_point_hash(x0))
+        out = TrialOutcome(result=res)
         if cfg.clustering is not None and not res.failed:
             out.accuracy = kmeans_accuracy(
                 res.x.u,
@@ -786,7 +789,7 @@ def _run_trials(
 # trace aggregation and output
 
 
-_TRACE_FIELDS = ("objective", "bregman_step", "stationarity", "eta", "beta")
+_TRACE_FIELDS = ("objective", "bregman_step", "eta", "beta")
 _trace_values = attrgetter(*_TRACE_FIELDS)
 
 
@@ -847,7 +850,9 @@ def _status(outcomes: list[TrialOutcome]) -> str:
     return "failed"
 
 
-def _summarize(cfg: ExperimentConfig, solver_cfg: SolverConfig, outcomes, padded):
+def _summarize(
+    cfg: ExperimentConfig, solver_cfg: SolverConfig, outcomes, padded, init_hashes
+):
     finals = [o.result.trace[-1].objective for o in outcomes if not o.result.failed]
     summary = {
         "name": cfg.name,
@@ -862,7 +867,7 @@ def _summarize(cfg: ExperimentConfig, solver_cfg: SolverConfig, outcomes, padded
         "failure_messages": [o.result.message for o in outcomes if o.result.failed],
         "padded_trials": padded,
         "hit_eta_floor": any(o.result.hit_eta_floor for o in outcomes),
-        "init_hashes": [o.init_hash for o in outcomes],
+        "init_hashes": init_hashes,
         "final_objective_mean": float(np.mean(finals)) if finals else None,
         "final_objective_std": float(np.std(finals)) if finals else None,
     }
@@ -909,8 +914,9 @@ def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
 # drivers
 
 
-def _prepare(cfg: ExperimentConfig, out_dir):
-    """Shared driver start: (start time, output dir, problem, labels).
+def _prepare(cfg: ExperimentConfig):
+    """Shared driver start: (start time, output dir, problem, labels, trial
+    start points, their hashes), each start drawn once for every variant.
 
     The clustering block (with the labels file of file data) and an emitted
     ``basis_shape`` are checked against the data here, before any solve and
@@ -930,21 +936,22 @@ def _prepare(cfg: ExperimentConfig, out_dir):
                 f"basis_shape {h}x{w} is not a positive shape of the {rows} rows of M"
             )
     problem = build_experiment_problem(cfg, m_data)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return t0, out, problem, labels
+    starts = [_trial_init(cfg, problem, t) for t in range(cfg.trials)]
+    return t0, out, problem, labels, starts, [_point_hash(x) for x in starts]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None):
+def run_experiment(cfg: ExperimentConfig):
     """Run one algorithm configuration over ``cfg.trials`` repetitions.
 
     Returns (summary dict, written paths).  The summary's ``status`` is
     'ok', 'partial' (at most half the trials failed) or 'failed'.
     """
-    t0, out, problem, labels = _prepare(cfg, out_dir)
-    outcomes = _run_trials(cfg, problem, cfg.solver, labels)
+    t0, out, problem, labels, starts, hashes = _prepare(cfg)
+    outcomes = _run_trials(cfg, problem, cfg.solver, labels, starts)
     rows, padded = aggregate_traces(outcomes, cfg.solver.max_epochs)
-    summary = _summarize(cfg, cfg.solver, outcomes, padded)
+    summary = _summarize(cfg, cfg.solver, outcomes, padded, hashes)
     summary["audit_exact"] = problem.lemma_audits_exact
     summary["wall_seconds"] = time.perf_counter() - t0
     paths = _emit_outputs(cfg, out, cfg.name, outcomes, rows, summary)
@@ -970,28 +977,25 @@ def _combo_tag(solver_cfg: SolverConfig) -> str:
     return f"{eff.algorithm}_{eff.estimator}"
 
 
-def run_compare(cfg: ExperimentConfig, out_dir=None):
+def run_compare(cfg: ExperimentConfig):
     """Run several algorithm variants on identical data and start points.
 
     Every variant sees the same per-trial start point and trial seeds (the
     summary records the start-point hashes, which are shared by construction).
     """
-    t0, out, problem, labels = _prepare(cfg, out_dir)
+    t0, out, problem, labels, starts, hashes = _prepare(cfg)
 
     combos = cfg.compare if cfg.compare is not None else _DEFAULT_COMPARE
     all_paths = []
     combo_summaries = {}
     statuses = []
-    init_hashes = None
     for overrides in combos:
         solver_cfg = replace(cfg.solver, **overrides)
         tag = _combo_tag(solver_cfg)
-        outcomes = _run_trials(cfg, problem, solver_cfg, labels)
+        outcomes = _run_trials(cfg, problem, solver_cfg, labels, starts)
         rows, padded = aggregate_traces(outcomes, solver_cfg.max_epochs)
-        summary = _summarize(cfg, solver_cfg, outcomes, padded)
+        summary = _summarize(cfg, solver_cfg, outcomes, padded, hashes)
         statuses.append(summary["status"])
-        if init_hashes is None:
-            init_hashes = summary["init_hashes"]
         combo_summaries[tag] = summary
         all_paths += _emit_outputs(
             cfg, out, f"{cfg.name}_{tag}", outcomes, rows, summary
@@ -1003,7 +1007,7 @@ def run_compare(cfg: ExperimentConfig, out_dir=None):
         "trials": cfg.trials,
         "seed": cfg.seed,
         "combos": combo_summaries,
-        "shared_init_hashes": init_hashes,
+        "shared_init_hashes": hashes,
         "status": (
             "ok"
             if all(s == "ok" for s in statuses)
@@ -1019,7 +1023,7 @@ def run_compare(cfg: ExperimentConfig, out_dir=None):
     return top, all_paths
 
 
-def run_audit(cfg: ExperimentConfig, out_dir=None):
+def run_audit(cfg: ExperimentConfig):
     """Instrumented run checking the convergence theory on this instance.
 
     Executes all trials with per-iteration auditing and reports: Lyapunov
@@ -1028,12 +1032,12 @@ def run_audit(cfg: ExperimentConfig, out_dir=None):
     geometric-decay test of the tracker with the constant estimated from the
     visited iterates.
     """
-    t0, out, problem, labels = _prepare(cfg, out_dir)
+    t0, out, problem, labels, starts, _ = _prepare(cfg)
 
     solver_cfg = replace(
         cfg.solver, audit_per_iteration=True, keep_iterates=True
     )
-    outcomes = _run_trials(cfg, problem, solver_cfg, labels)
+    outcomes = _run_trials(cfg, problem, solver_cfg, labels, starts)
     ok = [o for o in outcomes if not o.result.failed]
 
     report = {
@@ -1124,7 +1128,7 @@ def run_audit(cfg: ExperimentConfig, out_dir=None):
     return report, [p]
 
 
-def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
+def run_gen(cfg: ExperimentConfig, fmt: str = "csv"):
     """Materialize the configured synthetic instance to disk.
 
     Writes the matrix (csv or mm), the labels as a one-column CSV, and a
@@ -1132,7 +1136,7 @@ def run_gen(cfg: ExperimentConfig, out_dir=None, fmt: str = "csv"):
     """
     if cfg.problem.data.synthetic is None:
         raise ConfigError("gen requires problem.data.synthetic")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     m_data, labels = load_experiment_data(cfg)
     ext = "csv" if fmt == "csv" else "mtx"

@@ -147,20 +147,17 @@ class IterationTrace:
     ``bregman_step``, ``eta`` and ``beta`` as epoch means.  A failed epoch
     adds no row.
 
-    Audit fields (``lyapunov``, ``stationarity``, ``gamma_audit``) hold the
-    epoch-boundary values and are NaN when auditing is off.  ``feasible`` can
-    only be False on the epoch-0 row (a sparsity-infeasible start point), in
-    which case ``objective`` holds the smooth part only.
+    The audit values (Lyapunov, stationarity witness, trackers) live only in
+    ``RunResult.audits``.  ``feasible`` can only be False on the epoch-0 row
+    (a sparsity-infeasible start point), in which case ``objective`` holds
+    the smooth part only.
     """
 
     epoch: int
     objective: float
     bregman_step: float
-    lyapunov: float
-    stationarity: float
     eta: float
     beta: float
-    gamma_audit: float
     wall_ms: float
     feasible: bool = True
 
@@ -187,15 +184,25 @@ class AuditRecord:
 
 @dataclass
 class RunResult:
+    """What ``run`` returns (see there); ``audits`` are the only record of
+    the per-step Lyapunov value, stationarity witness and trackers."""
+
     x: FactorPair
     trace: list[IterationTrace]
     audits: list[AuditRecord] = field(default_factory=list)
     failed: bool = False
     message: str = ""
-    psi1: float = math.nan
     hit_eta_floor: bool = False
     iterations_run: int = 0
     iterates: list[FactorPair] | None = None
+
+    @property
+    def psi1(self) -> float:
+        """The Lyapunov value after the first step, the Psi_1 of the rate
+        bound: NaN unless that step was audited."""
+        if self.audits and self.audits[0].iteration == 0:
+            return self.audits[0].lyapunov
+        return math.nan
 
 
 def extrapolate(
@@ -378,11 +385,8 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
             epoch=0,
             objective=obj0,
             bregman_step=0.0,
-            lyapunov=math.nan,
-            stationarity=math.nan,
             eta=eta_prev,
             beta=0.0,
-            gamma_audit=math.nan,
             wall_ms=0.0,
             feasible=x0_feasible,
         )
@@ -406,7 +410,6 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
         ep_d: list[float] = []
         ep_eta: list[float] = []
         ep_beta: list[float] = []
-        boundary = (math.nan, math.nan, math.nan)  # lyapunov, witness, gamma
         audit_epoch = cfg.audit_every > 0 and epoch % cfg.audit_every == 0
 
         for step in range(steps_per_epoch):
@@ -477,9 +480,6 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                         beta=beta,
                     )
                 )
-                if k_global == 0:
-                    result.psi1 = psi
-                boundary = (psi, wit, aud.gamma)
 
             x_km1, x_k = x_k, x_next
             prods_prev, prods = prods, prods_next
@@ -497,11 +497,8 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 epoch=epoch,
                 objective=obj,
                 bregman_step=step_mean,
-                lyapunov=boundary[0],
-                stationarity=boundary[1],
                 eta=float(np.mean(ep_eta)),
                 beta=float(np.mean(ep_beta)),
-                gamma_audit=boundary[2],
                 wall_ms=(time.perf_counter() - t_start) * 1e3,
                 feasible=True,
             )

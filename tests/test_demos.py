@@ -1,5 +1,6 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script and README example runs to completion."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +29,27 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [part.split("```", 1)[0] for part in text.split(f"```{lang}\n")[1:]]
+
+
+def test_readme_examples_run(tmp_path):
+    from bregopt.harness import ExperimentConfig, run_experiment
+
+    blocks = _readme_blocks("json")
+    assert blocks
+    for block in blocks:
+        d = json.loads(block)
+        d["out_dir"] = str(tmp_path / "out")
+        d.setdefault("solver", {})["max_epochs"] = 2
+        summary, _ = run_experiment(ExperimentConfig.from_dict(d))
+        assert summary["status"] == "ok"
+    # The python blocks continue one another, as a reader runs them.
+    namespace = {}
+    blocks = _readme_blocks("python")
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -27,6 +27,7 @@ from bregopt.problems import (
     build_problem,
     factored_sq_diffs,
 )
+from bregopt.solver import SolverConfig, run
 
 from .test_kernels import random_pair
 
@@ -105,6 +106,33 @@ def test_saga_lazy_start_is_bitwise_an_explicit_initialize(gnmf_problem):
         g_lazy, g_eager = lazy.estimate(x), eager.estimate(x)
         assert np.array_equal(g_lazy.u, g_eager.u)
         assert np.array_equal(g_lazy.v, g_eager.v)
+
+
+def test_saga_full_batch_builds_its_table_once_per_step(monkeypatch):
+    # The lazy start must not build a table that the full-batch branch
+    # rebuilds at once: one ``gradient_table`` pass per step.
+    rng = make_rng(20)
+    prob = build_problem("wcmf", rng.uniform(0.1, 1.0, (12, 10)), 3, lambda1=0.05,
+                         lambda2=0.02)
+    calls = []
+    table = prob.gradient_table
+
+    def counted(x):
+        calls.append(x)
+        return table(x)
+
+    monkeypatch.setattr(prob, "gradient_table", counted)
+    x0 = random_pair(rng, 12, 3, 10, 0.0, 0.1)
+    g = SAGA(prob, 10, make_rng(21)).estimate(x0)
+    full = prob.full_gradient(x0)
+    assert np.array_equal(g.u, full.u) and np.array_equal(g.v, full.v)
+    assert len(calls) == 1
+    calls.clear()
+    cfg = SolverConfig(algorithm="bpsg", estimator="saga", batch_size=10,
+                       max_epochs=3, seed=22)
+    res = run(prob, cfg, x0)
+    assert res.iterations_run == 3
+    assert len(calls) == 3
 
 
 def test_sarah_always_restart_is_bitwise_full_gradient(gnmf_problem):

@@ -48,12 +48,15 @@ from bregopt.solver import SolverConfig
 # -- matrix IO --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
 @pytest.mark.parametrize("fmt,suffix", [("csv", ".csv"), ("mm", ".mtx")])
-def test_matrix_roundtrip_is_exact(tmp_path, fmt, suffix):
+def test_matrix_roundtrip_is_exact(tmp_path, fmt, suffix, bom):
     rng = make_rng(70)
     a = rng.standard_normal((7, 5)) * np.exp(rng.uniform(-20, 20, (7, 5)))
     path = tmp_path / f"m{suffix}"
     save_matrix(path, a, fmt)
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+    path.write_bytes(bom + path.read_bytes())
     back = load_matrix(path)
     # 17 significant digits round-trip float64 exactly.
     assert np.array_equal(back, a)
@@ -464,22 +467,26 @@ def test_data_config_needs_exactly_one_source():
         DataConfig(path="x.csv", synthetic=SyntheticSpec(2, 2, 1))
 
 
+def _clustering(block: dict) -> ClusteringConfig:
+    return ExperimentConfig.from_dict(base_config_dict(clustering=block)).clustering
+
+
 def test_clustering_config_needs_k():
-    with pytest.raises(ConfigError):
-        ClusteringConfig.from_dict({"restarts": 3})
+    with pytest.raises(ConfigError, match="clustering needs 'k'"):
+        _clustering({"restarts": 3})
 
 
 def test_clustering_config_rejects_bad_k_and_restarts():
     with pytest.raises(ConfigError, match="clustering.k must be an integer >= 1"):
-        ClusteringConfig.from_dict({"k": 0})
+        _clustering({"k": 0})
     for d, message in (
         ({"k": 2.5}, "clustering.k must be an integer, got 2.5"),
         ({"k": "3"}, "clustering.k must be an integer, got '3'"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            ClusteringConfig.from_dict(d)
+            _clustering(d)
     with pytest.raises(ConfigError, match="clustering.restarts must be an integer"):
-        ClusteringConfig.from_dict({"k": 2, "restarts": 0})
+        _clustering({"k": 2, "restarts": 0})
     with pytest.raises(ConfigError, match="clustering.restarts must be an integer"):
         ClusteringConfig(k=2, restarts=-1)
     assert ClusteringConfig(k=np.int64(3)).k == 3
@@ -640,13 +647,12 @@ def test_run_experiment_pgm_requires_shape(tmp_path):
 
 
 def test_aggregate_traces_pads_short_trials(experiment):
-    from bregopt.harness import _run_trials, build_experiment_problem, load_experiment_data
+    from bregopt.harness import _prepare, _run_trials
 
-    m_data, labels = load_experiment_data(experiment)
-    problem = build_experiment_problem(experiment, m_data)
+    _, _, problem, labels, starts, _ = _prepare(experiment)
     # Force heavy early stopping with a coarse tolerance.
     solver_cfg = SolverConfig(algorithm="bpg", max_epochs=50, stop_tol=1e-2)
-    outcomes = _run_trials(experiment, problem, solver_cfg, labels)
+    outcomes = _run_trials(experiment, problem, solver_cfg, labels, starts)
     rows, padded = aggregate_traces(outcomes, 50)
     assert len(rows) == 51
     assert padded == len(outcomes)  # every trial stopped well before 50
@@ -661,7 +667,6 @@ def _fake_outcome(g, n_rows):
             epoch=e,
             objective=float(g.standard_normal()) * 10.0 ** int(g.integers(-3, 4)),
             bregman_step=float(g.random()),
-            stationarity=math.nan,  # auditing off
             eta=float(g.random()),
             beta=float(g.integers(0, 3)) / 4.0,
         )
@@ -682,7 +687,7 @@ def test_aggregate_traces_matches_per_cell_reduction(trials):
     assert padded == sum(n <= max_epochs for n in lengths)
     assert [r["epoch"] for r in rows] == list(range(max_epochs + 1))
     for e, row in enumerate(rows):
-        for name in ("objective", "bregman_step", "stationarity", "eta", "beta"):
+        for name in ("objective", "bregman_step", "eta", "beta"):
             vals = np.array(
                 [getattr(o.result.trace[min(e, n - 1)], name)
                  for o, n in zip(outcomes, lengths)]
@@ -726,6 +731,38 @@ def test_run_compare_shares_initial_points(tmp_path):
     assert "trace_experiment_bpg.csv" in names
     assert "trace_experiment_bpsge_saga.csv" in names
     assert "compare_experiment.json" in names
+
+
+def test_unaudited_trace_and_trial_csvs_hold_no_nan(tmp_path):
+    d = base_config_dict()
+    d["out_dir"] = str(tmp_path)
+    d["emit"] = ["trace_csv", "per_trial_csv"]
+    run_experiment(ExperimentConfig.from_dict(d))
+    d["compare"] = [{"algorithm": "bpge"}, {"algorithm": "bpsge", "estimator": "sgd"}]
+    run_compare(ExperimentConfig.from_dict(d))
+    written = sorted(tmp_path.glob("trace_*.csv")) + sorted(tmp_path.glob("trial_*.csv"))
+    assert len(written) == 3 * (1 + d["trials"])
+    for path in written:
+        assert "nan" not in path.read_text(), path.name
+
+
+def test_run_compare_draws_each_trial_start_once(tmp_path, monkeypatch):
+    draws = []
+
+    def counted(cfg, problem, t):
+        draws.append(t)
+        return trial_init(cfg, problem, t)
+
+    trial_init = harness._trial_init
+    monkeypatch.setattr(harness, "_trial_init", counted)
+    d = base_config_dict()
+    d["out_dir"] = str(tmp_path)
+    d["trials"] = 3
+    d["compare"] = [{"algorithm": "bpg"}, {"algorithm": "bpge"},
+                    {"algorithm": "bpsg", "estimator": "saga"}]
+    summary, _ = run_compare(ExperimentConfig.from_dict(d))
+    assert draws == [0, 1, 2]
+    assert len(set(summary["shared_init_hashes"])) == 3
 
 
 def test_run_compare_default_grid_has_eight_variants(tmp_path):
@@ -1255,6 +1292,29 @@ def test_cli_rejects_another_kinds_problem_key_before_loading_data(
     # With only its own keys the config is read, and the data load fails.
     setting = f"problem={json.dumps(problem)}"
     assert cli_main(["run", "--set", setting, "--out", str(out), "--quiet"]) == 1
+    assert "data file not found" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_laplacian_that_mu0_zero_leaves_unread(
+    tmp_path, capsys, monkeypatch
+):
+    # The data file does not exist, so a check that came after the data load
+    # would report that instead.
+    monkeypatch.setattr(harness, "run", _no_solve)
+    problem = {"kind": "gnmf", "rank": 2, "data": {"path": str(tmp_path / "none.csv")}}
+    out = tmp_path / "out"
+    argv = [
+        "run", "--set", f"problem={json.dumps(problem)}",
+        "--set", "problem.laplacian.path=/nonexistent/L.csv",
+        "--set", "problem.laplacian.neighbors=4",
+        "--out", str(out), "--quiet",
+    ]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error: problem.laplacian is unused while problem.mu0 is 0" in err
+    assert not out.exists()
+    # With mu0 > 0 the block is read, and the data load fails first.
+    assert cli_main(argv + ["--set", "problem.mu0=0.1"]) == 1
     assert "data file not found" in capsys.readouterr().err
 
 

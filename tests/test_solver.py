@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from bregopt import solver
 from bregopt.numeric import make_rng
 from bregopt.problems import build_knn_laplacian, build_problem
 from bregopt.solver import (
+    RunResult,
     SolverConfig,
     extrapolate,
     lyapunov,
@@ -274,7 +275,7 @@ def test_run_trace_shape_and_epoch_numbering(small_gnmf):
     assert [t.epoch for t in res.trace] == list(range(8))
     assert res.iterations_run == 7 * math.ceil(10 / 3)
     assert res.trace[0].bregman_step == 0.0
-    assert math.isnan(res.trace[0].lyapunov)
+    assert res.audits == []
 
 
 def test_run_is_reproducible_and_seed_sensitive(small_gnmf):
@@ -376,8 +377,8 @@ def test_run_audit_mode_populates_records(small_gnmf):
         # Every audited step evaluates the objective its Lyapunov value needs.
         assert math.isfinite(a.objective)
         assert a.objective == small_gnmf.objective(res.iterates[a.iteration + 1])
-    # Trace boundary columns mirror the last audit of each epoch.
-    assert res.trace[-1].lyapunov == res.audits[-1].lyapunov
+    # The trace's objective at each epoch's end is its last audit's.
+    assert res.trace[-1].objective == res.audits[-1].objective
 
 
 def test_run_audit_every_epoch_boundaries(small_gnmf):
@@ -386,10 +387,23 @@ def test_run_audit_every_epoch_boundaries(small_gnmf):
     )
     res = run(small_gnmf, cfg, start_point(small_gnmf))
     assert [a.epoch for a in res.audits] == [2, 4, 6]
-    assert math.isnan(res.trace[1].lyapunov)
-    assert math.isfinite(res.trace[2].lyapunov)
     for a in res.audits:
         assert res.trace[a.epoch].objective == a.objective
+        assert math.isfinite(a.lyapunov)
+
+
+def test_psi1_is_the_first_steps_audited_lyapunov(small_gnmf):
+    assert "psi1" not in {f.name for f in fields(RunResult)}
+    x0 = start_point(small_gnmf)
+    base = SolverConfig(algorithm="bpsge", batch_size=3, max_epochs=2, seed=12)
+    res = run(small_gnmf, replace(base, audit_per_iteration=True), x0)
+    assert res.audits[0].iteration == 0
+    assert res.psi1 == res.audits[0].lyapunov
+    # Four steps per epoch: audit_every=1 audits each epoch's last step only.
+    res = run(small_gnmf, replace(base, audit_every=1), x0)
+    assert [a.iteration for a in res.audits] == [3, 7]
+    assert math.isnan(res.psi1)
+    assert math.isnan(run(small_gnmf, base, x0).psi1)
 
 
 @pytest.mark.parametrize(
