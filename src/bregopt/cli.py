@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import harness
-from .harness import ConfigError, ExperimentConfig, MatrixParseError
+from .harness import ConfigError, ExperimentConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MatrixParseError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         # An OSError's message names the path it failed on.
         print(f"bregopt: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,8 +9,10 @@ documented seed-splitting, then writes epoch-granular trace CSVs (pointwise
 means and standard deviations across trials), a JSON summary, and optional
 per-trial dumps and PGM images of the learned basis columns.
 
-File formats: matrices are read and written as headerless CSV or as
-MatrixMarket array files (column-major, ``real general``); all numeric text
+File formats: the suffix alone picks a matrix's format, headerless CSV
+(``.csv``) or MatrixMarket array (``.mtx``, ``.mm``; column-major, ``real
+general``); labels are one integer per line.  Every input file is read by one
+line scanner, and a parse failure names ``path:line``.  All numeric text
 output uses 17 significant digits so float64 values round-trip exactly.
 """
 
@@ -70,8 +72,8 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 1)."""
 
 
-class MatrixParseError(ValueError):
-    """A matrix file failed to parse; carries the path and 1-based line."""
+class MatrixParseError(ConfigError):
+    """An input file failed to parse; carries the path and 1-based line."""
 
     def __init__(self, path, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
@@ -83,70 +85,77 @@ class MatrixParseError(ValueError):
 # matrix file IO
 
 
-def _detect_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "mm"):
-            raise ConfigError(f"unknown matrix format {fmt!r}")
-        return fmt
+def _is_csv(path: Path) -> bool:
+    """Whether the suffix names CSV (.csv) rather than MatrixMarket (.mtx, .mm)."""
     suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".mtx", ".mm"):
-        return "mm"
-    raise ConfigError(
-        f"cannot infer matrix format from {path.name!r}; pass fmt='csv' or 'mm'"
-    )
+    if suffix not in (".csv", ".mtx", ".mm"):
+        raise ConfigError(
+            f"cannot infer matrix format from {path.name!r}: "
+            "name it .csv, .mtx or .mm"
+        )
+    return suffix == ".csv"
 
 
-def load_matrix(path, fmt: str | None = None) -> np.ndarray:
-    """Read a dense, finite matrix from CSV or MatrixMarket array format;
-    a leading UTF-8 byte-order mark (spreadsheet exports) is skipped."""
+def load_matrix(path) -> np.ndarray:
+    """Read a dense, finite matrix in the format its file suffix names."""
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    return (_load_csv if _is_csv(path) else _load_mm)(path)
+
+
+def save_matrix(path, a) -> None:
+    path = Path(path)
+    (_save_csv if _is_csv(path) else _save_mm)(path, as_dense(a, "matrix"))
+
+
+def _lines(path: Path) -> list[str]:
+    """The stripped lines of a UTF-8 text file: item i is line i + 1, and a
+    leading byte-order mark (spreadsheet exports) is skipped."""
     try:
-        return _load_csv(path) if fmt == "csv" else _load_mm(path)
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return [raw.strip() for raw in fh]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
-def save_matrix(path, a, fmt: str | None = None) -> None:
-    path = Path(path)
-    a = as_dense(a, "matrix")
-    fmt = _detect_format(path, fmt)
-    if fmt == "csv":
-        _save_csv(path, a)
-    else:
-        _save_mm(path, a)
+_INT64 = range(-(2**63), 2**63)
 
 
-def _load_csv(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise MatrixParseError(path, lineno, f"not numeric: {line!r}") from None
-            for p, val in zip(parts, row):
-                if not math.isfinite(val):
-                    raise MatrixParseError(
-                        path, lineno, f"non-finite entry {p.strip()!r}"
-                    )
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise MatrixParseError(
-                    path, lineno, f"expected {width} columns, found {len(row)}"
-                )
-            rows.append(row)
+def _entries(path: Path, lineno: int, tokens: list[str], kind=float) -> list:
+    """The tokens of one line as finite floats, or as int64 values when
+    ``kind`` is int; a bad token is an error naming the line."""
+    values = []
+    for tok in tokens:
+        try:
+            val = kind(tok)
+        except ValueError:
+            what = "not numeric:" if kind is float else "not an integer:"
+            raise MatrixParseError(path, lineno, f"{what} {tok.strip()!r}") from None
+        if not (math.isfinite(val) if kind is float else val in _INT64):
+            what = "non-finite entry" if kind is float else "entry beyond int64"
+            raise MatrixParseError(path, lineno, f"{what} {tok.strip()!r}")
+        values.append(val)
+    return values
+
+
+def _load_csv(path: Path, kind=float, width: int | None = None) -> np.ndarray:
+    """Comma-separated rows of equal ``width`` (that of the first row when
+    None); blank lines are skipped."""
+    rows = []
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line:
+            continue
+        row = _entries(path, lineno, line.split(","), kind)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            columns = f"{width} column{'s' * (width > 1)}"
+            raise MatrixParseError(
+                path, lineno, f"expected {columns}, found {len(row)}"
+            )
+        rows.append(row)
     if not rows:
-        raise MatrixParseError(path, 1, "empty matrix file")
-    return np.array(rows)
+        raise MatrixParseError(path, 1, "empty file")
+    return np.array(rows, dtype=kind)
 
 
 def _save_csv(path: Path, a: np.ndarray) -> None:
@@ -157,8 +166,7 @@ def _save_csv(path: Path, a: np.ndarray) -> None:
 
 
 def _load_mm(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
+    lines = _lines(path)
     if not lines:
         raise MatrixParseError(path, 1, "empty file")
     header = lines[0].split()
@@ -174,15 +182,13 @@ def _load_mm(path: Path) -> np.ndarray:
     if symmetry != "general":
         raise MatrixParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
-    lineno = 1
-    shape = None
+    m = n = None
     values: list[float] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("%"):
             continue
         parts = line.split()
-        if shape is None:
+        if m is None:
             if len(parts) != 2:
                 raise MatrixParseError(
                     path, lineno, f"expected 'rows cols', got {line!r}"
@@ -195,30 +201,19 @@ def _load_mm(path: Path) -> np.ndarray:
                 ) from None
             if m <= 0 or n <= 0:
                 raise MatrixParseError(path, lineno, "dimensions must be positive")
-            shape = (m, n)
             continue
-        for p in parts:
-            try:
-                val = float(p)
-            except ValueError:
-                raise MatrixParseError(path, lineno, f"not numeric: {p!r}") from None
-            if not math.isfinite(val):
-                raise MatrixParseError(path, lineno, f"non-finite entry {p!r}")
-            values.append(val)
-        if len(values) > shape[0] * shape[1]:
-            raise MatrixParseError(
-                path, lineno, f"more than {shape[0] * shape[1]} entries"
-            )
-    if shape is None:
-        raise MatrixParseError(path, lineno, "missing dimension line")
-    if len(values) != shape[0] * shape[1]:
+        values += _entries(path, lineno, parts)
+        if len(values) > m * n:
+            raise MatrixParseError(path, lineno, f"more than {m * n} entries")
+    # The end-of-file checks name the file's last line.
+    if m is None:
+        raise MatrixParseError(path, len(lines), "missing dimension line")
+    if len(values) != m * n:
         raise MatrixParseError(
-            path,
-            lineno,
-            f"expected {shape[0] * shape[1]} entries, found {len(values)}",
+            path, len(lines), f"expected {m * n} entries, found {len(values)}"
         )
     # MatrixMarket array files store entries column by column.
-    return np.ascontiguousarray(np.reshape(values, shape, order="F"))
+    return np.ascontiguousarray(np.reshape(values, (m, n), order="F"))
 
 
 def _save_mm(path: Path, a: np.ndarray) -> None:
@@ -472,7 +467,9 @@ def kmeans_accuracy(
         if inertia < best_inertia:
             best_assign, best_inertia = assign, inertia
 
-    n_classes = int(labels.max()) + 1
+    # Dense class ids: a class with no rows would only add zero columns.
+    classes, labels = np.unique(labels, return_inverse=True)
+    n_classes = len(classes)
     confusion = np.bincount(
         best_assign * n_classes + labels, minlength=k * n_classes
     ).reshape(k, n_classes)
@@ -558,7 +555,6 @@ def _leaf(tp, v, where: str):
 @dataclass(frozen=True)
 class DataConfig:
     path: str | None = None
-    fmt: str | None = None
     synthetic: SyntheticSpec | None = None
 
     def __post_init__(self):
@@ -569,7 +565,6 @@ class DataConfig:
 @dataclass(frozen=True)
 class LaplacianConfig:
     path: str | None = None
-    fmt: str | None = None
     neighbors: int = 5
     weighting: str = "binary"
     sigma: float | None = None
@@ -703,18 +698,16 @@ def load_experiment_data(cfg: ExperimentConfig):
     if data.synthetic is not None:
         return generate_synthetic(data.synthetic, make_rng((cfg.seed, 1)))
     try:
-        m_data = load_matrix(data.path, data.fmt)
+        m_data = load_matrix(data.path)
     except FileNotFoundError:
         raise ConfigError(f"data file not found: {data.path}") from None
     labels = None
     if cfg.clustering is not None:
         path = cfg.clustering.labels_path
         try:
-            labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
+            labels = _load_csv(Path(path), int, width=1).ravel()
         except FileNotFoundError:
             raise ConfigError(f"labels file not found: {path}") from None
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
         if labels.size != m_data.shape[0]:
             raise ConfigError(
                 f"{path}: got {labels.size} labels for {m_data.shape[0]} rows of M"
@@ -732,7 +725,7 @@ def build_experiment_problem(cfg: ExperimentConfig, m_data: np.ndarray) -> Probl
         if p.mu0 <= 0.0:
             params["laplacian"] = None
         elif lap.path is not None:
-            params["laplacian"] = load_matrix(lap.path, lap.fmt)
+            params["laplacian"] = load_matrix(lap.path)
         else:
             params["laplacian"] = build_knn_laplacian(
                 m_data, lap.neighbors, lap.weighting, lap.sigma
@@ -1141,11 +1134,9 @@ def run_gen(cfg: ExperimentConfig, fmt: str = "csv"):
     m_data, labels = load_experiment_data(cfg)
     ext = "csv" if fmt == "csv" else "mtx"
     m_path = out / f"{cfg.name}_M.{ext}"
-    save_matrix(m_path, m_data, fmt)
+    save_matrix(m_path, m_data)
     labels_path = out / f"{cfg.name}_labels.csv"
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+    save_matrix(labels_path, labels[:, None])
     meta_path = out / f"{cfg.name}_meta.json"
     _write_json(
         meta_path,

@@ -49,12 +49,12 @@ from bregopt.solver import SolverConfig
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
-@pytest.mark.parametrize("fmt,suffix", [("csv", ".csv"), ("mm", ".mtx")])
-def test_matrix_roundtrip_is_exact(tmp_path, fmt, suffix, bom):
+@pytest.mark.parametrize("suffix", [".csv", ".mtx"])
+def test_matrix_roundtrip_is_exact(tmp_path, suffix, bom):
     rng = make_rng(70)
     a = rng.standard_normal((7, 5)) * np.exp(rng.uniform(-20, 20, (7, 5)))
     path = tmp_path / f"m{suffix}"
-    save_matrix(path, a, fmt)
+    save_matrix(path, a)
     # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
     path.write_bytes(bom + path.read_bytes())
     back = load_matrix(path)
@@ -217,6 +217,19 @@ def test_kmeans_accuracy_separated_clusters():
     # Label permutation must not matter: the matching absorbs it.
     acc = kmeans_accuracy(pts, labels[::-1].copy(), 3, restarts=5, rng=make_rng(74))
     assert acc == 1.0
+
+
+def test_kmeans_accuracy_sizes_nothing_by_a_class_id():
+    # Ids far apart score exactly as their dense ranks; the bincount and
+    # assignment are sized by the classes present, not by the largest id.
+    pts = np.array([[0.0], [0.1], [5.0], [5.1], [10.0], [10.1]])
+    dense = np.array([0, 2, 2, 1, 1, 0])
+    sparse = np.array([0, 2**40, 2**40, 7, 7, 0])
+    accs = [
+        kmeans_accuracy(pts, labels, 3, restarts=5, rng=make_rng(74))
+        for labels in (dense, sparse)
+    ]
+    assert accs[0] == accs[1] < 1.0
 
 
 def test_kmeans_accuracy_on_true_basis_rows():
@@ -564,7 +577,7 @@ def test_cli_rejects_mismatched_basis_shape_before_solving(
         (None, "labels file not found"),
         ("0\n1\n0\n1\n0\n", "got 5 labels for 6 rows of M"),
         ("0\n1\n0\n-1\n0\n1\n", "labels must be nonnegative integers"),
-        ("0\n1.5\n0\n1\n0\n1\n", "could not convert"),
+        ("0\n1.5\n0\n1\n0\n1\n", r"labels\.csv:2: not an integer: '1\.5'"),
         ("omit", "clustering.labels_path is required with data.path"),
     ],
 )
@@ -588,6 +601,95 @@ def test_run_rejects_bad_labels_file_before_solving(
     with pytest.raises(ConfigError, match=message):
         run_experiment(ExperimentConfig.from_dict(d))
     assert not (tmp_path / "out").exists()
+
+
+def _labels_run_argv(tmp_path, labels_bytes: bytes):
+    """``bregopt run`` argv on a 6-row CSV matrix with the given labels file."""
+    data = tmp_path / "m.csv"
+    save_matrix(data, make_rng(94).random((6, 5)))
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(labels_bytes)
+    problem = {"kind": "gnmf", "rank": 2, "data": {"path": str(data)}}
+    clustering = {"k": 2, "restarts": 2, "labels_path": str(labels)}
+    return [
+        "run",
+        "--set",
+        f"problem={json.dumps(problem)}",
+        "--set",
+        f"clustering={json.dumps(clustering)}",
+        "--set",
+        "solver.max_epochs=2",
+        "--out",
+        str(tmp_path / "out"),
+        "--quiet",
+    ], labels
+
+
+def test_cli_reads_a_labels_file_with_a_byte_order_mark(tmp_path, capsys):
+    # A spreadsheet's "CSV UTF-8" export; blank lines are skipped too.
+    argv, _ = _labels_run_argv(tmp_path, b"\xef\xbb\xbf0\n0\n0\n\n1\n1\n1\n")
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out" / "summary_experiment.json").read_text())
+    assert "accuracy_mean" in summary
+
+
+@pytest.mark.parametrize(
+    "labels_bytes, line",
+    [
+        (b"", 1),
+        (b"0\n0\n0,1\n1\n1\n1\n", 3),
+        (f"0\n0\n0\n1\n{2**70}\n1\n".encode(), 5),
+    ],
+    ids=["empty", "two-entries", "beyond-int64"],
+)
+def test_cli_rejects_a_bad_labels_file_naming_its_line(
+    tmp_path, capsys, labels_bytes, line
+):
+    argv, labels = _labels_run_argv(tmp_path, labels_bytes)
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"bregopt: config error: {labels}:{line}: ")
+    assert err.count("\n") == 1  # one message and nothing else
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "mm"])
+def test_run_on_gen_files_matches_the_synthetic_run(tmp_path, capsys, fmt):
+    synthetic = {"m": 10, "d": 8, "r_true": 2, "cluster_count": 2}
+    problem = {"kind": "gnmf", "rank": 2, "mu0": 0.1, "data": {"synthetic": synthetic}}
+    common = [
+        "--set",
+        "solver.max_epochs=3",
+        "--set",
+        "solver.batch_size=2",
+        "--seed",
+        "7",
+        "--quiet",
+    ]
+
+    def cli(verb, out, problem, clustering, *extra):
+        argv = [verb, "--set", f"problem={json.dumps(problem)}", *common]
+        argv += ["--set", f"clustering={json.dumps(clustering)}", "--out", str(out)]
+        assert cli_main([*argv, *extra]) == 0
+
+    clustering = {"k": 2, "restarts": 3}
+    cli("gen", tmp_path / "gen", problem, clustering, "--format", fmt)
+    cli("run", tmp_path / "synthetic", problem, clustering)
+    ext = "csv" if fmt == "csv" else "mtx"
+    problem["data"] = {"path": str(tmp_path / "gen" / f"experiment_M.{ext}")}
+    clustering["labels_path"] = str(tmp_path / "gen" / "experiment_labels.csv")
+    cli("run", tmp_path / "file", problem, clustering)
+    capsys.readouterr()
+
+    def outputs(out):
+        summary = json.loads((out / "summary_experiment.json").read_text())
+        del summary["wall_seconds"]
+        return (out / "trace_experiment.csv").read_bytes(), summary
+
+    trace, summary = outputs(tmp_path / "file")
+    assert (trace, summary) == outputs(tmp_path / "synthetic")
+    assert "accuracy_mean" in summary
 
 
 # -- experiment drivers -----------------------------------------------------
@@ -1073,7 +1175,6 @@ _CONFIG_KINDS = {
     ("problem", "s2"): "int?",
     ("problem", "data"): "object",
     ("problem", "data", "path"): "str?",
-    ("problem", "data", "fmt"): "str?",
     ("problem", "data", "synthetic"): "object?",
     ("problem", "data", "synthetic", "m"): "int",
     ("problem", "data", "synthetic", "d"): "int",
@@ -1082,7 +1183,6 @@ _CONFIG_KINDS = {
     ("problem", "data", "synthetic", "noise_sigma"): "float",
     ("problem", "laplacian"): "object",
     ("problem", "laplacian", "path"): "str?",
-    ("problem", "laplacian", "fmt"): "str?",
     ("problem", "laplacian", "neighbors"): "int",
     ("problem", "laplacian", "weighting"): "str",
     ("problem", "laplacian", "sigma"): "float?",
