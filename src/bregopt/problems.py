@@ -391,7 +391,7 @@ class Problem:
         return True
 
     def local_lipschitz(self, x_bar: FactorPair) -> float:
-        """Blockwise curvature bound at x_bar used for the adaptive step.
+        """Blockwise curvature bound at x_bar, the stochastic variants' step.
 
         max of |V V^T|_2 (+ mu0 |L|_2 for the graph kind) over the U block
         and |U^T U|_2 over the V block.  Both Gram matrices are r x r and

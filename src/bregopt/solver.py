@@ -18,10 +18,14 @@ satisfies the distance-growth inequality
                            * D_psi(x_{k-1}, x_k)
 
 that the descent analysis assumes, with delta = 0.99 and L_under the previous
-step's curvature.  The first step is 1/L_bar, L_bar the global smooth-
-adaptability constant; ``strict_theory_stepsize`` caps every step by it and
-by (1 - delta)/alpha, alpha the problem's weak-convexity modulus.  Under
-those caps the Lyapunov sequence computed by ``lyapunov`` is provably
+step's effective constant.  L_bar is the global smooth-adaptability constant
+(1 for every prescribed kernel).  Full-gradient variants step at 1/L_bar,
+the step of the smooth-adaptable descent lemma, and their L_under is L_bar.
+Stochastic variants start at 1/L_bar and then take min(eta_prev, 1/L_k),
+L_k the Euclidean blockwise curvature at the extrapolated point, which is
+also their L_under.  ``strict_theory_stepsize`` caps every step by 1/L_bar
+and by (1 - delta)/alpha, alpha the problem's weak-convexity modulus.
+Under those caps the Lyapunov sequence computed by ``lyapunov`` is provably
 nonincreasing for deterministic runs.
 
 Traces are recorded per epoch: the objective at the epoch's last iterate and
@@ -88,9 +92,12 @@ _RATE_SLACK = 0.1
 class SolverConfig:
     """Everything a run depends on besides the problem and the start point.
 
-    ``batch_size`` 0 means 5% of the columns (at least one).  The first step
-    is 1/``l_bar``; ``strict_theory_stepsize`` caps every step by it and by
-    (1 - delta)/alpha, with alpha the problem's weak-convexity modulus.
+    ``batch_size`` 0 means 5% of the columns (at least one).  bpg and bpge
+    step at 1/``l_bar`` throughout, with L_under = ``l_bar``; stochastic
+    variants start there and then take min(eta_prev, 1/L_k), L_k the local
+    curvature (see ``step_size``).  ``strict_theory_stepsize`` caps every
+    step by 1/``l_bar`` and by (1 - delta)/alpha, with alpha the problem's
+    weak-convexity modulus.
     ``audit_every`` counts epochs between audited boundaries;
     ``audit_per_iteration`` upgrades auditing to every inner iteration
     regardless.
@@ -255,17 +262,25 @@ def step_size(
 ) -> tuple[float, float, bool]:
     """(eta_k, effective upper constant, floor hit?) at the extrapolated point.
 
-    eta_k = min(eta_prev, 1 / L_k) with L_k the exact blockwise curvature
-    from ``problem.local_lipschitz`` (clamped below at 1e-12).  Strict mode
-    additionally caps by 1/``l_bar`` and by (1 - delta)/alpha, alpha the
-    problem's weak-convexity modulus.  The step never drops below 1e-8;
-    hitting that floor is reported to the caller.
+    Full-gradient variants (bpg, bpge) need only smooth adaptability:
+    eta_k = min(eta_prev, 1/``l_bar``) = 1/``l_bar``, and the effective
+    constant (the safeguard's L_under) is ``l_bar``; no curvature is taken.
+    Stochastic variants keep eta_k = min(eta_prev, 1 / L_k) with L_k the
+    exact blockwise curvature from ``problem.local_lipschitz`` (clamped
+    below at 1e-12).  The branch follows ``cfg.algorithm``, so an unresolved
+    config steps as its resolved one.  Strict mode additionally caps by
+    1/``l_bar`` and by (1 - delta)/alpha, alpha the problem's weak-convexity
+    modulus.  The step never drops below 1e-8; hitting that floor is
+    reported to the caller.
     """
-    l_k = problem.local_lipschitz(x_bar)
-    l_eff = l_k
-    eta = min(eta_prev, 1.0 / max(l_k, 1e-12))
+    if cfg.algorithm in ("bpg", "bpge"):
+        l_eff = cfg.l_bar
+        eta = min(eta_prev, 1.0 / cfg.l_bar)
+    else:
+        l_eff = problem.local_lipschitz(x_bar)
+        eta = min(eta_prev, 1.0 / max(l_eff, 1e-12))
     if cfg.strict_theory_stepsize:
-        l_eff = max(l_k, cfg.l_bar)
+        l_eff = max(l_eff, cfg.l_bar)
         eta = min(eta, 1.0 / cfg.l_bar)
         alpha = problem.weak_convexity
         if alpha > 0.0:
@@ -401,7 +416,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     prods_prev = prods
     kern_prev = problem.kernel(eta_prev)
     d_last = math.nan  # D(x_{k-1}, x_k) under kern_prev, from the last step
-    l_prev = 0.0  # no curvature estimate exists before the first step
+    l_prev = 0.0  # L_under; no step has set it yet
     k_global = 0
     quiet_epochs = 0
 

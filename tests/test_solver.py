@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bregopt.kernels import FactorPair, bregman_distance
 from bregopt import solver
 from bregopt.numeric import make_rng
-from bregopt.problems import build_knn_laplacian, build_problem
+from bregopt.problems import Problem, build_knn_laplacian, build_problem
 from bregopt.solver import (
     RunResult,
     SolverConfig,
@@ -185,6 +185,33 @@ def test_step_size_floor(small_gnmf):
     x = start_point(small_gnmf)
     eta, _, floored = step_size(small_gnmf, x, solver._ETA_FLOOR / 10, cfg)
     assert eta == solver._ETA_FLOOR and floored
+
+
+@pytest.mark.parametrize("algorithm", ["bpg", "bpge"])
+def test_full_gradient_step_is_one_over_l_bar(small_gnmf, algorithm, monkeypatch):
+    # Smooth adaptability alone bounds a full-gradient step: no curvature is
+    # taken, and L_under is l_bar.  The rule follows the algorithm, so an
+    # unresolved config (estimator still saga) steps as the resolved one.
+    def no_curvature(self, x_bar):
+        raise AssertionError("full-gradient steps take no curvature")
+
+    monkeypatch.setattr(Problem, "local_lipschitz", no_curvature)
+    x = start_point(small_gnmf)
+    for estimator in ("saga", "full"):
+        cfg = SolverConfig(algorithm=algorithm, estimator=estimator, l_bar=3.0)
+        for eta_prev in (1.0 / 3.0, 10.0):
+            assert step_size(small_gnmf, x, eta_prev, cfg) == (1.0 / 3.0, 3.0, False)
+        assert step_size(small_gnmf, x, 0.125, cfg) == (0.125, 3.0, False)
+    # Strict mode on a weakly convex problem still caps by (1 - delta)/alpha.
+    wprob = build_problem("wcmf", small_gnmf.m_data, 2, lambda1=0.5, lambda2=0.1)
+    cfg = SolverConfig(algorithm=algorithm, strict_theory_stepsize=True)
+    cap = (1.0 - solver._DELTA) / 0.1
+    assert step_size(wprob, x, 1.0, cfg) == (cap, 1.0, False)
+    res = run(wprob, replace(cfg, max_epochs=5), x)
+    assert not res.failed and [t.eta for t in res.trace[1:]] == [cap] * 5
+    # Without strict mode a run steps at 1/l_bar throughout.
+    res = run(small_gnmf, SolverConfig(algorithm=algorithm, max_epochs=5), x)
+    assert not res.failed and [t.eta for t in res.trace] == [1.0] * 6
 
 
 # -- lyapunov and witness ---------------------------------------------------
@@ -641,6 +668,105 @@ def test_bpge_steps_match_a_direct_pass_at_the_extrapolated_point(kind, beta_mod
         assert (x_next - xs[k + 1]).norm() <= 1e-12 * xs[k + 1].norm()
 
 
+# -- full-gradient step 1/L_bar: scale covariance and progress ---------------
+
+_FULL_VARIANTS = [
+    {"algorithm": "bpg"},
+    {"algorithm": "bpge", "beta_mode": "scheduled"},
+    {"algorithm": "bpge", "beta_mode": "safeguarded"},
+]
+
+
+def scaled_problem(kind, shape, rank, seed, r=1.0):
+    """kind's problem on s*M, s = r^2, M seeded uniform, with the parameters
+    scaled so that Phi_s(r x) = s^2 Phi(x); r = 1 is the plain problem.
+    wcmf's lambda2 is small, so lambda1 > lambda2 holds at every scale."""
+    m_data = make_rng(seed).uniform(0.1, 1.0, shape)
+    s = r * r
+    params = {
+        "gnmf": {"mu0": 0.1 * s, "laplacian": build_knn_laplacian(m_data, 3)},
+        "wcmf": {"lambda1": 0.1 * s * r, "lambda2": 2e-5 * s},
+        "ssnmf": {"s1": shape[0] // 2, "s2": shape[1] // 2},
+    }
+    return build_problem(kind, s * m_data, rank, **params[kind])
+
+
+def _scaled_run(kind, variant, r):
+    problem = scaled_problem(kind, (30, 24), 4, 62, r)
+    x0 = start_point(problem)
+    x0 = FactorPair(r * x0.u, r * x0.v)
+    cfg = SolverConfig(max_epochs=40, stop_tol=0.0, keep_iterates=True, **variant)
+    res = run(problem, cfg, x0)
+    assert not res.failed and len(res.iterates) == 41
+    return res
+
+
+_UNSCALED_RUNS = {}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["gnmf", "wcmf", "ssnmf"]),
+    variant=st.sampled_from(range(len(_FULL_VARIANTS))),
+    k=st.integers(-10, 10),
+)
+def test_full_gradient_runs_are_scale_covariant(kind, variant, k):
+    # With s = 4^k, mu0 s, lambda1 s^(3/2) and lambda2 s, the kernel's b
+    # scales by s, so Phi and D_psi at 2^k x are s^2 times their values at x
+    # and the step 1/L_bar is scale-free: the run from 2^k x0 is 2^k times
+    # the unscaled one.  Powers of 2 make every product exact, so bit for bit.
+    key = (kind, variant)
+    if key not in _UNSCALED_RUNS:
+        _UNSCALED_RUNS[key] = _scaled_run(kind, _FULL_VARIANTS[variant], 1.0)
+    base = _UNSCALED_RUNS[key]
+    r = 2.0**k
+    s = r * r
+    res = _scaled_run(kind, _FULL_VARIANTS[variant], r)
+    for x, x_s in zip(base.iterates, res.iterates):
+        assert (r * x.u).tobytes() == x_s.u.tobytes()
+        assert (r * x.v).tobytes() == x_s.v.tobytes()
+    for t, t_s in zip(base.trace, res.trace):
+        assert t_s.objective == s * s * t.objective
+        assert t_s.bregman_step == s * s * t.bregman_step
+        assert (t_s.eta, t_s.beta) == (t.eta, t.beta)
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bpg_epoch_objective_never_rises(kind, seed):
+    # With eta = 1/L_bar and an exact prox, the descent lemma gives
+    # Phi(x+) <= Phi(x) - (1/eta - L_bar) D(x, x+) = Phi(x).
+    problem = scaled_problem(kind, (60, 40), 5, seed)
+    res = run(problem, SolverConfig(algorithm="bpg", max_epochs=60), start_point(problem))
+    objs = [t.objective for t in res.trace]
+    assert not res.failed and len(objs) == 61
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+
+# objective / (|M|^2 / 2) after 40 epochs of ``scaled_problem(kind, (30, 24),
+# 4, 62)`` from ``start_point``: 1.2 times the value measured with the step
+# 1/L_bar, rounded up.  Under the earlier cap min(eta_prev, 1/L_k) every case
+# ended above its bound (values in brackets).
+_PROGRESS_BOUNDS = {
+    ("gnmf", "bpg"): 0.21,  # 0.1717 [0.3784]
+    ("gnmf", "bpge"): 0.21,  # 0.1713 [0.2611]
+    ("wcmf", "bpg"): 0.25,  # 0.2018 [0.3702]
+    ("wcmf", "bpge"): 0.24,  # 0.2000 [0.2728]
+    ("ssnmf", "bpg"): 0.62,  # 0.5086 [0.6656]
+    ("ssnmf", "bpge"): 0.57,  # 0.4722 [0.5882]
+}
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+@pytest.mark.parametrize("variant", _FULL_VARIANTS, ids=lambda v: "-".join(v.values()))
+def test_full_gradient_progress_after_40_epochs(kind, variant):
+    problem = scaled_problem(kind, (30, 24), 4, 62)
+    res = run(problem, SolverConfig(max_epochs=40, **variant), start_point(problem))
+    assert not res.failed and len(res.trace) == 41
+    ratio = res.trace[-1].objective / (0.5 * np.linalg.norm(problem.m_data) ** 2)
+    assert ratio < _PROGRESS_BOUNDS[kind, variant["algorithm"]]
+
+
 def test_run_early_stop_on_quiet_epochs():
     # A problem solved exactly from the start: x0 at a global minimizer of
     # the interior, so steps collapse immediately.
@@ -743,14 +869,20 @@ def test_run_reports_failure_with_partial_trace(small_gnmf):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_run_fails_cleanly_when_curvature_overflows(small_gnmf):
-    # V = 0 keeps the gradient finite while U^T U overflows to inf.
+@pytest.mark.parametrize(
+    "algorithm, failing_call",
+    [("bpg", "prox_step: the gradient step has non-finite"), ("bpsge", "spectral_norm")],
+)
+def test_run_fails_cleanly_when_curvature_overflows(small_gnmf, algorithm, failing_call):
+    # V = 0 keeps the gradient finite while U^T U overflows to inf.  A
+    # stochastic run fails in the curvature; bpg takes none and fails in
+    # the prox, whose gradient step overflows.
     x0 = FactorPair(np.full((8, 2), 1e155), np.zeros((2, 10)))
     with pytest.raises(ValueError, match="non-finite"):
         small_gnmf.local_lipschitz(x0)
-    res = run(small_gnmf, SolverConfig(algorithm="bpg", max_epochs=5), x0)
+    res = run(small_gnmf, SolverConfig(algorithm=algorithm, max_epochs=5), x0)
     assert res.failed
-    assert res.message.startswith("iteration 0: spectral_norm")
+    assert res.message.startswith(f"iteration 0: {failing_call}")
 
 
 # -- rate check -------------------------------------------------------------
