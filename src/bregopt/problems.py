@@ -391,7 +391,11 @@ class Problem:
         return True
 
     def local_lipschitz(self, x_bar: FactorPair) -> float:
-        """Blockwise curvature bound at x_bar, the stochastic variants' step.
+        """Blockwise Euclidean curvature bound at x_bar.
+
+        ``run`` no longer reads it: every variant steps at a multiple of
+        1/L_bar.  It stays until ROADMAP item 4 deletes it with the
+        benchmark's per-layer names that trace it.
 
         max of |V V^T|_2 (+ mu0 |L|_2 for the graph kind) over the U block
         and |U^T U|_2 over the V block.  Both Gram matrices are r x r and
