@@ -564,10 +564,30 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class LaplacianConfig:
+    """A Laplacian read from ``path``, or else the kNN graph that
+    ``build_knn_laplacian`` builds over the rows of M.  ``neighbors`` below
+    the rows of M is checked against the data, before any solve."""
+
     path: str | None = None
     neighbors: int = 5
     weighting: str = "binary"
     sigma: float | None = None
+
+    def __post_init__(self):
+        where = "problem.laplacian"
+        if self.weighting not in ("binary", "heat"):
+            raise ConfigError(
+                f"{where}.weighting must be 'binary' or 'heat', got {self.weighting!r}"
+            )
+        if self.neighbors < 1:
+            raise ConfigError(f"{where}.neighbors must be >= 1, got {self.neighbors}")
+        if self.sigma is not None and self.weighting != "heat":
+            raise ConfigError(
+                f"{where}.sigma is unused with {self.weighting!r} weighting: "
+                "set weighting to 'heat', or drop sigma"
+            )
+        if self.sigma is not None and self.sigma <= 0.0:
+            raise ConfigError(f"{where}.sigma must be > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -655,8 +675,9 @@ class ExperimentConfig:
         over that block, so a bad entry fails before anything runs.  Two
         entries that run as the same combo would write the same files.  A
         solver seed is rejected: each trial's comes from the top-level one,
-        and so is a problem key that only another kind reads, or a
-        Laplacian block that mu0 = 0 leaves unread."""
+        and so is a problem key that only another kind reads, a Laplacian
+        block that mu0 = 0 leaves unread, or a kNN key beside the Laplacian
+        file that replaces the kNN graph."""
         cfg = _from_dict(ExperimentConfig, d, "")
         kind = cfg.problem.kind
         own = _KIND_KEYS[kind]
@@ -671,6 +692,13 @@ class ExperimentConfig:
                 "problem.laplacian is unused while problem.mu0 is 0: set "
                 "problem.mu0 > 0 for the graph term, or drop the block"
             )
+        if cfg.problem.laplacian.path is not None:
+            beside = sorted(set(d["problem"]["laplacian"]) - {"path"})
+            if beside:
+                raise ConfigError(
+                    f"problem.laplacian.{beside[0]} is unused beside "
+                    "problem.laplacian.path, whose file is the Laplacian"
+                )
         solver = d.get("solver", {})
         compare = {f"compare[{i}]": e for i, e in enumerate(cfg.compare or ())}
         for where, entry in {"solver": solver, **compare}.items():
@@ -727,6 +755,12 @@ def build_experiment_problem(cfg: ExperimentConfig, m_data: np.ndarray) -> Probl
         elif lap.path is not None:
             params["laplacian"] = load_matrix(lap.path)
         else:
+            rows = m_data.shape[0]
+            if lap.neighbors >= rows:
+                raise ConfigError(
+                    f"problem.laplacian.neighbors = {lap.neighbors} must be "
+                    f"below the {rows} rows of M"
+                )
             params["laplacian"] = build_knn_laplacian(
                 m_data, lap.neighbors, lap.weighting, lap.sigma
             )
@@ -912,7 +946,8 @@ def _prepare(cfg: ExperimentConfig):
     start points, their hashes), each start drawn once for every variant.
 
     The clustering block (with the labels file of file data) and an emitted
-    ``basis_shape`` are checked against the data here, before any solve and
+    ``basis_shape`` are checked against the data here, and the kNN graph's
+    ``neighbors`` in ``build_experiment_problem``: before any solve and
     before the output directory is made.
     """
     t0 = time.perf_counter()

@@ -1403,19 +1403,83 @@ def test_cli_rejects_a_laplacian_that_mu0_zero_leaves_unread(
     monkeypatch.setattr(harness, "run", _no_solve)
     problem = {"kind": "gnmf", "rank": 2, "data": {"path": str(tmp_path / "none.csv")}}
     out = tmp_path / "out"
-    argv = [
+    path_only = [
         "run", "--set", f"problem={json.dumps(problem)}",
         "--set", "problem.laplacian.path=/nonexistent/L.csv",
-        "--set", "problem.laplacian.neighbors=4",
         "--out", str(out), "--quiet",
     ]
+    argv = path_only + ["--set", "problem.laplacian.neighbors=4"]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert "config error: problem.laplacian is unused while problem.mu0 is 0" in err
     assert not out.exists()
-    # With mu0 > 0 the block is read, and the data load fails first.
+    # With mu0 > 0 the block is read: the file replaces the kNN graph, so
+    # its neighbors go unread.
     assert cli_main(argv + ["--set", "problem.mu0=0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: problem.laplacian.neighbors is unused beside" in err
+    # The path alone is read, and the data load fails first.
+    assert cli_main(path_only + ["--set", "problem.mu0=0.1"]) == 1
     assert "data file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "audit"])
+@pytest.mark.parametrize(
+    "laplacian, message",
+    [
+        (
+            '{"weighting":"gauss"}',
+            "problem.laplacian.weighting must be 'binary' or 'heat', got 'gauss'",
+        ),
+        ('{"neighbors":0}', "problem.laplacian.neighbors must be >= 1, got 0"),
+        (
+            '{"neighbors":12}',
+            "problem.laplacian.neighbors = 12 must be below the 12 rows of M",
+        ),
+        ('{"weighting":"heat","sigma":0.0}', "problem.laplacian.sigma must be > 0"),
+        ('{"weighting":"heat","sigma":-1.0}', "problem.laplacian.sigma must be > 0"),
+        (
+            '{"sigma":-1.0}',
+            "problem.laplacian.sigma is unused with 'binary' weighting",
+        ),
+        (
+            '{"weighting":"binary","sigma":2.0}',
+            "problem.laplacian.sigma is unused with 'binary' weighting",
+        ),
+        *(
+            (
+                f'{{"path":"/nonexistent/L.csv",{entry}}}',
+                f"problem.laplacian.{key} is unused beside problem.laplacian.path",
+            )
+            for key, entry in (
+                ("neighbors", '"neighbors":5'),
+                ("weighting", '"weighting":"binary"'),
+                ("sigma", '"weighting":"heat","sigma":1.0'),
+            )
+        ),
+    ],
+)
+def test_cli_rejects_a_bad_laplacian_block_before_solving(
+    tmp_path, capsys, monkeypatch, verb, laplacian, message
+):
+    monkeypatch.setattr(harness, "run", _no_solve)
+    out = tmp_path / "out"
+    code = cli_main(
+        [
+            verb,
+            "--set",
+            'problem={"kind":"gnmf","rank":2,"mu0":0.1,'
+            '"data":{"synthetic":{"m":12,"d":8,"r_true":2}}}',
+            "--set",
+            f"problem.laplacian={laplacian}",
+            "--out",
+            str(out),
+            "--quiet",
+        ]
+    )
+    assert code == 1
+    assert f"bregopt: config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_an_unknown_kind_before_loading_data(tmp_path, capsys):

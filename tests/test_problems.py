@@ -7,7 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bregopt import problems
 from bregopt.kernels import FactorPair, KernelSpec
 from bregopt.numeric import make_rng
 from bregopt.problems import (
@@ -550,7 +553,28 @@ def test_graph_operator_is_chosen_by_density(m, sparse):
     assert isinstance(got, np.ndarray)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert prob._graph_value(u) == pytest.approx(0.5 * np.vdot(u, want), rel=1e-12)
-    assert prob._norm_l_2 == pytest.approx(np.linalg.norm(lap, 2), rel=1e-12)
+    want = 0.4 * np.linalg.norm(lap, 2)
+    assert prob._graph_operator_norm() == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [60, 200])
+def test_building_a_gnmf_problem_takes_no_spectral_norm(m, monkeypatch):
+    # |L|_2 is an O(m^3) eigensolve that only ``local_lipschitz`` reads, so
+    # it is taken when asked for, not when the problem is built.
+    shapes = []
+    spectral_norm = problems.spectral_norm
+
+    def counted(a):
+        shapes.append(a.shape)
+        return spectral_norm(a)
+
+    monkeypatch.setattr(problems, "spectral_norm", counted)
+    m_data = make_rng(30).uniform(0.1, 1.0, (m, 40))
+    lap = build_knn_laplacian(m_data, p_neighbors=5)
+    prob = build_problem("gnmf", m_data, 3, mu0=0.4, laplacian=lap)
+    assert shapes == []
+    prob._graph_operator_norm()
+    assert shapes == [(m, m)]
 
 
 # -- proximal step ----------------------------------------------------------
@@ -696,6 +720,90 @@ def test_knn_laplacian_validation():
         build_knn_laplacian(pts, p_neighbors=1, weighting="gauss")
     with pytest.raises(ValueError):
         build_knn_laplacian(pts, p_neighbors=1, weighting="heat", sigma=-1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weighting", ["binary", "heat"])
+def test_knn_laplacian_rejects_overflowing_distances(weighting):
+    # Squares of 1e155 overflow: the distances would be NaN.
+    pts = make_rng(44).choice([-1e155, 1e155], size=(6, 2))
+    with pytest.raises(ValueError, match="squared distances .* overflow"):
+        build_knn_laplacian(pts, p_neighbors=2, weighting=weighting)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_knn_laplacian_rejects_an_overflowing_default_sigma():
+    # A hexagon of radius 6.3e153: each squared distance, 4e307, is finite,
+    # but their sum, and with it the default sigma, is not.
+    angles = np.arange(6) * np.pi / 3.0
+    pts = 6.3e153 * np.column_stack([np.cos(angles), np.sin(angles)])
+    lap = build_knn_laplacian(pts, p_neighbors=2, weighting="heat", sigma=1e308)
+    assert np.isfinite(lap).all()
+    with pytest.raises(ValueError, match="mean squared neighbor distance overflows"):
+        build_knn_laplacian(pts, p_neighbors=2, weighting="heat")
+
+
+def knn_laplacian_oracle(x, p, weighting, sigma):
+    """The kNN Laplacian with each row's neighbors from a stable argsort of
+    the whole row of squared distances, nearest first."""
+    n = x.shape[0]
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :p]
+    rows = np.repeat(np.arange(n), p)
+    cols = nearest.ravel()
+    w = np.zeros((n, n))
+    if weighting == "binary":
+        w[rows, cols] = 1.0
+    else:
+        dsel = d2[rows, cols]
+        if sigma is None:
+            sigma = float(dsel.mean()) or 1.0
+        w[rows, cols] = np.exp(-dsel / sigma)
+    w = np.maximum(w, w.T)
+    return np.diag(w.sum(axis=1)) - w
+
+
+@st.composite
+def tie_heavy_knn_cases(draw):
+    """(points, p, weighting, sigma): rows drawn from a small pool of
+    small-integer points, so equal distances and duplicate rows are common.
+    A scale of 0.1 or 1/3 makes the distances inexact, so a default sigma
+    summed in another order than the oracle's takes other bits."""
+    m = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    pool = draw(st.lists(coords, min_size=1, max_size=m))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    p = draw(st.sampled_from([1, m - 1]) | st.integers(1, m - 1))
+    weighting = draw(st.sampled_from(["binary", "heat"]))
+    sigma = draw(st.none() | st.floats(0.1, 10.0))
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+    return scale * np.array([pool[i] for i in picks]), p, weighting, sigma
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(case=(np.zeros((4, 2)), 1, "heat", None))
+@example(case=(np.array([[0.0], [1.0], [-1.0], [2.0], [-2.0]]), 4, "heat", None))
+@example(case=(np.array([[0.0], [1.0], [-1.0], [1.0], [0.0]]), 2, "binary", None))
+@given(case=tie_heavy_knn_cases())
+def test_knn_selection_matches_a_stable_full_sort(case):
+    x, p, weighting, sigma = case
+    got = build_knn_laplacian(x, p, weighting, sigma)
+    assert np.array_equal(got, knn_laplacian_oracle(x, p, weighting, sigma))
+
+
+@pytest.mark.parametrize("m,sparse", [(60, False), (200, True)])
+@pytest.mark.parametrize("ties", [False, True])
+def test_knn_selection_matches_a_stable_full_sort_at_scale(m, sparse, ties):
+    rng = make_rng(45)
+    x = rng.integers(0, 3, (m, 4)) / 3.0 if ties else rng.uniform(0.1, 1.0, (m, 40))
+    for weighting, sigma in (("binary", None), ("heat", None), ("heat", 0.5)):
+        lap = build_knn_laplacian(x, 5, weighting, sigma)
+        assert np.array_equal(lap, knn_laplacian_oracle(x, 5, weighting, sigma))
+        prob = build_problem("gnmf", x, 3, mu0=0.4, laplacian=lap)
+        assert scipy.sparse.issparse(prob.laplacian) == sparse
 
 
 def test_gnmf_accepts_its_own_knn_laplacian():
