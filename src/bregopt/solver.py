@@ -1,9 +1,9 @@
 """The extrapolated Bregman proximal loop and its theory diagnostics.
 
-One iteration: extrapolate the current iterate, query a gradient estimator
-at the extrapolated point, pick a step size no larger than the previous one,
-and apply the closed-form Bregman proximal step.  Four named variants are
-thin restrictions of the same loop:
+A run fixes its step and kernel once, before its first iteration.  One
+iteration: extrapolate the current iterate, query a gradient estimator at
+the extrapolated point, and apply the closed-form Bregman proximal step.
+Four named variants are thin restrictions of the same loop:
 
     bpg    full gradient, no extrapolation
     bpge   full gradient, extrapolation
@@ -17,8 +17,8 @@ satisfies the distance-growth inequality
     D_psi(x_k, x_bar_k) <= (delta - eps)/(1 + L_under * eta_{k-1})
                            * D_psi(x_{k-1}, x_k)
 
-that the descent analysis assumes, with delta = 0.99 and L_under the previous
-step's effective constant.  L_bar is the global smooth-adaptability constant
+that the descent analysis assumes, with delta = 0.99 and L_under the run's
+effective constant.  L_bar is the global smooth-adaptability constant
 (1 for every prescribed kernel).  No variant takes a curvature: full-gradient
 variants step at 1/L_bar, the step of the smooth-adaptable descent lemma,
 and stochastic variants at c_b/L_bar, c_b = min(1/2, sqrt(b/n)) for
@@ -229,6 +229,8 @@ def extrapolate(
     Safeguarded mode halves the scheduled beta (at most 50 times, then 0)
     until the distance-growth inequality holds; if the last two iterates
     coincide the right-hand side is zero and beta collapses to 0.
+    ``eta_prev`` is the step that produced x_k and ``l_under`` its
+    effective constant, in ``run`` the run's fixed step and L_under.
     ``d_prev`` is D(x_{k-1}, x_k) under ``kernel`` when the caller already
     holds it; None computes it.
     """
@@ -256,22 +258,17 @@ def extrapolate(
     return x_k, 0.0
 
 
-def step_size(
-    problem: Problem,
-    x_bar: FactorPair,
-    eta_prev: float,
-    cfg: SolverConfig,
-) -> tuple[float, float, bool]:
-    """(eta_k, effective upper constant, floor hit?) at the extrapolated point.
+def step_size(problem: Problem, cfg: SolverConfig) -> tuple[float, float, bool]:
+    """(eta, effective upper constant, floor hit?), the step of every
+    iteration of a run.
 
     Every variant needs only smooth adaptability (L_bar = ``l_bar``) and takes
-    no curvature: eta_k = min(eta_prev, c/L_bar) = c/L_bar, and the
-    effective constant (the safeguard's L_under) is L_bar/c.  Full-gradient
-    variants (bpg, bpge) take c = 1, the step of the smooth-adaptable descent
-    lemma.  Stochastic variants (bpsg, bpsge) take c_b = min(1/2, sqrt(b/n)),
-    b the effective batch size over n columns: 1/2 at b = n and 0.224 at the
-    5% default.  c_b depends on b/n alone, so the step is scale-free, as the
-    full-gradient one is.  It shrinks with the batch share because the
+    no curvature: eta = c/L_bar, and the effective constant (the safeguard's
+    L_under) is L_bar/c.  Full-gradient variants (bpg, bpge) take c = 1, the
+    step of the smooth-adaptable descent lemma.  Stochastic variants (bpsg,
+    bpsge) take c_b = min(1/2, sqrt(b/n)), b the effective batch size over n
+    columns: 1/2 at b = n and 0.224 at the 5% default.  c_b depends on b/n
+    alone, so the step is scale-free, as the full-gradient one is.  It shrinks with the batch share because the
     estimator's error grows as the share falls: measured stability
     boundaries are about 0.2-0.25 at b/n = 1/40 and 0.1-0.2 at b/n = 1/200,
     and a fixed 1/2 blows wcmf bpsge up at b = 1.  The branch follows
@@ -286,7 +283,7 @@ def step_size(
         n = problem.n_samples
         c = min(0.5, math.sqrt(effective_batch_size(cfg.batch_size, n) / n))
     l_eff = cfg.l_bar / c
-    eta = min(eta_prev, c / cfg.l_bar)
+    eta = c / cfg.l_bar
     alpha = problem.weak_convexity
     if cfg.strict_theory_stepsize and alpha > 0.0:
         eta = min(eta, (1.0 - _DELTA) / alpha)
@@ -377,12 +374,12 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
     epoch's last iterate and its other scalars as epoch means, so a failed
     epoch adds no row), per-iteration audit records when auditing is
     enabled, and a failure flag with the iteration number if a step fails.
-    An audited step's ``bregman_prev``, D(x_{k-1}, x_k) under this step's
-    kernel, is the previous step's Bregman step when the kernel is unchanged
-    (always for gnmf and ssnmf, for wcmf while eta holds) and is computed
-    otherwise, as at k = 0.  The run stops early once the per-epoch mean
-    Bregman step stays below ``stop_tol`` for 3 consecutive epochs.  SARAH
-    restarts once per epoch in expectation.
+    The step, its kernel and L_under are fixed before the first iteration
+    (see ``step_size``); ``hit_eta_floor`` reports a floored step only if
+    the run took one.  An audited step's ``bregman_prev``, D(x_{k-1}, x_k),
+    is the previous step's Bregman step, 0 at k = 0.  The run stops early
+    once the per-epoch mean Bregman step stays below ``stop_tol`` for 3
+    consecutive epochs.  SARAH restarts once per epoch in expectation.
     """
     cfg = cfg.resolved()
     _validate_start(problem, x0)
@@ -392,11 +389,12 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
     (est_rng,) = spawn_rngs(cfg.seed, 1)
     estimator = make_estimator(cfg.estimator, problem, batch, rng=est_rng)
+    eta, l_eff, floored = step_size(problem, cfg)
+    kern = problem.kernel(eta)
 
     # (U^T M, M V^T) at x_k and x_{k-1}, for full-gradient runs only
     full = cfg.estimator == "full"
     prods = problem.data_products(x0) if full else None
-    eta_prev = 1.0 / cfg.l_bar  # the first step's upper bound
     x0_feasible = problem.is_feasible(x0)
     value = problem.objective if x0_feasible else problem.smooth_value
     obj0 = value(x0, prods)
@@ -405,23 +403,21 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
             epoch=0,
             objective=obj0,
             bregman_step=0.0,
-            eta=eta_prev,
+            eta=1.0 / cfg.l_bar,  # an upper bound on the step, not a step taken
             beta=0.0,
             wall_ms=0.0,
             feasible=x0_feasible,
         )
     ]
 
-    result = RunResult(x=x0, trace=trace)
+    result = RunResult(x=x0, trace=trace, hit_eta_floor=floored and cfg.max_epochs > 0)
     if cfg.keep_iterates:
         result.iterates = [x0]
 
     x_km1 = x0
     x_k = x0
     prods_prev = prods
-    kern_prev = problem.kernel(eta_prev)
-    d_last = math.nan  # D(x_{k-1}, x_k) under kern_prev, from the last step
-    l_prev = 0.0  # L_under; no step has set it yet
+    d_last = 0.0  # D(x_{k-1}, x_k), from the last step
     k_global = 0
     quiet_epochs = 0
 
@@ -435,19 +431,13 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
         for step in range(steps_per_epoch):
             last = step == steps_per_epoch - 1
             audited = cfg.audit_per_iteration or (last and audit_epoch)
-            x_bar, beta = extrapolate(
-                x_k, x_km1, k_global, cfg, kern_prev, eta_prev, l_prev, d_last
-            )
+            x_bar, beta = extrapolate(x_k, x_km1, k_global, cfg, kern, eta, l_eff, d_last)
             try:
                 if full:
                     prods_bar = _extrapolated(prods, prods_prev, beta)
                     g = estimator.estimate(x_bar, prods_bar)
                 else:
                     g = estimator.estimate(x_bar)
-                eta, l_eff, floored = step_size(problem, x_bar, eta_prev, cfg)
-                if floored:
-                    result.hit_eta_floor = True
-                kern = problem.kernel(eta)
                 x_next = problem.prox_step(g, x_bar, eta)
                 prods_next = problem.data_products(x_next) if full else None
                 if last or audited:  # only the trace and audits read it
@@ -466,15 +456,11 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
             if audited:
                 aud = estimator.audit(x_bar, g)
-                if k_global > 0 and kern == kern_prev:
-                    d_prev = d_last
-                else:
-                    d_prev = bregman_distance(kern, x_km1, x_k)
                 psi = lyapunov(
                     eta,
                     obj,
                     d_next,
-                    d_prev,
+                    d_last,
                     aud.gamma,
                     cfg.epsilon,
                     alpha=problem.weak_convexity,
@@ -489,7 +475,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                         epoch=epoch,
                         objective=obj,
                         bregman_step=d_next,
-                        bregman_prev=d_prev,
+                        bregman_prev=d_last,
                         step_sq=step_diff.norm_sq(),
                         lyapunov=psi,
                         stationarity=wit,
@@ -503,8 +489,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
             x_km1, x_k = x_k, x_next
             prods_prev, prods = prods, prods_next
-            eta_prev, kern_prev, d_last = eta, kern, d_next
-            l_prev = l_eff
+            d_last = d_next
             k_global += 1
             if cfg.keep_iterates:
                 result.iterates.append(x_next)

@@ -19,8 +19,8 @@ def test_digest_repeats_and_names_a_moved_field(tmp_path, capsys):
     first = digest.main(["--tiny", "--dump", str(dump)])
     assert first == hashlib.sha256(dump.read_bytes()).hexdigest()
     values = json.loads(dump.read_text(encoding="utf-8"))
-    # 3 kinds x (8 variants x 5 settings of run + 4 CLI calls)
-    assert len(values) == 3 * (8 * 5 + 4)
+    # 3 kinds x (8 variants x 8 settings of run + 4 CLI calls)
+    assert len(values) == 3 * (8 * 8 + 4)
     assert not any("wall" in name for call in values.values() for name in call)
     assert all(call["exit"] == 0 for key, call in values.items() if key.startswith("cli"))
 

@@ -164,7 +164,6 @@ def test_step_size_inverse_curvature(small_gnmf, monkeypatch):
         raise AssertionError("stochastic steps take no curvature")
 
     monkeypatch.setattr(Problem, "local_lipschitz", no_curvature)
-    x = start_point(small_gnmf)
     for algorithm, batch_size, c_b in [
         ("bpsge", 0, math.sqrt(0.1)),  # the 5% default, at least b = 1
         ("bpsge", 2, math.sqrt(0.2)),
@@ -172,33 +171,59 @@ def test_step_size_inverse_curvature(small_gnmf, monkeypatch):
         ("bpsge", 50, 0.5),  # clamped to b = n
     ]:
         cfg = SolverConfig(algorithm=algorithm, batch_size=batch_size, l_bar=2.0)
-        eta, l_eff, floored = step_size(small_gnmf, x, 1e6, cfg)
+        eta, l_eff, floored = step_size(small_gnmf, cfg)
         assert eta == c_b / 2.0 and l_eff == 2.0 / c_b
         assert not floored
-        # Never exceeds the previous step.
-        eta2, _, _ = step_size(small_gnmf, x, eta / 2, cfg)
-        assert eta2 == eta / 2
 
 
 def test_step_size_strict_mode_caps(small_gnmf):
     cfg = SolverConfig(strict_theory_stepsize=True, l_bar=5.0)
-    x = start_point(small_gnmf)
     # n = 10 columns and the default batch b = 1: c_b = sqrt(0.1) < 1, so
     # the stochastic step sits below the strict cap 1/L_bar.
-    eta, l_eff, _ = step_size(small_gnmf, x, 10.0, cfg)
+    eta, l_eff, _ = step_size(small_gnmf, cfg)
     assert eta == pytest.approx(math.sqrt(0.1) / 5.0)
     assert l_eff == pytest.approx(5.0 / math.sqrt(0.1)) and l_eff >= 5.0
     # A weakly convex problem additionally caps by (1 - delta)/alpha.
     wprob = build_problem("wcmf", small_gnmf.m_data, 2, lambda1=0.5, lambda2=0.1)
-    eta, _, _ = step_size(wprob, x, 10.0, cfg)
+    eta, _, _ = step_size(wprob, cfg)
     assert eta <= (1.0 - 0.99) / 0.1 + 1e-12
 
 
 def test_step_size_floor(small_gnmf):
-    cfg = SolverConfig()
+    eta, _, floored = step_size(small_gnmf, SolverConfig(l_bar=1e9))
+    assert eta == solver._ETA_FLOOR == 1e-8 and floored
+
+
+@pytest.mark.parametrize(
+    "variant", [{"algorithm": "bpg"}, {"estimator": "saga"}], ids=["bpg", "bpsge-saga"]
+)
+def test_run_reports_the_floor_only_if_it_took_a_step(small_gnmf, variant):
+    # At l_bar = 1e9 every variant's step c/l_bar falls below the floor: a
+    # run that steps takes 1e-8 and says so; a 0-epoch run takes no step.
     x = start_point(small_gnmf)
-    eta, _, floored = step_size(small_gnmf, x, solver._ETA_FLOOR / 10, cfg)
-    assert eta == solver._ETA_FLOOR and floored
+    cfg = SolverConfig(l_bar=1e9, max_epochs=2, **variant)
+    res = run(small_gnmf, cfg, x)
+    assert not res.failed and res.hit_eta_floor
+    assert [t.eta for t in res.trace[1:]] == [1e-8, 1e-8]
+    assert not run(small_gnmf, replace(cfg, max_epochs=0), x).hit_eta_floor
+
+
+@pytest.mark.parametrize(
+    "variant", [{"algorithm": "bpg"}, {"estimator": "saga"}], ids=["bpg", "bpsge-saga"]
+)
+def test_run_fixes_its_step_once(small_gnmf, variant, monkeypatch):
+    # The step is a constant of the run: one step_size call, not one per
+    # iteration (3 for bpg, 30 for bpsge at b = 1 of n = 10).
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step_size(*args)
+
+    monkeypatch.setattr(solver, "step_size", counted)
+    res = run(small_gnmf, SolverConfig(max_epochs=3, **variant), start_point(small_gnmf))
+    assert not res.failed and res.iterations_run >= 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("algorithm", ["bpg", "bpge"])
@@ -213,14 +238,12 @@ def test_full_gradient_step_is_one_over_l_bar(small_gnmf, algorithm, monkeypatch
     x = start_point(small_gnmf)
     for estimator in ("saga", "full"):
         cfg = SolverConfig(algorithm=algorithm, estimator=estimator, l_bar=3.0)
-        for eta_prev in (1.0 / 3.0, 10.0):
-            assert step_size(small_gnmf, x, eta_prev, cfg) == (1.0 / 3.0, 3.0, False)
-        assert step_size(small_gnmf, x, 0.125, cfg) == (0.125, 3.0, False)
+        assert step_size(small_gnmf, cfg) == (1.0 / 3.0, 3.0, False)
     # Strict mode on a weakly convex problem still caps by (1 - delta)/alpha.
     wprob = build_problem("wcmf", small_gnmf.m_data, 2, lambda1=0.5, lambda2=0.1)
     cfg = SolverConfig(algorithm=algorithm, strict_theory_stepsize=True)
     cap = (1.0 - solver._DELTA) / 0.1
-    assert step_size(wprob, x, 1.0, cfg) == (cap, 1.0, False)
+    assert step_size(wprob, cfg) == (cap, 1.0, False)
     res = run(wprob, replace(cfg, max_epochs=5), x)
     assert not res.failed and [t.eta for t in res.trace[1:]] == [cap] * 5
     # Without strict mode a run steps at 1/l_bar throughout.
@@ -555,18 +578,13 @@ def test_run_audit_bregman_prev_is_the_previous_step(kind):
     assert not res.failed
     recs, xs = res.audits, res.iterates
     assert recs[0].bregman_prev == 0.0
-    if kind == "wcmf":
-        # The kernel follows eta, which holds from step 0 on: every later
-        # step reuses the last one, and that equals D(x_{k-1}, x_k) taken
-        # again under kernel(eta).
-        assert len({rec.eta for rec in recs}) == 1
-        for k in range(1, len(recs)):
-            assert recs[k].bregman_prev == recs[k - 1].bregman_step
-            want = bregman_distance(problem.kernel(recs[k].eta), xs[k - 1], xs[k])
-            assert recs[k].bregman_prev == want
-    else:
-        for prev, rec in zip(recs, recs[1:]):
-            assert rec.bregman_prev == prev.bregman_step
+    # The run's one kernel(eta) gives every step: each later step reuses the
+    # last one, and that equals D(x_{k-1}, x_k) taken again under it.
+    assert len({rec.eta for rec in recs}) == 1
+    kern = problem.kernel(recs[0].eta)
+    for k in range(1, len(recs)):
+        assert recs[k].bregman_prev == recs[k - 1].bregman_step
+        assert recs[k].bregman_prev == bregman_distance(kern, xs[k - 1], xs[k])
 
 
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
@@ -647,10 +665,9 @@ def test_bpg_iterates_match_a_direct_per_step_oracle(kind, audit):
     x = start_point(problem)
     res = run(problem, cfg, x)
     assert not res.failed and len(res.iterates) == 26
-    eta = 1.0 / cfg.l_bar
+    eta = step_size(problem, cfg)[0]
     for k, x_run in enumerate(res.iterates[1:]):
         g = problem.full_gradient(x)
-        eta = step_size(problem, x, eta, cfg)[0]
         x_next = problem.prox_step(g, x, eta)
         assert x_next.u.tobytes() == x_run.u.tobytes()
         assert x_next.v.tobytes() == x_run.v.tobytes()
@@ -674,11 +691,10 @@ def test_bpge_steps_match_a_direct_pass_at_the_extrapolated_point(kind, beta_mod
     xs = res.iterates
     assert not res.failed and len(xs) == 26
     assert sum(t.beta > 0.0 for t in res.trace) > 10
-    eta = 1.0 / cfg.l_bar
+    eta = step_size(problem, cfg)[0]
     for k in range(25):
         beta = res.trace[k + 1].beta  # one step per epoch
         x_bar = xs[k] + (xs[k] - xs[k - 1 if k else 0]).scale(beta)
-        eta = step_size(problem, x_bar, eta, cfg)[0]
         x_next = problem.prox_step(problem.full_gradient(x_bar), x_bar, eta)
         assert (x_next - xs[k + 1]).norm() <= 1e-12 * xs[k + 1].norm()
 
@@ -896,7 +912,7 @@ def test_fixed_half_step_is_unstable_at_batch_one(monkeypatch):
     # Negative control for the test above: a constant c = 1/2, ignoring the
     # batch share, ended 8 of these 20 runs above their epoch-1 objective,
     # 6 of them wcmf runs blown up to finite values of 1e26-1e58 |M|^2/2.
-    def half_step(problem, x_bar, eta_prev, cfg):
+    def half_step(problem, cfg):
         return 0.5 / cfg.l_bar, 2.0 * cfg.l_bar, False
 
     monkeypatch.setattr(solver, "step_size", half_step)

@@ -8,8 +8,9 @@
 
 The grid calls ``solver.run`` on the three problem kinds (24x18 synthetic
 data, rank 3, 6 epochs) with the eight variants of ``bregopt compare`` under
-five settings: plain, audited at every step, audited every 2 epochs,
-safeguarded extrapolation with the strict step, and 0 epochs.  Then, per
+eight settings: plain, audited at every step, audited every 2 epochs,
+safeguarded extrapolation with the strict step and without it, 0 epochs,
+and L_bar = 1e9 (a step at the 1e-8 floor) for 6 and for 0 epochs.  Then, per
 kind, it calls ``bregopt run`` (2 trials, clustering, per-trial CSVs),
 ``bregopt compare`` (the default grid, 2 trials) and ``bregopt audit`` with
 saga and with sarah.  The digest covers every returned point, ``failed``,
@@ -61,6 +62,9 @@ MODES = {
     "audit_every_2": {"audit_every": 2},
     "safeguarded_strict": {"beta_mode": "safeguarded", "strict_theory_stepsize": True},
     "zero_epochs": {"max_epochs": 0},
+    "safeguarded": {"beta_mode": "safeguarded"},
+    "floored": {"l_bar": 1e9},
+    "floored_zero": {"l_bar": 1e9, "max_epochs": 0},
 }
 KINDS = ("gnmf", "wcmf", "ssnmf")
 # (m, d, rank, epochs); the synthetic data has one cluster per rank
