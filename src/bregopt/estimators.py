@@ -226,14 +226,18 @@ class SAGA(GradientEstimator):
         stored_v = self._v[:, idx]
         stored_w = self._w[:, idx]
 
-        d_outer = fresh_a @ fresh_v.T - stored_a @ stored_v.T
+        d_outer = fresh_a @ fresh_v.T
+        d_outer -= stored_a @ stored_v.T
         d_w = fresh_w - stored_w
-        gu = d_outer / b + self._avg_u
+        gu = d_outer / b
+        gu += self._avg_u
         gv = self._avg_v.copy()
         gv[:, idx] += d_w / b
 
-        self._avg_u += d_outer / n
-        self._avg_v[:, idx] += d_w / n
+        d_outer /= n
+        self._avg_u += d_outer
+        d_w /= n
+        self._avg_v[:, idx] += d_w
         self._a[:, idx] = fresh_a
         self._v[:, idx] = fresh_v
         self._w[:, idx] = fresh_w
@@ -293,9 +297,14 @@ class SARAH(GradientEstimator):
             fresh_a, fresh_v, fresh_w = self.problem.batch_table(x_bar, idx)
             old_a, old_v, old_w = self.problem.batch_table(self._prev_point, idx)
             b = self.batch_size
-            gu = self._prev_est.u + (fresh_a @ fresh_v.T - old_a @ old_v.T) / b
+            gu = fresh_a @ fresh_v.T
+            gu -= old_a @ old_v.T
+            gu /= b
+            gu += self._prev_est.u
             gv = self._prev_est.v.copy()
-            gv[:, idx] += (fresh_w - old_w) / b
+            fresh_w -= old_w
+            fresh_w /= b
+            gv[:, idx] += fresh_w
             g_data = FactorPair._unchecked(gu, gv)
         self._prev_est = g_data
         self._prev_point = x_bar

@@ -91,7 +91,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .kernels import FactorPair, KernelSpec, kernel_gradient, kernel_value
+from .kernels import (
+    FactorPair, KernelSpec, _kernel_gradient, kernel_gradient, kernel_value
+)
 from .numeric import (
     as_dense,
     cubic_root,
@@ -436,24 +438,41 @@ class Problem:
     def _prox_shapes(self, neg_p: np.ndarray, neg_q: np.ndarray, eta: float):
         raise NotImplementedError
 
-    def prox_step(self, grad: FactorPair, x_bar: FactorPair, eta: float) -> FactorPair:
+    def prox_step(
+        self,
+        grad: FactorPair,
+        x_bar: FactorPair,
+        eta: float,
+        kernel: KernelSpec | None = None,
+        sq_norm: float | None = None,
+    ) -> FactorPair:
         """Closed-form minimizer of h(x) + <grad, x - x_bar> + D_psi(x, x_bar)/eta.
 
-        psi is ``self.kernel(eta)``.  The minimizer lies on the ray through
+        psi is ``self.kernel(eta)``, or ``kernel`` when the caller already
+        holds that spec; ``sq_norm`` is ``x_bar.norm_sq()`` when the caller
+        already holds it.  The minimizer lies on the ray through
         shapes (A, B) obtained by the kind-specific operator applied to the
         gradient step -P = grad psi(x_bar) - eta * grad, which must be finite
         (ValueError otherwise); the radius solves a (|A|^2 + |B|^2) t^3 + b t = 1
-        with (a, b) the kernel's quartic and quadratic coefficients.  Output is
-        built by the checked constructor and is exactly feasible for the
-        constrained kinds.
+        with (a, b) the kernel's quartic and quadratic coefficients.  The
+        output is exactly feasible for the constrained kinds.
+
+        Every entry of t (A, B) is at most t sqrt(|A|^2 + |B|^2) in
+        magnitude, so one check that this number is finite (ValueError
+        otherwise) checks the whole output.  For the prescribed quartic
+        a = 3 it always holds once the gradient step and S = |A|^2 + |B|^2
+        are finite: a S t^3 <= 1 gives t sqrt(S) <= S^(1/6) / 3^(1/3),
+        below 2e51 for any finite S.  An infinite S fails in ``cubic_root``.
         """
         self._check_point(x_bar)
         if not (np.isfinite(eta) and eta > 0.0):
             raise ValueError(f"eta must be positive and finite, got {eta}")
         if grad.shape != self.shape:
             raise ValueError("gradient shape mismatch")
-        kernel = self.kernel(eta)
-        gpsi = kernel_gradient(kernel, x_bar)
+        kernel = self.kernel(eta) if kernel is None else kernel
+        gpsi = _kernel_gradient(
+            kernel, x_bar, x_bar.norm_sq() if sq_norm is None else sq_norm
+        )
         neg_p = gpsi.u - eta * grad.u
         neg_q = gpsi.v - eta * grad.v
         if not (np.isfinite(neg_p).all() and np.isfinite(neg_q).all()):
@@ -461,7 +480,9 @@ class Problem:
         a_shape, b_shape = self._prox_shapes(neg_p, neg_q, eta)
         ssum = float(np.vdot(a_shape, a_shape) + np.vdot(b_shape, b_shape))
         t = cubic_root(kernel.quartic * ssum, kernel.quadratic)
-        return FactorPair(t * a_shape, t * b_shape)
+        if not math.isfinite(t * math.sqrt(ssum)):
+            raise ValueError("prox_step: the new iterate has non-finite entries")
+        return FactorPair._unchecked(t * a_shape, t * b_shape)
 
     def prox_model_value(
         self,

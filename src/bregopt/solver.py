@@ -416,6 +416,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
     x_km1 = x0
     x_k = x0
+    s_k = x0.norm_sq()  # |x_k|^2, carried from the last step
     prods_prev = prods
     d_last = 0.0  # D(x_{k-1}, x_k), from the last step
     k_global = 0
@@ -438,7 +439,8 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     g = estimator.estimate(x_bar, prods_bar)
                 else:
                     g = estimator.estimate(x_bar)
-                x_next = problem.prox_step(g, x_bar, eta)
+                s_bar = s_k if x_bar is x_k else None
+                x_next = problem.prox_step(g, x_bar, eta, kernel=kern, sq_norm=s_bar)
                 prods_next = problem.data_products(x_next) if full else None
                 if last or audited:  # only the trace and audits read it
                     obj = problem.objective(x_next, prods_next)
@@ -487,7 +489,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     )
                 )
 
-            x_km1, x_k = x_k, x_next
+            x_km1, x_k, s_k = x_k, x_next, x_next.norm_sq()
             prods_prev, prods = prods, prods_next
             d_last = d_next
             k_global += 1

@@ -1,23 +1,39 @@
 """tools/digest.py on its tiny grid: the digest is the dump's sha256, holds
-no wall time, repeats, and a moved value is reported under its field."""
+no wall time, repeats, and a moved value is reported under its field; the
+script exits 0 when no field moved and 1 when one did."""
 
 import hashlib
 import importlib.util
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "digest.py")
+SCRIPT = ROOT / "tools" / "digest.py"
+_SPEC = importlib.util.spec_from_file_location("digest", SCRIPT)
 digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(digest)
 
 
-def test_digest_repeats_and_names_a_moved_field(tmp_path, capsys):
+def exit_status(monkeypatch, *argv) -> int:
+    """The status the script exits with when run as a command."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    return stop.value.code
+
+
+def test_digest_repeats_and_names_a_moved_field(tmp_path, capsys, monkeypatch):
     dump = tmp_path / "before.json"
     first = digest.main(["--tiny", "--dump", str(dump)])
     assert first == hashlib.sha256(dump.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert exit_status(monkeypatch, "--tiny", "--against", str(dump)) == 0
+    summary, line = capsys.readouterr().out.splitlines()
+    assert summary.startswith("0 of ") and line.split()[1] == first
     values = json.loads(dump.read_text(encoding="utf-8"))
     # 3 kinds x (8 variants x 8 settings of run + 4 CLI calls)
     assert len(values) == 3 * (8 * 8 + 4)
@@ -27,9 +43,9 @@ def test_digest_repeats_and_names_a_moved_field(tmp_path, capsys):
     call = values["run wcmf bpsge_saga audited"]
     call["audits.lyapunov"][3] *= 1.0 + 1e-9
     dump.write_text(json.dumps(values), encoding="utf-8")
-    capsys.readouterr()
-    assert digest.main(["--tiny", "--against", str(dump)]) == first
-    *moved, summary, _ = capsys.readouterr().out.splitlines()
+    assert exit_status(monkeypatch, "--tiny", "--against", str(dump)) == 1
+    *moved, summary, line = capsys.readouterr().out.splitlines()
+    assert line.split()[1] == first
     assert len(moved) == 1
     change, calls, name = moved[0].split(maxsplit=2)
     assert float(change) == pytest.approx(1e-9, rel=1e-3)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregopt.harness import SyntheticSpec, generate_synthetic, init_point
-from bregopt.kernels import FactorPair, bregman_distance
+from bregopt.kernels import FactorPair, KernelSpec, bregman_distance
 from bregopt import solver
 from bregopt.numeric import make_rng
 from bregopt.problems import Problem, build_knn_laplacian, build_problem
@@ -501,11 +501,11 @@ def test_run_failure_mid_epoch_records_no_partial_row(small_gnmf, monkeypatch):
     calls = []
     prox_step = small_gnmf.prox_step
 
-    def failing_prox(*args):
+    def failing_prox(*args, **kwargs):
         calls.append(None)
         if len(calls) == 7:
             raise ValueError("injected failure")
-        return prox_step(*args)
+        return prox_step(*args, **kwargs)
 
     monkeypatch.setattr(small_gnmf, "prox_step", failing_prox)
     cfg = SolverConfig(algorithm="bpsge", batch_size=3, max_epochs=5, seed=13)
@@ -528,18 +528,25 @@ def kind_problem(kind):
 
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
 def test_run_checks_each_iterate_once(kind, monkeypatch):
-    # Only the prox output is built by the checked constructor; gradients,
-    # estimates, extrapolated points and pair arithmetic are not re-checked.
+    # Each iterate is checked once, by the finiteness check of the prox that
+    # makes it; gradients, estimates, extrapolated points, pair arithmetic
+    # and the prox output are not re-checked by the checked constructor.
     problem = kind_problem(kind)
     x0 = start_point(problem)
     checked = []
     post_init = FactorPair.__post_init__
+    prox_step = problem.prox_step
 
     def counting(self):
-        checked.append(None)
+        checked.append("constructor")
         post_init(self)
 
+    def counting_prox(*args, **kwargs):
+        checked.append("prox")
+        return prox_step(*args, **kwargs)
+
     monkeypatch.setattr(FactorPair, "__post_init__", counting)
+    monkeypatch.setattr(problem, "prox_step", counting_prox)
     variants = [
         ("bpg", "full"),
         ("bpge", "full"),
@@ -560,7 +567,7 @@ def test_run_checks_each_iterate_once(kind, monkeypatch):
         checked.clear()
         res = run(problem, cfg, x0)
         assert not res.failed
-        assert len(checked) == res.iterations_run > 0
+        assert checked == ["prox"] * res.iterations_run and checked
 
 
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
@@ -1034,6 +1041,40 @@ def test_run_fails_cleanly_when_curvature_overflows(small_gnmf, algorithm):
     assert res.message.startswith(
         "iteration 0: prox_step: the gradient step has non-finite"
     )
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_no_iterate_leaves_the_prox_unchecked(kind):
+    # At entries near 1e51 the gradient step is finite (about 1e155) but
+    # |A|^2 + |B|^2 overflows, so the prox must refuse the point instead of
+    # returning an unchecked one.  At 1e50 everything stays finite.
+    problem = kind_problem(kind)
+    m, r, d = problem.shape
+
+    def start(scale):
+        return FactorPair(np.full((m, r), scale), np.full((r, d), scale))
+
+    huge = start(1e51)
+    with pytest.raises(ValueError):
+        problem.prox_step(problem.full_gradient(huge), huge, 0.1)
+    for algorithm in ("bpg", "bpsge"):
+        cfg = SolverConfig(algorithm=algorithm, batch_size=3, max_epochs=2, seed=2)
+        res = run(problem, cfg, huge)
+        assert res.failed and res.message.startswith("iteration 0: ")
+        assert [t.epoch for t in res.trace] == [0]
+        res = run(problem, cfg, start(1e50))
+        assert not res.failed and [t.epoch for t in res.trace] == [0, 1, 2]
+        assert 1e198 < res.trace[-1].objective < 1e204
+        for res in (res, run(problem, cfg, huge)):
+            rows = [astuple(t) for t in res.trace]
+            assert np.isfinite(np.array(rows, dtype=float)).all()
+            assert np.isfinite(res.x.u).all() and np.isfinite(res.x.v).all()
+    # A kernel without the quartic does not bound t sqrt(|A|^2 + |B|^2);
+    # the explicit check refuses what would overflow.
+    x = start(0.01)
+    flat = KernelSpec(0.0, 1e-308)  # t = 1e308
+    with pytest.raises(ValueError, match="new iterate has non-finite"):
+        problem.prox_step(problem.full_gradient(x), x, 1e3, kernel=flat)
 
 
 # -- rate check -------------------------------------------------------------

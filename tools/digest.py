@@ -24,7 +24,9 @@ rank 2, for 2 epochs.
 checkout's), so one copy of this script digests both sides of a change.
 ``--against`` prints, for every output field that moved, the largest
 relative change |a - b| / max(|a|, |b|) over its entries and in how many
-calls it moved; a changed string, flag or shape counts as inf.
+calls it moved; a changed string, flag or shape counts as inf.  The
+script then exits with status 1 if any field moved and 0 if none did, so
+one command checks that a change moves no output bit.
 """
 
 from __future__ import annotations
@@ -264,6 +266,13 @@ def compare(old: dict, new: dict) -> list[tuple[str, float, int, int]]:
 
 
 def main(argv=None) -> str:
+    """Print the digest (and with ``--against`` the moved fields); return it."""
+    return run_digest(argv)[0]
+
+
+def run_digest(argv=None) -> tuple[str, int]:
+    """The digest and the exit status: 1 if ``--against`` found a moved
+    field, else 0."""
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--tiny", action="store_true", help="the small grid")
     p.add_argument("--src", type=Path, default=SRC, help="the src/ to import bregopt from")
@@ -275,6 +284,7 @@ def main(argv=None) -> str:
     text = serialize(values)
     if args.dump is not None:
         args.dump.write_text(text, encoding="utf-8")
+    moved = []
     if args.against is not None:
         old = json.loads(args.against.read_text(encoding="utf-8"))
         # through the same text, so that both sides compare as loaded JSON
@@ -285,8 +295,8 @@ def main(argv=None) -> str:
         print(f"{len(moved)} of {len(rows)} fields moved")
     result = hashlib.sha256(text.encode()).hexdigest()
     print(f"sha256 {result} over {len(values)} calls")
-    return result
+    return result, 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_digest()[1])
