@@ -41,10 +41,9 @@ class FactorPair:
     ``FactorPair(u, v)`` checks input from outside the solver loop: it casts
     array-likes to C-contiguous float64 and rejects non-finite entries and
     mismatched inner dimensions.  Pairs computed from existing pairs
-    (arithmetic, gradients, estimates, extrapolated points, iterates) come
-    from ``_unchecked`` and may overflow.  ``Problem.prox_step`` checks each
-    iterate once, in O(1): it refuses a non-finite gradient step, and a
-    radius t with t sqrt(|A|^2 + |B|^2), a bound on every entry, not finite.
+    (arithmetic, gradients, estimates, extrapolated points) come from
+    ``_unchecked`` and may overflow; ``Problem.prox_step`` checks each iterate
+    in O(1), through a finite bound on every entry, and returns it unchecked.
     """
 
     u: np.ndarray

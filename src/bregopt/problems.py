@@ -91,9 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .kernels import (
-    FactorPair, KernelSpec, _kernel_gradient, kernel_gradient, kernel_value
-)
+from .kernels import FactorPair, KernelSpec, _kernel_gradient, bregman_distance
 from .numeric import (
     as_dense,
     cubic_root,
@@ -439,30 +437,23 @@ class Problem:
         raise NotImplementedError
 
     def prox_step(
-        self,
-        grad: FactorPair,
-        x_bar: FactorPair,
-        eta: float,
-        kernel: KernelSpec | None = None,
-        sq_norm: float | None = None,
+        self, grad: FactorPair, x_bar: FactorPair, eta: float, kernel=None, sq_norm=None
     ) -> FactorPair:
         """Closed-form minimizer of h(x) + <grad, x - x_bar> + D_psi(x, x_bar)/eta.
 
-        psi is ``self.kernel(eta)``, or ``kernel`` when the caller already
-        holds that spec; ``sq_norm`` is ``x_bar.norm_sq()`` when the caller
-        already holds it.  The minimizer lies on the ray through
+        psi is ``self.kernel(eta)``; ``kernel`` is that spec and ``sq_norm``
+        is ``x_bar.norm_sq()`` when the caller already holds them.  The
+        minimizer lies on the ray through
         shapes (A, B) obtained by the kind-specific operator applied to the
         gradient step -P = grad psi(x_bar) - eta * grad, which must be finite
         (ValueError otherwise); the radius solves a (|A|^2 + |B|^2) t^3 + b t = 1
-        with (a, b) the kernel's quartic and quadratic coefficients.  The
-        output is exactly feasible for the constrained kinds.
-
-        Every entry of t (A, B) is at most t sqrt(|A|^2 + |B|^2) in
-        magnitude, so one check that this number is finite (ValueError
-        otherwise) checks the whole output.  For the prescribed quartic
-        a = 3 it always holds once the gradient step and S = |A|^2 + |B|^2
-        are finite: a S t^3 <= 1 gives t sqrt(S) <= S^(1/6) / 3^(1/3),
-        below 2e51 for any finite S.  An infinite S fails in ``cubic_root``.
+        with (a, b) the kernel's quartic and quadratic coefficients.  Output is
+        exactly feasible for the constrained kinds, and checked in O(1): no
+        entry exceeds t sqrt(S), S = |A|^2 + |B|^2, which must be finite
+        (ValueError otherwise).  For the prescribed a = 3 that holds whenever
+        the gradient step and S are finite: a S t^3 <= 1 gives
+        t sqrt(S) <= S^(1/6) / 3^(1/3) < 2e51.  An infinite S fails in
+        ``cubic_root``.
         """
         self._check_point(x_bar)
         if not (np.isfinite(eta) and eta > 0.0):
@@ -470,9 +461,8 @@ class Problem:
         if grad.shape != self.shape:
             raise ValueError("gradient shape mismatch")
         kernel = self.kernel(eta) if kernel is None else kernel
-        gpsi = _kernel_gradient(
-            kernel, x_bar, x_bar.norm_sq() if sq_norm is None else sq_norm
-        )
+        s = x_bar.norm_sq() if sq_norm is None else sq_norm
+        gpsi = _kernel_gradient(kernel, x_bar, s)
         neg_p = gpsi.u - eta * grad.u
         neg_q = gpsi.v - eta * grad.v
         if not (np.isfinite(neg_p).all() and np.isfinite(neg_q).all()):
@@ -501,10 +491,8 @@ class Problem:
         """
         if not self.is_feasible(cand):
             return math.inf
-        diff = cand - x_bar
-        gy = kernel_gradient(kernel, x_bar)
-        d = kernel_value(kernel, cand) - kernel_value(kernel, x_bar) - gy.dot(diff)
-        return eta * (self.nonsmooth_value(cand) + grad.dot(diff)) + d
+        d = bregman_distance(kernel, cand, x_bar)
+        return eta * (self.nonsmooth_value(cand) + grad.dot(cand - x_bar)) + d
 
 
 class GraphRegularizedNMF(Problem):
