@@ -31,9 +31,13 @@ nonincreasing for deterministic runs.
 
 Traces are recorded per epoch: the objective at the epoch's last iterate and
 means of the Bregman step, eta and beta over its iterations; a failed epoch
-adds no row.  Audit mode additionally records per-iteration theory
-quantities: the Lyapunov value, the variance tracker, squared step lengths,
-and the norm of an explicit subgradient witness at the new iterate.
+adds no row.  A run carries |x_k|^2 and psi(x_k) from step to step: the prox
+reads |x_k|^2 when beta is 0, and the Bregman step D(x_k, x_{k+1}) takes two
+dots, agreeing with ``bregman_distance`` to about 1e-15 (psi(x_k) +
+psi(x_{k+1})), not bit for bit.  Audit mode additionally records
+per-iteration theory quantities: the Lyapunov value, the variance tracker,
+squared step lengths, and the norm of an explicit subgradient witness at
+the new iterate.
 
 A full-gradient run reads M once per step.  It carries the data products
 (U^T M, M V^T) of its last two iterates, as it carries the last Bregman
@@ -56,6 +60,7 @@ import numpy as np
 
 from .estimators import effective_batch_size, make_estimator
 from .kernels import FactorPair, KernelSpec, bregman_distance, kernel_gradient
+from .kernels import _carried_distance, kernel_value
 from .numeric import spawn_rngs
 from .problems import Problem
 
@@ -416,7 +421,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
     x_km1 = x0
     x_k = x0
-    s_k = x0.norm_sq()  # |x_k|^2, carried from the last step
+    s_k, psi_k = x0.norm_sq(), kernel_value(kern, x0)  # |x_k|^2, psi(x_k)
     prods_prev = prods
     d_last = 0.0  # D(x_{k-1}, x_k), from the last step
     k_global = 0
@@ -451,7 +456,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 result.message = f"iteration {k_global}: {exc}"
                 break
 
-            d_next = bregman_distance(kern, x_k, x_next)
+            d_next, psi_next, s_next = _carried_distance(kern, x_k, psi_k, x_next)
             ep_d.append(d_next)
             ep_eta.append(eta)
             ep_beta.append(beta)
@@ -489,7 +494,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     )
                 )
 
-            x_km1, x_k, s_k = x_k, x_next, x_next.norm_sq()
+            x_km1, x_k, s_k, psi_k = x_k, x_next, s_next, psi_next
             prods_prev, prods = prods, prods_next
             d_last = d_next
             k_global += 1

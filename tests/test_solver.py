@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bregopt.harness import SyntheticSpec, generate_synthetic, init_point
-from bregopt.kernels import FactorPair, KernelSpec, bregman_distance
+from bregopt.kernels import FactorPair, KernelSpec, bregman_distance, kernel_value
 from bregopt import solver
 from bregopt.numeric import make_rng
 from bregopt.problems import Problem, build_knn_laplacian, build_problem
@@ -131,26 +131,38 @@ def test_safeguarded_beta_respects_distance_inequality(small_gnmf):
 
 
 def test_safeguard_reuses_the_previous_bregman_step(small_gnmf, monkeypatch):
-    # Each D(x_k, x_{k+1}) is computed once, as the step's Bregman step; the
-    # next safeguard reads it from the loop instead of computing it again.
+    # Each D(x_k, x_{k+1}) is computed once, from the carried norms, as the
+    # step's Bregman step; the next safeguard reads it from the loop, and
+    # ``bregman_distance`` serves only the safeguard's halving loop.
     pairs = []
+    given = []
     distance = solver.bregman_distance
+    extrapolate_ = solver.extrapolate
 
     def recording(kernel, x, y):
         pairs.append((x, y))  # holds the points, so their ids stay unique
         return distance(kernel, x, y)
 
+    def recording_extrapolate(*args):
+        given.append(args[7])  # d_prev
+        return extrapolate_(*args)
+
     monkeypatch.setattr(solver, "bregman_distance", recording)
+    monkeypatch.setattr(solver, "extrapolate", recording_extrapolate)
     cfg = SolverConfig(
-        algorithm="bpge", beta_mode="safeguarded", max_epochs=30, keep_iterates=True
+        algorithm="bpge",
+        beta_mode="safeguarded",
+        max_epochs=30,
+        audit_per_iteration=True,
+        keep_iterates=True,
     )
     res = run(small_gnmf, cfg, start_point(small_gnmf))
     assert not res.failed
     assert any(row.beta > 0.0 for row in res.trace)
+    assert given == [0.0] + [rec.bregman_step for rec in res.audits[:-1]]
     xs = res.iterates
     steps = {(id(a), id(b)) for a, b in zip(xs, xs[1:])}
-    on_steps = [(id(x), id(y)) in steps for x, y in pairs]
-    assert sum(on_steps) == res.iterations_run
+    assert pairs and not any((id(x), id(y)) in steps for x, y in pairs)
 
 
 # -- step size --------------------------------------------------------------
@@ -586,12 +598,78 @@ def test_run_audit_bregman_prev_is_the_previous_step(kind):
     recs, xs = res.audits, res.iterates
     assert recs[0].bregman_prev == 0.0
     # The run's one kernel(eta) gives every step: each later step reuses the
-    # last one, and that equals D(x_{k-1}, x_k) taken again under it.
+    # last one, and that is D(x_{k-1}, x_k) taken again under it, to the
+    # rounding of the carried norms (see test_run_bregman_step_from_carried_norms).
     assert len({rec.eta for rec in recs}) == 1
     kern = problem.kernel(recs[0].eta)
     for k in range(1, len(recs)):
         assert recs[k].bregman_prev == recs[k - 1].bregman_step
-        assert recs[k].bregman_prev == bregman_distance(kern, xs[k - 1], xs[k])
+        psi = kernel_value(kern, xs[k - 1]) + kernel_value(kern, xs[k])
+        d = bregman_distance(kern, xs[k - 1], xs[k])
+        assert abs(recs[k].bregman_prev - d) <= 1e-14 * psi
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
+    # A run takes D(x_k, x_{k+1}) from its carried |x_k|^2 and psi(x_k) and
+    # two dots; it matches bregman_distance to 1e-14 (psi(x_k) + psi(x_{k+1})).
+    # Only the safeguard calls bregman_distance, and the run builds at most
+    # one KernelSpec: wcmf's kernel(eta), once.
+    m_data = make_rng(61).uniform(0.1, 1.0, (30, 24))
+    params = {
+        "gnmf": {"mu0": 0.1, "laplacian": build_knn_laplacian(m_data, 3)},
+        "wcmf": {"lambda1": 0.05, "lambda2": 0.02},
+        "ssnmf": {"s1": 15, "s2": 12},
+    }[kind]
+    problem = build_problem(kind, m_data, 4, **params)
+    x0 = init_point(30, 4, 24, make_rng(62))
+    counts = {"bregman_distance": 0, "KernelSpec": 0}
+    distance = solver.bregman_distance
+    post_init = KernelSpec.__post_init__
+
+    def counting_distance(*args):
+        counts["bregman_distance"] += 1
+        return distance(*args)
+
+    def counting_spec(self):
+        counts["KernelSpec"] += 1
+        post_init(self)
+
+    variants = [
+        ("bpg", "full"),
+        ("bpge", "full"),
+        ("bpsg", "saga"),
+        ("bpsge", "saga"),
+        ("bpsge", "sarah"),
+        ("bpsge", "sgd"),
+    ]
+    modes = ("scheduled", "safeguarded")
+    for (algorithm, estimator), beta_mode in itertools.product(variants, modes):
+        cfg = SolverConfig(
+            algorithm=algorithm,
+            estimator=estimator,
+            beta_mode=beta_mode,
+            batch_size=4,
+            max_epochs=5,
+            audit_per_iteration=True,
+            keep_iterates=True,
+            seed=9,
+        )
+        counts.update(bregman_distance=0, KernelSpec=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "bregman_distance", counting_distance)
+            patch.setattr(KernelSpec, "__post_init__", counting_spec)
+            res = run(problem, cfg, x0)
+        assert not res.failed
+        assert counts["KernelSpec"] == (kind == "wcmf")
+        if cfg.resolved().beta_mode != "safeguarded":
+            assert counts["bregman_distance"] == 0
+        kern = problem.kernel(res.audits[0].eta)
+        xs = res.iterates
+        assert len(res.audits) == len(xs) - 1 == res.iterations_run
+        for rec, x, y in zip(res.audits, xs, xs[1:]):
+            psi = kernel_value(kern, x) + kernel_value(kern, y)
+            assert abs(rec.bregman_step - bregman_distance(kern, x, y)) <= 1e-14 * psi
 
 
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
