@@ -1137,13 +1137,12 @@ def test_no_iterate_leaves_the_prox_unchecked(kind):
         problem.prox_step(problem.full_gradient(huge), huge, 0.1)
     for algorithm in ("bpg", "bpsge"):
         cfg = SolverConfig(algorithm=algorithm, batch_size=3, max_epochs=2, seed=2)
-        res = run(problem, cfg, huge)
-        assert res.failed and res.message.startswith("iteration 0: ")
-        assert [t.epoch for t in res.trace] == [0]
-        res = run(problem, cfg, start(1e50))
-        assert not res.failed and [t.epoch for t in res.trace] == [0, 1, 2]
-        assert 1e198 < res.trace[-1].objective < 1e204
-        for res in (res, run(problem, cfg, huge)):
+        failed, ran = run(problem, cfg, huge), run(problem, cfg, start(1e50))
+        assert failed.failed and failed.message.startswith("iteration 0: ")
+        assert [t.epoch for t in failed.trace] == [0]
+        assert not ran.failed and [t.epoch for t in ran.trace] == [0, 1, 2]
+        assert 1e198 < ran.trace[-1].objective < 1e204
+        for res in (failed, ran):
             rows = [astuple(t) for t in res.trace]
             assert np.isfinite(np.array(rows, dtype=float)).all()
             assert np.isfinite(res.x.u).all() and np.isfinite(res.x.v).all()
