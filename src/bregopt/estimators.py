@@ -390,8 +390,8 @@ def check_geometric_decay(
 ) -> DecayReport:
     """Test E[Gamma_{k+1}] <= (1 - tau) Gamma_k + V (d_k^2 + d_{k-1}^2).
 
-    ``records`` is a list over seeds of (gamma, step_sq) array pairs where
-    gamma[j] is the tracker produced at iteration j and step_sq[j] the
+    ``records`` is a list over seeds of equal-length (gamma, step_sq) array
+    pairs: gamma[j] is the tracker produced at iteration j and step_sq[j] the
     squared step length of that iteration.  For each iteration index the
     across-seed mean of lhs - rhs is compared to 2 standard errors; an
     iteration violates when the mean is significantly positive, and the check
@@ -403,24 +403,22 @@ def check_geometric_decay(
         raise ValueError(f"v_gamma must be >= 0, got {v_gamma}")
     if not records:
         raise ValueError("no records supplied")
+    for i, (g, q) in enumerate(records):
+        if len(g) != len(q):
+            raise ValueError(f"record {i}: {len(g)} gamma values, {len(q)} step_sq")
     length = min(len(g) for g, _ in records)
     if length < 3:
         raise ValueError("need at least 3 recorded iterations")
 
-    violations = 0
-    checked = length - 2
+    # one row per iteration, its seeds contiguous, so a row sums as 1-D would
+    gamma = np.stack([g[:length] for g, _ in records], axis=-1)
+    step_sq = np.stack([q[:length] for _, q in records], axis=-1)
+    rhs = (1.0 - tau) * gamma[1:-1] + v_gamma * (step_sq[1:-1] + step_sq[:-2])
+    diffs = gamma[2:] - rhs
     n_seeds = len(records)
-    for j in range(2, length):
-        diffs = np.empty(n_seeds)
-        for s, (gamma, step_sq) in enumerate(records):
-            rhs = (1.0 - tau) * gamma[j - 1] + v_gamma * (
-                step_sq[j - 1] + step_sq[j - 2]
-            )
-            diffs[s] = gamma[j] - rhs
-        mean = diffs.mean()
-        se = diffs.std(ddof=1) / math.sqrt(n_seeds) if n_seeds > 1 else 0.0
-        if mean > _DECAY_SE_FACTOR * se:
-            violations += 1
+    se = diffs.std(axis=-1, ddof=1) / math.sqrt(n_seeds) if n_seeds > 1 else 0.0
+    violations = int(np.count_nonzero(diffs.mean(axis=-1) > _DECAY_SE_FACTOR * se))
+    checked = length - 2
     return DecayReport(violations / checked, checked, _DECAY_THRESHOLD, tau, v_gamma)
 
 

@@ -1051,6 +1051,10 @@ def run_compare(cfg: ExperimentConfig):
     return top, all_paths
 
 
+_AUDIT_FIELDS = ("lyapunov", "bregman_step", "stationarity", "gamma", "step_sq")
+_audit_values = attrgetter(*_AUDIT_FIELDS)
+
+
 def run_audit(cfg: ExperimentConfig):
     """Instrumented run checking the convergence theory on this instance.
 
@@ -1080,40 +1084,36 @@ def run_audit(cfg: ExperimentConfig):
     }
 
     if ok:
+        # Each trial's audits, read once: one row of _AUDIT_FIELDS per step.
+        rows = [
+            np.array([_audit_values(a) for a in o.result.audits]).reshape(-1, 5)
+            for o in ok
+        ]
         # Lyapunov monotonicity across consecutive audited iterations.
         tol = 1e-9
-        checked = violations = 0
-        for o in ok:
-            psis = [a.lyapunov for a in o.result.audits]
-            for prev, cur in zip(psis, psis[1:]):
-                checked += 1
-                if cur > prev + tol * (1.0 + abs(prev)):
-                    violations += 1
+        rises = [r[1:, 0] > r[:-1, 0] + tol * (1.0 + np.abs(r[:-1, 0])) for r in rows]
         report["lyapunov"] = {
-            "checked": checked,
-            "violations": violations,
+            "checked": sum(rise.size for rise in rises),
+            "violations": int(sum(rise.sum() for rise in rises)),
             "relative_tol": tol,
         }
 
-        # Rate bound on the across-trial mean Bregman step sequence.
-        min_len = min(len(o.result.audits) for o in ok)
+        # The first min_len audits of every trial, as (trials, K, fields); an
+        # across-trial mean reduces axis 0, as the mean of nested lists did.
+        min_len = min(len(r) for r in rows)
+        first = np.stack([r[:min_len] for r in rows])
+        _, steps, stat, gamma, step_sq = np.moveaxis(first, -1, 0)
         if min_len > 0:
-            d_mean = np.mean(
-                [[a.bregman_step for a in o.result.audits[:min_len]] for o in ok],
-                axis=0,
-            )
+            # Rate bound on the across-trial mean Bregman step sequence.
             psi1 = float(np.mean([o.result.psi1 for o in ok]))
-            rep = rate_check(d_mean, psi1, solver_cfg.epsilon)
+            rep = rate_check(steps.mean(axis=0), psi1, solver_cfg.epsilon)
             report["rate"] = {
                 "passed": rep.passed,
                 "checked_upto": rep.checked_upto,
                 "worst_ratio": rep.worst_ratio,
                 "psi1_mean": psi1,
             }
-            wit = np.mean(
-                [[a.stationarity for a in o.result.audits[:min_len]] for o in ok],
-                axis=0,
-            )
+            wit = stat.mean(axis=0)
             report["stationarity"] = {
                 "first": float(wit[0]),
                 "last": float(wit[-1]),
@@ -1133,13 +1133,7 @@ def run_audit(cfg: ExperimentConfig):
             else:
                 tau = effective_restart_prob(None, n, b)
                 v_gamma = 2.0 * m1 * m1
-            records = [
-                (
-                    np.array([a.gamma for a in o.result.audits]),
-                    np.array([a.step_sq for a in o.result.audits]),
-                )
-                for o in ok
-            ]
+            records = list(zip(gamma, step_sq))
             decay = check_geometric_decay(records, tau, v_gamma)
             report["decay"] = {
                 "violation_fraction": decay.violation_fraction,

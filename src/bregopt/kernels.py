@@ -126,7 +126,8 @@ class KernelSpec:
 
 
 def kernel_value(spec: KernelSpec, x: FactorPair) -> float:
-    return _kernel_value(spec, x, x.norm_sq())
+    u_sq = float(np.vdot(x.u, x.u))
+    return _kernel_value(spec, u_sq + float(np.vdot(x.v, x.v)), u_sq)
 
 
 def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
@@ -138,14 +139,10 @@ def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
     return _kernel_gradient(spec, x, x.norm_sq())
 
 
-def _kernel_value(spec: KernelSpec, x: FactorPair, s: float) -> float:
-    """psi(x) given s = ``x.norm_sq()``."""
+def _kernel_value(spec: KernelSpec, s: float, u_sq: float) -> float:
+    """psi(x) given s = ``x.norm_sq()`` and u_sq = |U|_F^2."""
     half = 0.5 * s
-    return float(
-        spec.quartic * half * half
-        + spec.quadratic * half
-        + 0.5 * spec.u_quadratic * np.vdot(x.u, x.u)
-    )
+    return spec.quartic * half * half + spec.quadratic * half + 0.5 * spec.u_quadratic * u_sq
 
 
 def _kernel_gradient(spec: KernelSpec, x: FactorPair, s: float) -> FactorPair:
@@ -164,25 +161,23 @@ def bregman_distance(spec: KernelSpec, x: FactorPair, y: FactorPair) -> float:
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    s_y = y.norm_sq()
+    u_sq = float(np.vdot(y.u, y.u))
+    s_y = u_sq + float(np.vdot(y.v, y.v))
     gy = _kernel_gradient(spec, y, s_y)
-    return (
-        _kernel_value(spec, x, x.norm_sq())
-        - _kernel_value(spec, y, s_y)
-        - gy.dot(x - y)
-    )
+    return kernel_value(spec, x) - _kernel_value(spec, s_y, u_sq) - gy.dot(x - y)
 
 
 def _carried_distance(spec: KernelSpec, x: FactorPair, psi_x: float, y: FactorPair):
-    """(D_psi(x, y), psi(y), s_y) given psi(x), from the dots s_y = ``y.norm_sq()``
-    and <x, y> (and the U-block ones when c > 0): D = psi(x) - psi(y) -
-    [(a s_y + b)(<x, y> - s_y) + c (<U_x, U_y> - |U_y|^2)].  It agrees with
+    """(D_psi(x, y), psi(y), s_y) given psi(x), from the block dots |U_y|^2,
+    |V_y|^2, <U_x, U_y> and <V_x, V_y>, each taken once: D = psi(x) - psi(y)
+    - [(a s_y + b)(<x, y> - s_y) + c (<U_x, U_y> - |U_y|^2)].  It agrees with
     ``bregman_distance`` to about 1e-15 (psi(x) + psi(y)), not bit for bit."""
-    s_y = y.norm_sq()
-    psi_y = _kernel_value(spec, y, s_y)
-    lin = (spec.quartic * s_y + spec.quadratic) * (x.dot(y) - s_y)
+    uu, uxy = float(np.vdot(y.u, y.u)), float(np.vdot(x.u, y.u))
+    s_y = uu + float(np.vdot(y.v, y.v))
+    psi_y = _kernel_value(spec, s_y, uu)
+    lin = (spec.quartic * s_y + spec.quadratic) * (uxy + float(np.vdot(x.v, y.v)) - s_y)
     if spec.u_quadratic:
-        lin += spec.u_quadratic * float(np.vdot(x.u, y.u) - np.vdot(y.u, y.u))
+        lin += spec.u_quadratic * (uxy - uu)
     return psi_x - psi_y - lin, psi_y, s_y
 
 

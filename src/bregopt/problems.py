@@ -73,8 +73,8 @@ takes 6.4 ms, and the Laplacian's checks and its CSR copy about half of
 the constructor's 6 ms.
 
 Every problem prescribes a kernel from the quartic+quadratic family against
-which f is (1, 1)-smooth adaptable, and exposes a closed-form Bregman
-proximal step: the minimizer of
+which f is (1, 1)-smooth adaptable, by one rule (``Problem.kernel``), and
+exposes a closed-form Bregman proximal step: the minimizer of
 
     h(x) + <g, x - x_bar> + D_psi(x, x_bar) / eta
 
@@ -226,6 +226,7 @@ class Problem:
         if self.norm_m == 0.0:
             raise ValueError("data matrix must be nonzero")
         self._sq_norm_m = float(np.vdot(self.m_data.T, self.m_data.T))
+        self._psi_b = self.norm_m  # the kernel's b; gnmf adds mu0 |L|_F
 
     # -- dimensions ------------------------------------------------------
 
@@ -394,10 +395,11 @@ class Problem:
     # -- kernel and curvature --------------------------------------------
 
     def kernel(self, eta: float = 0.0) -> KernelSpec:
-        """The prescribed kernel for step eta.  The indicator kinds' kernel
-        does not depend on eta, so it is built once, at construction, and
-        every call returns that one spec."""
-        return self._kernel
+        """The prescribed kernel for a finite step eta: a = 3, b = |M|_F
+        (plus mu0 |L|_F for gnmf) and the U-only c = eta alpha, which cancels
+        the concave part of h in the proximal subproblem; alpha is
+        ``weak_convexity``, so c = 0 for the indicator kinds."""
+        return KernelSpec(3.0, self._psi_b, eta * self.weak_convexity)
 
     @property
     def weak_convexity(self) -> float:
@@ -537,8 +539,7 @@ class GraphRegularizedNMF(Problem):
         else:
             self.laplacian = None
             self.norm_l_fro = 0.0
-        # a = 3, b = |M|_F + mu0 |L|_F
-        self._kernel = KernelSpec(3.0, self.norm_m + self.mu0 * self.norm_l_fro, 0.0)
+        self._psi_b += self.mu0 * self.norm_l_fro
 
     def _graph_value(self, u: np.ndarray) -> float:
         if self.mu0 == 0.0:
@@ -593,12 +594,6 @@ class WeaklyConvexMF(Problem):
     def weak_convexity(self) -> float:
         return self.lambda2
 
-    def kernel(self, eta: float = 0.0) -> KernelSpec:
-        """The U-only quadratic eta*lambda2 cancels the concave part of h in
-        the proximal subproblem, keeping it convex along the U block.  The
-        spec depends on eta, so each call builds one."""
-        return KernelSpec(3.0, self.norm_m, float(eta) * self.lambda2)
-
     def _prox_shapes(self, neg_p, neg_q, eta):
         return soft_threshold(neg_p, eta * self.lambda1), neg_q.copy()
 
@@ -615,7 +610,6 @@ class SparseNMF(Problem):
         m, d = self.m_data.shape
         self.s1 = _count(s1, "s1", m)
         self.s2 = _count(s2, "s2", d)
-        self._kernel = KernelSpec(3.0, self.norm_m, 0.0)  # a = 3, b = |M|_F
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
         return bool(

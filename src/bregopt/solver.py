@@ -553,21 +553,17 @@ def rate_check(
     d = np.asarray(bregman_steps, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("bregman_steps must be a nonempty 1-D sequence")
-    if not math.isfinite(psi1):
-        raise ValueError("psi1 must be finite")
+    if not (math.isfinite(psi1) and epsilon > 0.0):
+        raise ValueError("psi1 must be finite and epsilon positive")
     if k_max is None:
         k_max = d.size
-    running = np.minimum.accumulate(d)
-    passed = True
-    first_violation = None
-    worst = 0.0
-    for k in range(1, k_max + 1):
-        cur = running[min(k, d.size) - 1]
+    k = np.arange(1, k_max + 1)
+    cur = np.minimum.accumulate(d)[np.minimum(k, d.size) - 1]
+    with np.errstate(all="ignore"):  # IEEE results, as Python floats give
         bound = 3.0 * psi1 / (epsilon * k)
-        ratio = cur / bound if bound > 0 else math.inf if cur > 0 else 0.0
-        worst = max(worst, ratio)
-        if cur > bound * (1.0 + _RATE_SLACK):
-            passed = False
-            if first_violation is None:
-                first_violation = k
-    return RateCheckReport(passed, k_max, first_violation, worst)
+        ratio = np.where(bound > 0, cur / bound, np.where(cur > 0, math.inf, 0.0))
+        late = cur > bound * (1.0 + _RATE_SLACK)
+    first_violation = int(late.argmax()) + 1 if late.any() else None
+    # as a running max(worst, ratio) from 0.0: NaN is skipped, -0.0 reads 0.0
+    worst = max(0.0, float(np.fmax.reduce(ratio, initial=0.0)))
+    return RateCheckReport(first_violation is None, k_max, first_violation, worst)

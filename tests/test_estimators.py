@@ -13,6 +13,7 @@ from bregopt import estimators
 from bregopt.estimators import (
     SAGA,
     SARAH,
+    DecayReport,
     FullGradient,
     MinibatchSGD,
     check_geometric_decay,
@@ -436,6 +437,71 @@ def test_decay_check_validation():
     short = [(np.ones(2), np.ones(2))]
     with pytest.raises(ValueError):
         check_geometric_decay(short, tau=0.5, v_gamma=1.0)
+
+
+@pytest.mark.parametrize("extra", [-2, -1, 1])
+def test_decay_check_rejects_unequal_record_lengths(extra):
+    # A step_sq shorter by 2 used to raise IndexError inside the loop, and a
+    # longer one was silently cut; either names its record now.
+    rng = make_rng(34)
+    records = synthetic_records(3, 6, 0.2, 1.0, rng)
+    gamma, step_sq = records[1]
+    records[1] = (gamma, np.ones(len(step_sq) + extra))
+    with pytest.raises(ValueError, match="record 1: 6 gamma values"):
+        check_geometric_decay(records, tau=0.2, v_gamma=1.0)
+    with pytest.raises(ValueError, match="record 0"):
+        check_geometric_decay([(np.ones(5), np.ones(3))], tau=0.2, v_gamma=1.0)
+
+
+def decay_check_loop(records, tau, v_gamma):
+    """``check_geometric_decay`` as the per-iteration, per-seed loop it was
+    before it became one array reduction."""
+    length = min(len(g) for g, _ in records)
+    violations = 0
+    checked = length - 2
+    n_seeds = len(records)
+    for j in range(2, length):
+        diffs = np.empty(n_seeds)
+        for s, (gamma, step_sq) in enumerate(records):
+            rhs = (1.0 - tau) * gamma[j - 1] + v_gamma * (
+                step_sq[j - 1] + step_sq[j - 2]
+            )
+            diffs[s] = gamma[j] - rhs
+        mean = diffs.mean()
+        se = diffs.std(ddof=1) / math.sqrt(n_seeds) if n_seeds > 1 else 0.0
+        if mean > 2.0 * se:
+            violations += 1
+    return DecayReport(violations / checked, checked, 0.05, tau, v_gamma)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example(n_seeds=1, length=3, spread=0, tau=1.0, v=0.0, noise=0.0, seed=0)
+@example(n_seeds=9, length=12, spread=3, tau=0.2, v=1.0, noise=0.5, seed=1)
+@example(n_seeds=24, length=30, spread=5, tau=0.05, v=2.0, noise=2.0, seed=2)
+@given(
+    n_seeds=st.integers(1, 24),
+    length=st.integers(3, 30),
+    spread=st.integers(0, 5),
+    tau=st.floats(0.01, 1.0),
+    v=st.floats(0.0, 2.0),
+    noise=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decay_check_matches_the_loop(n_seeds, length, spread, tau, v, noise, seed):
+    # Seeds past 8 cross numpy's 8-wide pairwise summation; records of
+    # unequal length are cut to the shortest; noise up to 2 flips verdicts.
+    rng = make_rng(seed)
+    records = [
+        (g[:n], q[:n])
+        for (g, q), n in zip(
+            synthetic_records(n_seeds, length + spread, tau, v, rng, noise),
+            length + rng.integers(0, spread + 1, size=n_seeds),
+        )
+    ]
+    got = check_geometric_decay(records, tau, v)
+    want = decay_check_loop(records, tau, v)
+    assert got == want
+    assert repr(float(got.violation_fraction)) == repr(float(want.violation_fraction))
 
 
 # -- empirical lipschitz ----------------------------------------------------

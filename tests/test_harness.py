@@ -41,8 +41,14 @@ from bregopt.harness import (
     write_pgm,
     _write_json,
 )
+from bregopt.estimators import (
+    check_geometric_decay,
+    effective_batch_size,
+    effective_restart_prob,
+    estimate_sample_lipschitz,
+)
 from bregopt.numeric import make_rng
-from bregopt.solver import SolverConfig
+from bregopt.solver import SolverConfig, rate_check
 
 
 # -- matrix IO --------------------------------------------------------------
@@ -898,6 +904,114 @@ def test_run_audit_report(tmp_path):
     assert summary["decay"]["tau"] == pytest.approx(2 / (2 * 10))
     report = json.loads(paths[0].read_text())
     assert report["trials"] == 2
+
+
+def audit_verdicts_loop(ok, problem, solver_cfg):
+    """``run_audit``'s verdicts as it took them before it read each trial's
+    audits into one array: per-record loops and nested lists."""
+    report = {}
+    tol = 1e-9
+    checked = violations = 0
+    for o in ok:
+        psis = [a.lyapunov for a in o.result.audits]
+        for prev, cur in zip(psis, psis[1:]):
+            checked += 1
+            if cur > prev + tol * (1.0 + abs(prev)):
+                violations += 1
+    report["lyapunov"] = {"checked": checked, "violations": violations, "relative_tol": tol}
+    min_len = min(len(o.result.audits) for o in ok)
+    if min_len > 0:
+        d_mean = np.mean(
+            [[a.bregman_step for a in o.result.audits[:min_len]] for o in ok], axis=0
+        )
+        psi1 = float(np.mean([o.result.psi1 for o in ok]))
+        rep = rate_check(d_mean, psi1, solver_cfg.epsilon)
+        report["rate"] = {
+            "passed": rep.passed,
+            "checked_upto": rep.checked_upto,
+            "worst_ratio": rep.worst_ratio,
+            "psi1_mean": psi1,
+        }
+        wit = np.mean(
+            [[a.stationarity for a in o.result.audits[:min_len]] for o in ok], axis=0
+        )
+        report["stationarity"] = {
+            "first": float(wit[0]),
+            "last": float(wit[-1]),
+            "min": float(wit.min()),
+        }
+    est_name = solver_cfg.resolved().estimator
+    if est_name in ("saga", "sarah") and min_len >= 3:
+        m1 = max(estimate_sample_lipschitz(problem, o.result.iterates) for o in ok)
+        n = problem.n_samples
+        b = effective_batch_size(solver_cfg.batch_size, n)
+        if est_name == "saga":
+            tau = b / (2.0 * n)
+            v_gamma = (2.0 * b + 4.0 * n) * m1 * m1 / (b * b)
+        else:
+            tau = effective_restart_prob(None, n, b)
+            v_gamma = 2.0 * m1 * m1
+        records = [
+            (
+                np.array([a.gamma for a in o.result.audits]),
+                np.array([a.step_sq for a in o.result.audits]),
+            )
+            for o in ok
+        ]
+        decay = check_geometric_decay(records, tau, v_gamma)
+        report["decay"] = {
+            "violation_fraction": decay.violation_fraction,
+            "checked": decay.checked,
+            "passed": decay.passed,
+            "tau": tau,
+            "v_gamma": v_gamma,
+            "m1_estimate": m1,
+        }
+    return report
+
+
+_ALL_VERDICTS = {"lyapunov", "rate", "stationarity", "decay"}
+
+
+@pytest.mark.parametrize(
+    "estimator, trials, edits, verdicts",
+    [
+        ("saga", 4, {1: 7, 2: "fail"}, _ALL_VERDICTS),
+        ("sarah", 3, {1: 0}, {"lyapunov"}),
+        ("saga", 10, {4: 1, 7: "fail"}, _ALL_VERDICTS - {"decay"}),
+        ("sarah", 9, {0: 4, 5: "fail", 8: 6}, _ALL_VERDICTS),
+    ],
+    ids=["short-and-failed", "no-audits", "ten-one-step", "nine-short"],
+)
+def test_run_audit_verdicts_match_the_loops(
+    tmp_path, monkeypatch, estimator, trials, edits, verdicts
+):
+    # Trials cut to n audits (and n + 1 iterates), failed, or left with none;
+    # the 10- and 9-trial cases take across-trial means over more than 8.
+    seen = {}
+    run_trials = harness._run_trials
+
+    def crafted(cfg, problem, solver_cfg, labels, starts):
+        outcomes = run_trials(cfg, problem, solver_cfg, labels, starts)
+        for t, edit in edits.items():
+            res = outcomes[t].result
+            if edit == "fail":
+                res.failed = True
+            else:
+                res.audits, res.iterates = res.audits[:edit], res.iterates[: edit + 1]
+        seen.update(ok=[o for o in outcomes if not o.result.failed], problem=problem)
+        seen["solver_cfg"] = solver_cfg
+        return outcomes
+
+    monkeypatch.setattr(harness, "_run_trials", crafted)
+    d = base_config_dict(trials=trials, out_dir=str(tmp_path))
+    d["solver"]["estimator"] = estimator
+    report, _ = run_audit(ExperimentConfig.from_dict(d))
+    want = audit_verdicts_loop(seen["ok"], seen["problem"], seen["solver_cfg"])
+    assert set(want) == verdicts == set(report) & _ALL_VERDICTS
+    got = {key: report[key] for key in verdicts}
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert report["failed_trials"] == list(edits.values()).count("fail")
 
 
 def test_run_gen_writes_instance(tmp_path):

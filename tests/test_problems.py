@@ -469,13 +469,17 @@ def test_prescribed_kernels():
     k = build_problem("ssnmf", m_data, 2, s1=1, s2=1).kernel(0.7)
     assert k.u_quadratic == 0.0
 
-    # The eta-free kernels are built once and shared by every call.
+    # One rule for every kind: c = eta * alpha, so the indicator kinds'
+    # kernel is the same spec at every eta.
     for fixed in (
         prob,
         build_problem("gnmf", m_data, 2),
         build_problem("ssnmf", m_data, 2, s1=1, s2=1),
     ):
-        assert fixed.kernel(0.1) is fixed.kernel(0.7)
+        assert fixed.kernel(0.1) == fixed.kernel(0.7)
+    for problem in (prob, wcmf, build_problem("ssnmf", m_data, 2, s1=1, s2=1)):
+        for eta in (0.1, 0.3, 0.7, 2.5):
+            assert problem.kernel(eta).u_quadratic == eta * problem.weak_convexity
 
 
 def test_local_lipschitz_matches_direct_norms():

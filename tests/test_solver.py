@@ -7,7 +7,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregopt.harness import SyntheticSpec, generate_synthetic, init_point
@@ -16,6 +16,7 @@ from bregopt import solver
 from bregopt.numeric import make_rng
 from bregopt.problems import Problem, build_knn_laplacian, build_problem
 from bregopt.solver import (
+    RateCheckReport,
     RunResult,
     SolverConfig,
     extrapolate,
@@ -613,8 +614,8 @@ def test_run_audit_bregman_prev_is_the_previous_step(kind):
 def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
     # A run takes D(x_k, x_{k+1}) from its carried |x_k|^2 and psi(x_k) and
     # two dots; it matches bregman_distance to 1e-14 (psi(x_k) + psi(x_{k+1})).
-    # Only the safeguard calls bregman_distance, and the run builds at most
-    # one KernelSpec: wcmf's kernel(eta), once.
+    # Only the safeguard calls bregman_distance, and every run builds
+    # exactly one KernelSpec: its kernel(eta), once.
     m_data = make_rng(61).uniform(0.1, 1.0, (30, 24))
     params = {
         "gnmf": {"mu0": 0.1, "laplacian": build_knn_laplacian(m_data, 3)},
@@ -661,7 +662,7 @@ def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
             patch.setattr(KernelSpec, "__post_init__", counting_spec)
             res = run(problem, cfg, x0)
         assert not res.failed
-        assert counts["KernelSpec"] == (kind == "wcmf")
+        assert counts["KernelSpec"] == 1
         if cfg.resolved().beta_mode != "safeguarded":
             assert counts["bregman_distance"] == 0
         kern = problem.kernel(res.audits[0].eta)
@@ -1185,3 +1186,53 @@ def test_rate_check_validation():
         rate_check([], 1.0, 0.1)
     with pytest.raises(ValueError):
         rate_check([1.0], math.nan, 0.1)
+    with pytest.raises(ValueError, match="epsilon positive"):
+        rate_check([1.0], 1.0, 0.0)
+
+
+def rate_check_loop(bregman_steps, psi1, epsilon, k_max=None):
+    """``rate_check`` as the per-K loop it was before it became one array
+    reduction."""
+    d = np.asarray(bregman_steps, dtype=np.float64)
+    if k_max is None:
+        k_max = d.size
+    running = np.minimum.accumulate(d)
+    passed = True
+    first_violation = None
+    worst = 0.0
+    for k in range(1, k_max + 1):
+        cur = running[min(k, d.size) - 1]
+        bound = 3.0 * psi1 / (epsilon * k)
+        ratio = cur / bound if bound > 0 else math.inf if cur > 0 else 0.0
+        worst = max(worst, ratio)
+        if cur > bound * (1.0 + 0.1):
+            passed = False
+            if first_violation is None:
+                first_violation = k
+    return RateCheckReport(passed, k_max, first_violation, worst)
+
+
+rate_steps = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@example(d=[1.0, 0.5, 1e-9], psi1=1.0, epsilon=0.1, k_max=0)
+@example(d=[3.0, -1e-13, 2.0, 1.0], psi1=0.5, epsilon=0.01, k_max=2)
+@example(d=[3.0, -1e-13, 2.0, 1.0], psi1=0.5, epsilon=0.01, k_max=50)
+@example(d=[1.0, 2.0, -0.0], psi1=0.0, epsilon=0.5, k_max=None)
+@example(d=[1.0, 0.0, -0.0], psi1=-2.0, epsilon=0.5, k_max=9)
+@example(d=[-0.0, -1.0], psi1=1.0, epsilon=0.5, k_max=None)
+@example(d=[5.0] * 12, psi1=1e3, epsilon=0.3, k_max=None)
+@given(
+    d=st.lists(rate_steps, min_size=1, max_size=40),
+    psi1=st.floats(-10.0, 1e4) | st.sampled_from([0.0, -0.0]),
+    epsilon=st.floats(1e-3, 0.99),
+    k_max=st.none() | st.integers(0, 80),
+)
+def test_rate_check_matches_the_loop(d, psi1, epsilon, k_max):
+    # k_max 0, inside and past the record; psi1 <= 0; negative and signed-zero
+    # steps, whose ratios the running max from 0.0 reads as 0.0.
+    got = rate_check(d, psi1, epsilon, k_max)
+    want = rate_check_loop(d, psi1, epsilon, k_max)
+    assert got == want
+    assert repr(float(got.worst_ratio)) == repr(float(want.worst_ratio))

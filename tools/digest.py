@@ -13,10 +13,12 @@ safeguarded extrapolation with the strict step and without it, 0 epochs,
 and L_bar = 1e9 (a step at the 1e-8 floor) for 6 and for 0 epochs.  Then, per
 kind, it calls ``bregopt run`` (2 trials, clustering, per-trial CSVs),
 ``bregopt compare`` (the default grid, 2 trials) and ``bregopt audit`` with
-saga and with sarah.  The digest covers every returned point, ``failed``,
-``message``, ``iterations_run`` and ``hit_eta_floor``, every trace row but
-its ``wall_ms``, every audit record, every CLI exit code and every report
-file but its ``wall_seconds``.  It is the sha256 of the ``--dump`` file, in
+saga and with sarah (2 trials), and with saga at 9 trials, so that some
+across-trial reductions run over more than 8 trials.  The digest covers
+every returned point, ``failed``, ``message``, ``iterations_run`` and
+``hit_eta_floor``, every trace row but its ``wall_ms``, every audit
+record, every CLI exit code and every report file but its
+``wall_seconds``.  It is the sha256 of the ``--dump`` file, in
 which floats are written exactly.  ``--tiny`` runs the same grid at 10x8,
 rank 2, for 2 epochs.
 
@@ -157,6 +159,7 @@ def cli_grid(bregopt, grid: str) -> dict:
         "compare": {},
         "audit saga": {"solver": {"max_epochs": epochs, "estimator": "saga"}},
         "audit sarah": {"solver": {"max_epochs": epochs, "estimator": "sarah"}},
+        "audit saga 9 trials": {"trials": 9, "solver": {"max_epochs": epochs, "estimator": "saga"}},
     }
     values = {}
     for kind, (job, extra) in itertools.product(KINDS, jobs.items()):
