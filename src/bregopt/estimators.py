@@ -165,7 +165,8 @@ class MinibatchSGD(GradientEstimator):
 
     def estimate(self, x_bar: FactorPair) -> FactorPair:
         idx = _draw_batch(self.rng, self.problem.n_samples, self.batch_size)
-        return self.problem.sample_gradient(x_bar, idx)
+        g_data = self.problem.minibatch_data_gradient(x_bar, idx)
+        return self.problem._with_graph(g_data, x_bar)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:
         return VarianceAudit(math.nan, math.nan, self._realized(x_bar, estimate))

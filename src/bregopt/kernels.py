@@ -153,25 +153,21 @@ def _kernel_gradient(spec: KernelSpec, x: FactorPair, s: float) -> FactorPair:
 
 
 def bregman_distance(spec: KernelSpec, x: FactorPair, y: FactorPair) -> float:
-    """D_psi(x, y) = psi(x) - psi(y) - <grad psi(y), x - y>.
-
-    Takes the squared norm of each argument once.  Nonnegative by convexity;
-    roundoff may produce values as low as about -1e-12 on nearly equal
-    arguments, which callers should treat as zero.
+    """D_psi(x, y) = psi(x) - psi(y) - <grad psi(y), x - y>, from the block
+    dots of ``_carried_distance``.  Nonnegative by convexity; roundoff may
+    produce values as low as about -1e-12 on nearly equal arguments, which
+    callers should treat as zero.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    u_sq = float(np.vdot(y.u, y.u))
-    s_y = u_sq + float(np.vdot(y.v, y.v))
-    gy = _kernel_gradient(spec, y, s_y)
-    return kernel_value(spec, x) - _kernel_value(spec, s_y, u_sq) - gy.dot(x - y)
+    return _carried_distance(spec, x, kernel_value(spec, x), y)[0]
 
 
 def _carried_distance(spec: KernelSpec, x: FactorPair, psi_x: float, y: FactorPair):
     """(D_psi(x, y), psi(y), s_y) given psi(x), from the block dots |U_y|^2,
     |V_y|^2, <U_x, U_y> and <V_x, V_y>, each taken once: D = psi(x) - psi(y)
-    - [(a s_y + b)(<x, y> - s_y) + c (<U_x, U_y> - |U_y|^2)].  It agrees with
-    ``bregman_distance`` to about 1e-15 (psi(x) + psi(y)), not bit for bit."""
+    - [(a s_y + b)(<x, y> - s_y) + c (<U_x, U_y> - |U_y|^2)].  With psi(x)
+    = ``kernel_value(spec, x)`` it is ``bregman_distance`` bit for bit."""
     uu, uxy = float(np.vdot(y.u, y.u)), float(np.vdot(x.u, y.u))
     s_y = uu + float(np.vdot(y.v, y.v))
     psi_y = _kernel_value(spec, s_y, uu)

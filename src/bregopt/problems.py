@@ -338,15 +338,6 @@ class Problem:
         """Gradient of f at x; ``products`` as for ``data_gradient``."""
         return self._with_graph(self.data_gradient(x, products), x)
 
-    def sample_gradient(self, x: FactorPair, indices) -> FactorPair:
-        """Minibatch gradient (1/|B|) sum_{i in B} grad f_i at x.
-
-        The graph term is identical in every f_i, so it appears here at full
-        weight regardless of the batch: the stochastic part is the data term
-        only.
-        """
-        return self._with_graph(self.minibatch_data_gradient(x, indices), x)
-
     def minibatch_data_gradient(self, x: FactorPair, indices) -> FactorPair:
         """Data-term minibatch gradient: the batch mean of ``batch_table``."""
         self._check_point(x)
@@ -567,7 +558,12 @@ class GraphRegularizedNMF(Problem):
 
 class WeaklyConvexMF(Problem):
     """Factorization with an l1 penalty made weakly convex by a concave
-    quadratic: h(U) = lambda1 |U|_1 - (lambda2/2) |U|_F^2, no constraints."""
+    quadratic: h(U) = lambda1 |U|_1 - (lambda2/2) |U|_F^2, no constraints.
+    Any lambda1, lambda2 >= 0 is accepted: the kernel's c = eta lambda2 makes
+    the prox convex for every lambda2, no order of the two keeps Phi bounded
+    below along (t U, V / t), and lambda1 > lambda2 is not scale-free (on
+    s M, lambda1 ~ s^(3/2) and lambda2 ~ s: it rejected (0.05, 0.02) scaled
+    to any s < 0.16)."""
 
     kind = "wcmf"
 
@@ -577,11 +573,6 @@ class WeaklyConvexMF(Problem):
         lambda2 = float(lambda2)
         if lambda1 < 0.0 or lambda2 < 0.0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
-        if lambda2 >= lambda1 and lambda2 > 0.0:
-            raise ValueError(
-                "need lambda1 > lambda2 so the shrinkage dominates the "
-                f"concave part, got lambda1={lambda1}, lambda2={lambda2}"
-            )
         self.lambda1 = lambda1
         self.lambda2 = lambda2
 

@@ -33,11 +33,10 @@ Traces are recorded per epoch: the objective at the epoch's last iterate and
 means of the Bregman step, eta and beta over its iterations; a failed epoch
 adds no row.  A run carries |x_k|^2 and psi(x_k) from step to step: the prox
 reads |x_k|^2 when beta is 0, and the Bregman step D(x_k, x_{k+1}) takes two
-dots, agreeing with ``bregman_distance`` to about 1e-15 (psi(x_k) +
-psi(x_{k+1})), not bit for bit.  Audit mode additionally records
-per-iteration theory quantities: the Lyapunov value, the variance tracker,
-squared step lengths, and the norm of an explicit subgradient witness at
-the new iterate.
+dots and is ``bregman_distance(kernel, x_k, x_{k+1})`` bit for bit.  Audit
+mode additionally records per-iteration theory quantities: the Lyapunov
+value, the variance tracker, squared step lengths, and the norm of an
+explicit subgradient witness at the new iterate.
 
 A full-gradient run reads M once per step.  It carries the data products
 (U^T M, M V^T) of its last two iterates, as it carries the last Bregman

@@ -35,8 +35,9 @@ def test_digest_repeats_and_names_a_moved_field(tmp_path, capsys, monkeypatch):
     summary, line = capsys.readouterr().out.splitlines()
     assert summary.startswith("0 of ") and line.split()[1] == first
     values = json.loads(dump.read_text(encoding="utf-8"))
-    # 3 kinds x (8 variants x 8 settings of run + 5 CLI calls)
-    assert len(values) == 3 * (8 * 8 + 5)
+    # 3 kinds x (8 variants x 8 settings of run + 5 CLI calls), and the CSR
+    # job's 3 variants
+    assert len(values) == 3 * (8 * 8 + 5) + 3
     assert not any("wall" in name for call in values.values() for name in call)
     assert all(call["exit"] == 0 for key, call in values.items() if key.startswith("cli"))
 

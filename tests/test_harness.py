@@ -1112,8 +1112,8 @@ def test_cli_exit_code_1_on_usage_error(capsys):
 
 
 def test_cli_exit_code_2_on_numerical_failure(tmp_path, capsys):
-    # lambda2 = 0.5 with lambda1 = 0.1 is rejected by the problem class at
-    # build time, surfacing as a numerical-domain error, exit 2.
+    # A negative lambda1 is rejected by the problem class at build time,
+    # surfacing as a numerical-domain error, exit 2.
     code = cli_main(
         cli_args(
             tmp_path,
@@ -1121,13 +1121,11 @@ def test_cli_exit_code_2_on_numerical_failure(tmp_path, capsys):
             "--set",
             "problem.kind=wcmf",
             "--set",
-            "problem.lambda1=0.1",
-            "--set",
-            "problem.lambda2=0.5",
+            "problem.lambda1=-0.1",
         )
     )
     assert code == 2
-    capsys.readouterr()
+    assert "lambda1 and lambda2 must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_compare_and_audit_and_gen(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bregopt.kernels import (
     FactorPair,
@@ -164,6 +166,45 @@ def test_bregman_distance_shape_mismatch():
             FactorPair(np.ones((2, 1)), np.ones((1, 2))),
             FactorPair(np.ones((3, 1)), np.ones((1, 2))),
         )
+
+
+def gradient_form_distance(spec, x, y):
+    """D_psi(x, y) as psi(x) - psi(y) - <grad psi(y), x - y>, the gradient
+    form that ``bregman_distance`` took before it shared ``run``'s block-dot
+    formula: the reference oracle for that formula."""
+    gy = kernel_gradient(spec, y)
+    return kernel_value(spec, x) - kernel_value(spec, y) - gy.dot(x - y)
+
+
+def pair_of_norm(rng, shape, norm):
+    m, r, d = shape
+    x = FactorPair(rng.standard_normal((m, r)), rng.standard_normal((r, d)))
+    return x.scale(norm / x.norm())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(1, 6)),
+    log_norms=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    gap=st.sampled_from([None, 1e-12, 1e-8, 1e-4, 1e-1]),
+    b=st.floats(1e-3, 1e3),
+    c=st.sampled_from([0.0, 1e-3, 0.4, 50.0]),
+)
+def test_bregman_distance_matches_the_gradient_form(seed, shape, log_norms, gap, b, c):
+    # |x| from 1e-3 to 1e3; y is far (an independent norm and direction) when
+    # gap is None, else within gap |x| of x.
+    rng = make_rng(seed)
+    spec = KernelSpec(3.0, b, c)
+    x = pair_of_norm(rng, shape, 10.0 ** log_norms[0])
+    if gap is None:
+        y = pair_of_norm(rng, shape, 10.0 ** log_norms[1])
+    else:
+        y = x + pair_of_norm(rng, shape, gap * x.norm())
+    psi = kernel_value(spec, x) + kernel_value(spec, y)
+    want = gradient_form_distance(spec, x, y)
+    assert abs(bregman_distance(spec, x, y) - want) <= 1e-14 * psi
+    assert bregman_distance(spec, x, x) == 0.0
 
 
 # -- smooth adaptability ----------------------------------------------------

@@ -157,11 +157,16 @@ def test_gnmf_requires_laplacian_when_weighted():
         GraphRegularizedNMF(m_data, 2, mu0=0.5, laplacian=asym)
 
 
-def test_wcmf_requires_dominant_l1():
+def test_wcmf_weights_need_only_be_nonnegative():
+    # lambda2 >= lambda1 is accepted: the kernel's c = eta lambda2 keeps the
+    # prox convex (see WeaklyConvexMF).
     m_data = np.ones((2, 2))
-    with pytest.raises(ValueError, match="lambda1 > lambda2"):
-        WeaklyConvexMF(m_data, 1, lambda1=0.1, lambda2=0.2)
-    WeaklyConvexMF(m_data, 1, lambda1=0.1, lambda2=0.0)  # plain l1 is fine
+    for lambda1, lambda2 in ((0.1, 0.2), (0.1, 0.1), (0.0, 0.3), (0.1, 0.0)):
+        prob = WeaklyConvexMF(m_data, 1, lambda1=lambda1, lambda2=lambda2)
+        assert (prob.lambda1, prob.weak_convexity) == (lambda1, lambda2)
+    for lambda1, lambda2 in ((-0.1, 0.0), (0.1, -0.2)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            WeaklyConvexMF(m_data, 1, lambda1=lambda1, lambda2=lambda2)
 
 
 def test_ssnmf_budget_validation():

@@ -14,13 +14,16 @@ and L_bar = 1e9 (a step at the 1e-8 floor) for 6 and for 0 epochs.  Then, per
 kind, it calls ``bregopt run`` (2 trials, clustering, per-trial CSVs),
 ``bregopt compare`` (the default grid, 2 trials) and ``bregopt audit`` with
 saga and with sarah (2 trials), and with saga at 9 trials, so that some
-across-trial reductions run over more than 8 trials.  The digest covers
+across-trial reductions run over more than 8 trials.  One more job runs
+gnmf at 240x60, rank 4, on a 5-NN graph, sparse enough to be stored as CSR
+as the benchmark's gnmf graphs are, under bpge, bpsge/saga and bpsge/sarah
+at the default batch of 3 columns.  The digest covers
 every returned point, ``failed``, ``message``, ``iterations_run`` and
 ``hit_eta_floor``, every trace row but its ``wall_ms``, every audit
 record, every CLI exit code and every report file but its
 ``wall_seconds``.  It is the sha256 of the ``--dump`` file, in
 which floats are written exactly.  ``--tiny`` runs the same grid at 10x8,
-rank 2, for 2 epochs.
+rank 2, for 2 epochs, and the CSR job for 2 epochs.
 
 ``--src`` imports bregopt from another checkout's ``src`` (default: this
 checkout's), so one copy of this script digests both sides of a change.
@@ -47,6 +50,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,6 +77,13 @@ MODES = {
 KINDS = ("gnmf", "wcmf", "ssnmf")
 # (m, d, rank, epochs); the synthetic data has one cluster per rank
 GRIDS = {"full": (24, 18, 3, 6), "tiny": (10, 8, 2, 2)}
+# (m, d, rank) of the CSR job, which runs for its grid's epochs
+CSR_SHAPE = (240, 60, 4)
+CSR_VARIANTS = [
+    {"algorithm": "bpge"},
+    {"algorithm": "bpsge", "estimator": "saga"},
+    {"algorithm": "bpsge", "estimator": "sarah"},
+]
 
 
 def _tag(variant: dict) -> str:
@@ -108,14 +119,19 @@ def _run_values(res) -> dict:
     return out
 
 
-def run_grid(bregopt, grid: str) -> dict:
-    """{call: {field: value}} for every ``run`` call of the grid."""
+def _instance(bregopt, m: int, d: int, rank: int):
+    """The grid's synthetic M of shape (m, d) and its start point."""
     from bregopt.numeric import make_rng
 
-    m, d, rank, epochs = GRIDS[grid]
     spec = bregopt.SyntheticSpec(m=m, d=d, r_true=rank, cluster_count=rank, noise_sigma=0.05)
     m_data, _ = bregopt.generate_synthetic(spec, make_rng(7))
-    x0 = bregopt.init_point(m, rank, d, make_rng(8))
+    return m_data, bregopt.init_point(m, rank, d, make_rng(8))
+
+
+def run_grid(bregopt, grid: str) -> dict:
+    """{call: {field: value}} for every ``run`` call of the grid."""
+    m, d, rank, epochs = GRIDS[grid]
+    m_data, x0 = _instance(bregopt, m, d, rank)
     values = {}
     for kind in KINDS:
         params = _kind_params(kind, m, d)
@@ -126,6 +142,16 @@ def run_grid(bregopt, grid: str) -> dict:
             settings = {"max_epochs": epochs, "seed": 5, **variant, **overrides}
             res = bregopt.run(problem, bregopt.SolverConfig(**settings), x0)
             values[f"run {kind} {_tag(variant)} {mode}"] = _run_values(res)
+
+    m, d, rank = CSR_SHAPE
+    m_data, x0 = _instance(bregopt, m, d, rank)
+    lap = bregopt.build_knn_laplacian(m_data, 5)
+    problem = bregopt.build_problem("gnmf", m_data, rank, mu0=0.1, laplacian=lap)
+    if not scipy.sparse.issparse(problem.laplacian):
+        raise RuntimeError("the CSR job's graph is stored dense")
+    for variant in CSR_VARIANTS:
+        res = bregopt.run(problem, bregopt.SolverConfig(max_epochs=epochs, seed=5, **variant), x0)
+        values[f"run gnmf {_tag(variant)} csr"] = _run_values(res)
     return values
 
 
