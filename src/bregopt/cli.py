@@ -5,8 +5,9 @@ shared data and start points), audit (per-iteration theory checks), gen
 (materialize a synthetic instance).
 
 Exit codes: 0 success, 1 configuration or usage error (including an input
-file that is missing or unreadable, or an output path that cannot be made),
-2 numerical failure, 3 partial results (some trials failed but at most half).
+file that is missing or unreadable, a Laplacian file that is not a valid
+Laplacian, or an output path that cannot be made), 2 numerical failure,
+3 partial results (some trials failed but at most half).
 """
 
 from __future__ import annotations

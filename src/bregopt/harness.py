@@ -40,7 +40,12 @@ from .estimators import (
 )
 from .kernels import FactorPair
 from .numeric import as_dense, make_rng
-from .problems import Problem, build_knn_laplacian, build_problem
+from .problems import (
+    LaplacianError,
+    Problem,
+    build_knn_laplacian,
+    build_problem,
+)
 from .solver import RunResult, SolverConfig, rate_check, run
 
 __all__ = [
@@ -766,7 +771,11 @@ def build_experiment_problem(cfg: ExperimentConfig, m_data: np.ndarray) -> Probl
             )
     if p.kind == "ssnmf" and None in params.values():
         raise ConfigError("ssnmf needs s1 and s2")
-    return build_problem(p.kind, m_data, p.rank, **params)
+    try:
+        return build_problem(p.kind, m_data, p.rank, **params)
+    except LaplacianError as exc:
+        # Only a file can hold a bad Laplacian; a kNN graph passes.
+        raise ConfigError(f"{p.laplacian.path}: {exc}") from None
 
 
 def _trial_init(cfg: ExperimentConfig, problem: Problem, t: int) -> FactorPair:
@@ -947,8 +956,8 @@ def _prepare(cfg: ExperimentConfig):
 
     The clustering block (with the labels file of file data) and an emitted
     ``basis_shape`` are checked against the data here, and the kNN graph's
-    ``neighbors`` in ``build_experiment_problem``: before any solve and
-    before the output directory is made.
+    ``neighbors`` and a Laplacian file in ``build_experiment_problem``:
+    before any solve and before the output directory is made.
     """
     t0 = time.perf_counter()
     m_data, labels = load_experiment_data(cfg)

@@ -55,22 +55,29 @@ most 3e-16 relative.  The layout timings above are from the same machine.
 
 Building a gnmf problem takes no eigensolve: |L|_2 is read only by
 ``local_lipschitz``, which no run calls, and is taken there.  The kNN
-graph picks each row's neighbors with a partition instead of a stable
-sort of the whole row of distances, for the same graph to the bit.  The
-set-up, ``build_knn_laplacian`` (5 neighbors) plus ``build_problem``,
-median over repeats on uniform data, one OpenBLAS thread on a 2-vCPU
-x86-64 VM, before (full sort, and a dense eigensolve of |L|_2 at
-construction) and after:
+graph is built as CSR.  One Gram x x^T is the only m x m array; after it,
+every pass works on blocks of rows of about ``_BLOCK_BYTES`` (256 KiB,
+which stays in cache across the passes over a block): the squared
+distances in place, a partition for each row's neighbors, and the dense
+rows of W whose sums are the degrees.  The constructor checks the
+Laplacian on its CSR entries, in O(nnz log nnz).  The set-up,
+``build_knn_laplacian`` (5 neighbors, binary) plus ``build_problem``, on
+uniform m x 1000 data, each once in a fresh process
+(``tools/setup_scale.py``, median of 7 processes, largest peak RSS), one
+OpenBLAS thread on a 2-vCPU x86-64 VM, with the dense graph and dense
+checks before and CSR after:
 
-    m x d          before        after
-    60 x 40        0.69 ms       0.23 ms
-    500 x 1000     54 ms         19 ms
-    1024 x 1000    0.32-0.37 s   0.094 s
-    2048 x 1000    1.9-2.1 s     0.50-0.65 s
+    m       before              after
+    500     21 ms, 95 MB        14 ms, 90 MB
+    1024    87 ms, 124 MB       37 ms, 101 MB
+    2048    0.43 s, 234 MB      0.14 s, 134 MB
+    4096    1.92 s, 652 MB      0.53 s, 251 MB
 
-Of the 19 ms left at m = 500, the product x x^T behind the distances
-takes 6.4 ms, and the Laplacian's checks and its CSR copy about half of
-the constructor's 6 ms.
+The peak RSS includes about 80 MB of interpreter, numpy and scipy.  At
+m = 4096 the Gram takes about 0.37 s and 134 MB of that.  At m = 60 the
+fixed cost of a few dozen numpy calls and a CSR constructor shows
+instead: 0.3 ms for a 60 x 40 set-up in a warm process, against 0.15 ms
+with the dense graph.
 
 Every problem prescribes a kernel from the quartic+quadratic family against
 which f is (1, 1)-smooth adaptable, by one rule (``Problem.kernel``), and
@@ -103,6 +110,7 @@ from .numeric import (
 __all__ = [
     "Problem",
     "GraphRegularizedNMF",
+    "LaplacianError",
     "WeaklyConvexMF",
     "SparseNMF",
     "build_problem",
@@ -115,6 +123,11 @@ __all__ = [
 # Largest share of nonzero Laplacian entries for which the graph product
 # goes through CSR; see the module docstring for the measurements.
 _SPARSE_MAX_DENSITY = 0.05
+
+# Bytes of float64 in each block of rows that ``build_knn_laplacian`` works
+# on: small enough to stay in a core's L2 cache across the passes over a
+# block, and to touch little fresh memory; see the module docstring.
+_BLOCK_BYTES = 1 << 18
 
 # Share of |M|^2 / 2 below which ``smooth_value`` takes the data term in the
 # residual form even when given the data products; see its docstring.
@@ -488,15 +501,68 @@ class Problem:
         return eta * (self.nonsmooth_value(cand) + grad.dot(cand - x_bar)) + d
 
 
+class LaplacianError(ValueError):
+    """A graph Laplacian that ``GraphRegularizedNMF`` rejects."""
+
+
+def _checked_laplacian(laplacian, m: int) -> scipy.sparse.csr_array:
+    """``laplacian``, dense or sparse, as a canonical float64 CSR array
+    (sorted indices, duplicates summed, no zero entries), checked in
+    O(nnz log nnz): finite, m x m, symmetric, rows summing to zero and
+    off-diagonal entries <= 0, each to 1e-8 max(1, max |L_ij|).  A
+    canonical float64 CSR input is used as it is; any other sparse input
+    is converted into new arrays, never changed.  A failed check raises
+    LaplacianError."""
+    if not scipy.sparse.issparse(laplacian):
+        laplacian = np.asarray(laplacian, dtype=np.float64)
+    if laplacian.ndim != 2:
+        raise LaplacianError(f"laplacian must be 2-D, got ndim={laplacian.ndim}")
+    lap = scipy.sparse.csr_array(laplacian, dtype=np.float64)
+    if not (lap.has_canonical_format and lap.data.all()):
+        lap = lap.copy()
+        lap.sum_duplicates()
+        lap.eliminate_zeros()
+    # int64 keys: i m + j overflows int32 indices from m = 46341.
+    data, cols = lap.data, lap.indices.astype(np.int64)
+    if not np.isfinite(data).all():
+        raise LaplacianError("laplacian contains non-finite entries")
+    if lap.shape != (m, m):
+        raise LaplacianError(f"laplacian must be {m}x{m}, got {lap.shape}")
+    tol = 1e-8 * max(1.0, float(np.abs(data).max(initial=0.0)))
+    rows = np.repeat(np.arange(m), np.diff(lap.indptr))
+    # Each entry L_ij against L_ji, or 0 where L has no (j, i) entry: the
+    # keys i m + j of a canonical CSR are sorted.  An entry of L^T with no
+    # entry of L at its place is the mirror of one checked here.
+    keys = rows * m + cols
+    mirror = cols * m + rows
+    order = np.argsort(mirror)
+    mirror = mirror[order]
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    there = np.where(keys[at] == mirror, data[at], 0.0)
+    if np.abs(data[order] - there).max(initial=0.0) > tol:
+        raise LaplacianError("laplacian must be symmetric")
+    if np.abs(np.bincount(rows, data, minlength=m)).max() > tol:
+        raise LaplacianError("laplacian rows must sum to zero")
+    if data[rows != cols].max(initial=0.0) > tol:
+        raise LaplacianError("laplacian off-diagonal entries must be <= 0")
+    return lap
+
+
 class GraphRegularizedNMF(Problem):
     """Nonnegative factorization with a graph-Laplacian smoothness penalty.
 
-    The Laplacian is validated, and its Frobenius norm taken, as a dense
-    array.  ``laplacian`` then holds the operator the graph product uses: a
-    ``scipy.sparse.csr_array`` when at most 5% of the entries are nonzero (a
-    kNN graph from about m = 200 rows up), else the dense array; see the
-    module docstring for the timings behind the rule.  Its spectral norm is
-    not taken here: only ``local_lipschitz`` reads it, and takes it per call.
+    ``laplacian`` may be a dense array or any ``scipy.sparse`` matrix or
+    array; it is read only when mu0 > 0.  It is converted once to a
+    canonical CSR array (duplicate entries summed) and checked in
+    O(nnz log nnz) by ``_checked_laplacian``, which raises
+    ``LaplacianError``, a ValueError, with the same message for either
+    input.  |L|_F is the
+    square root of the sum of the squared CSR entries.  ``laplacian`` then
+    holds the operator the graph product uses: that CSR array when at most
+    5% of the entries are nonzero (a kNN graph from about m = 200 rows up),
+    else its dense copy; see the module docstring for the timings behind
+    the rule.  Its spectral norm is not taken here: only
+    ``local_lipschitz`` reads it, and takes it per call.
     """
 
     kind = "gnmf"
@@ -511,21 +577,10 @@ class GraphRegularizedNMF(Problem):
         if mu0 > 0.0:
             if laplacian is None:
                 raise ValueError("mu0 > 0 requires a laplacian")
-            lap = as_dense(laplacian, "laplacian")
-            m = self.m_data.shape[0]
-            if lap.shape != (m, m):
-                raise ValueError(f"laplacian must be {m}x{m}, got {lap.shape}")
-            scale = max(1.0, float(np.abs(lap).max()))
-            if np.abs(lap - lap.T).max() > 1e-8 * scale:
-                raise ValueError("laplacian must be symmetric")
-            if np.abs(lap.sum(axis=1)).max() > 1e-8 * scale:
-                raise ValueError("laplacian rows must sum to zero")
-            off = lap - np.diag(np.diag(lap))
-            if off.max() > 1e-8 * scale:
-                raise ValueError("laplacian off-diagonal entries must be <= 0")
-            self.norm_l_fro = float(np.linalg.norm(lap))
-            if np.count_nonzero(lap) <= _SPARSE_MAX_DENSITY * lap.size:
-                lap = scipy.sparse.csr_array(lap)
+            lap = _checked_laplacian(laplacian, self.m_data.shape[0])
+            self.norm_l_fro = math.sqrt(float(np.sum(lap.data * lap.data)))
+            if lap.nnz > _SPARSE_MAX_DENSITY * lap.shape[0] ** 2:
+                lap = lap.toarray()
             self.laplacian = lap
         else:
             self.laplacian = None
@@ -641,13 +696,22 @@ def build_problem(kind: str, m_data, rank: int, **params) -> Problem:
     return cls(m_data, rank, **params)
 
 
+def _row_blocks(n: int, width: int, size: int):
+    """Consecutive row ranges (start, stop) over n rows of ``width``
+    entries, each at most ``size`` entries but at least one row."""
+    step = max(1, size // width)
+    return [(s, min(s + step, n)) for s in range(0, n, step)]
+
+
 def build_knn_laplacian(
     m_data,
     p_neighbors: int = 5,
     weighting: str = "binary",
     sigma: float | None = None,
-) -> np.ndarray:
-    """Symmetric kNN graph Laplacian over the rows of ``m_data``.
+) -> scipy.sparse.csr_array:
+    """Symmetric kNN graph Laplacian over the rows of ``m_data``, as a
+    canonical ``scipy.sparse.csr_array`` (sorted indices, no duplicate and
+    no zero entries).
 
     Each row is connected to its ``p_neighbors`` nearest rows by Euclidean
     distance (self excluded, distance ties broken toward the lower index).
@@ -656,54 +720,107 @@ def build_knn_laplacian(
     For ``heat`` with sigma None, sigma defaults to the mean squared
     neighbor distance.
 
-    A partition finds each row's p-th smallest distance; the neighbors are
-    every row nearer than it, then the lowest-index rows at it.  That is the
-    set the first p entries of a stable sort of the row would give, without
-    the O(m^2 log m) sort.  The default sigma sums the selected distances
-    of each row in ascending order, as that sort would list them, so it
-    keeps its bits too.  Squared distances, or a default sigma, that
+    The squared distances come from one Gram x x^T, numpy's symmetric
+    product, and are formed in place in its rows, one block of rows at a
+    time; nothing else is m x m.  A partition finds each row's p-th
+    smallest distance; the neighbors are every row nearer than it, then the
+    lowest-index rows at it.  That is the set the first p entries of a
+    stable sort of the row would give, without the O(m^2 log m) sort.  The
+    default sigma sums the selected distances of each row in ascending
+    order, as that sort would list them, and each degree is the sum of a
+    dense row of W, so the result is ``csr_array`` of the dense
+    diag(W 1) - W bit for bit.  Squared distances, or a default sigma, that
     overflow raise ValueError.
     """
     x = as_dense(m_data, "m_data")
     n = x.shape[0]
-    if not 1 <= p_neighbors < n:
-        raise ValueError(f"p_neighbors must be in [1, {n - 1}], got {p_neighbors}")
+    p = p_neighbors
+    if not 1 <= p < n:
+        raise ValueError(f"p_neighbors must be in [1, {n - 1}], got {p}")
     if weighting not in ("binary", "heat"):
         raise ValueError(f"weighting must be 'binary' or 'heat', got {weighting!r}")
 
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    if not np.isfinite(d2).all():
-        raise ValueError("squared distances between the rows of m_data overflow")
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    kth = np.partition(d2, p_neighbors - 1, axis=1)[:, p_neighbors - 1 : p_neighbors]
-    nearest = d2 <= kth
-    extra = np.count_nonzero(nearest, axis=1) - p_neighbors
-    # In a row with more than p entries at or below the p-th value, drop the
-    # ``extra`` highest-index entries equal to it.
-    tied_rows = np.flatnonzero(extra)
-    tied = d2[tied_rows] == kth[tied_rows]
-    late = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1] <= extra[tied_rows, None]
-    nearest[tied_rows] &= ~(tied & late)
+    # One scratch block of rows serves every pass: about _BLOCK_BYTES, and
+    # no more than the whole array or less than one row.
+    d = x.shape[1]
+    size = max(min(_BLOCK_BYTES // 8, n * max(n, d)), n, d)
+    scratch = np.empty(size)
 
-    w = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), p_neighbors)
-    cols = np.nonzero(nearest)[1]
+    def rows_of(s, e, width):
+        return scratch[: (e - s) * width].reshape(e - s, width)
+
+    sq = np.empty(n)
+    for s, e in _row_blocks(n, d, size):
+        # np.sum(x * x, axis=1) to the bit: each row is summed on its own.
+        sq[s:e] = np.multiply(x[s:e], x[s:e], out=rows_of(s, e, d)).sum(axis=1)
+    d2 = x @ x.T
+    blocks = _row_blocks(n, n, size)
+    cols = np.empty(n * p, dtype=np.int64)
+    dsel = np.empty(n * p)
+    for s, e in blocks:
+        # (sq_i + sq_j) - 2 g_ij, to the bit: negation and doubling are exact.
+        blk, tmp = d2[s:e], rows_of(s, e, n)
+        blk *= -2.0
+        blk += np.add(sq[s:e, None], sq, out=tmp)
+        if not np.isfinite(blk).all():
+            raise ValueError("squared distances between the rows of m_data overflow")
+        np.maximum(blk, 0.0, out=blk)
+        blk[np.arange(e - s), np.arange(s, e)] = np.inf
+        np.copyto(tmp, blk)
+        tmp.partition(p - 1, axis=1)
+        kth = tmp[:, p - 1 : p]
+        nearest = blk <= kth
+        flat = np.flatnonzero(nearest)
+        if flat.size > (e - s) * p:
+            extra = np.count_nonzero(nearest, axis=1) - p
+            # In a row with more than p entries at or below the p-th value,
+            # drop the ``extra`` highest-index entries equal to it.
+            tied_rows = np.flatnonzero(extra)
+            tied = blk[tied_rows] == kth[tied_rows]
+            late = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1] <= extra[tied_rows, None]
+            nearest[tied_rows] &= ~(tied & late)
+            flat = np.flatnonzero(nearest)
+        cols[s * p : e * p] = flat % n
+        dsel[s * p : e * p] = blk.flat[flat]
+    del d2, blk
+
     if weighting == "binary":
-        w[rows, cols] = 1.0
+        w = np.ones(n * p)
     else:
-        dsel = d2[rows, cols]
         if sigma is None:
             # The mean in the order of a stable sort of each row, nearest
             # first: a float sum depends on its order.
-            sigma = float(np.sort(dsel.reshape(n, p_neighbors), axis=1).mean())
+            sigma = float(np.sort(dsel.reshape(n, p), axis=1).mean())
             if not math.isfinite(sigma):
                 raise ValueError("the mean squared neighbor distance overflows")
             if sigma <= 0.0:
                 sigma = 1.0
         elif sigma <= 0.0:
             raise ValueError(f"sigma must be > 0, got {sigma}")
-        w[rows, cols] = np.exp(-dsel / sigma)
-    w = np.maximum(w, w.T)
-    return np.diag(w.sum(axis=1)) - w
+        w = np.exp(-dsel / sigma)
+
+    # W = max(W, W^T) as entries keyed i n + j in row-major order: each edge
+    # in both directions and a 0 on the diagonal, equal keys reduced by max.
+    rows = np.repeat(np.arange(n), p)
+    diag = np.arange(n) * (n + 1)
+    keys = np.concatenate([rows * n + cols, cols * n + rows, diag])
+    order = np.argsort(keys)
+    keys, w = keys[order], np.concatenate([w, w, np.zeros(n)])[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys, w = keys[first], np.maximum.reduceat(w, first)
+
+    data = -w
+    row_keys = np.arange(n + 1) * n
+    ends = np.searchsorted(keys, row_keys)
+    at_diag = np.searchsorted(keys, diag)
+    for s, e in blocks:
+        # Each degree sums a dense row of W, in the order numpy sums W 1.
+        dense = rows_of(s, e, n)
+        dense.fill(0.0)
+        dense.flat[keys[ends[s] : ends[e]] - s * n] = w[ends[s] : ends[e]]
+        data[at_diag[s:e]] = dense.sum(axis=1)
+    # A heat weight that underflows to 0 is no entry, as in csr_array(dense).
+    keep = data != 0.0
+    keys, data = keys[keep], data[keep]
+    indptr = np.searchsorted(keys, row_keys)
+    return scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))

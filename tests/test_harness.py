@@ -1594,6 +1594,47 @@ def test_cli_rejects_a_bad_laplacian_block_before_solving(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "compare", "audit"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("asymmetric", "laplacian must be symmetric"),
+        ("row-sums", "laplacian rows must sum to zero"),
+        ("positive-off-diagonal", "laplacian off-diagonal entries must be <= 0"),
+        ("wrong-size", "laplacian must be 12x12, got (3, 3)"),
+    ],
+)
+def test_cli_rejects_a_bad_laplacian_file_before_solving(
+    tmp_path, capsys, monkeypatch, verb, case, message
+):
+    # The 12-node path graph, broken one way per case.
+    lap = 2.0 * np.eye(12) - np.eye(12, k=1) - np.eye(12, k=-1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    if case == "asymmetric":
+        lap[0, 1] = -2.0
+    elif case == "row-sums":
+        lap[3, 3] += 1.0
+    elif case == "positive-off-diagonal":
+        lap = -lap
+    else:
+        lap = lap[:3, :3]
+    path = tmp_path / "L.csv"
+    save_matrix(path, lap)
+    monkeypatch.setattr(harness, "run", _no_solve)
+    out = tmp_path / "out"
+    problem = {
+        "kind": "gnmf",
+        "rank": 2,
+        "mu0": 0.1,
+        "data": {"synthetic": {"m": 12, "d": 8, "r_true": 2}},
+        "laplacian": {"path": str(path)},
+    }
+    argv = [verb, "--set", f"problem={json.dumps(problem)}", "--out", str(out)]
+    assert cli_main(argv + ["--quiet"]) == 1
+    assert f"bregopt: config error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_an_unknown_kind_before_loading_data(tmp_path, capsys):
     problem = {"kind": "pca", "rank": 2, "data": {"path": str(tmp_path / "none.csv")}}
     out = tmp_path / "out"

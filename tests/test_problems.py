@@ -518,7 +518,7 @@ def test_local_lipschitz_matches_direct_norms():
 def test_gnmf_laplacian_norm_is_the_spectral_norm():
     # At U = 0, V = 0 only the graph term mu0 |L|_2 is left.
     pts = make_rng(27).uniform(0.0, 1.0, (30, 4))
-    for lap in (make_laplacian_path_graph(), build_knn_laplacian(pts, 4)):
+    for lap in (make_laplacian_path_graph(), build_knn_laplacian(pts, 4).toarray()):
         m = lap.shape[0]
         prob = GraphRegularizedNMF(np.ones((m, 3)), 1, mu0=0.5, laplacian=lap)
         x = FactorPair(np.zeros((m, 1)), np.zeros((1, 3)))
@@ -562,7 +562,7 @@ def test_graph_operator_is_chosen_by_density(m, sparse):
     assert isinstance(got, np.ndarray)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert prob._graph_value(u) == pytest.approx(0.5 * np.vdot(u, want), rel=1e-12)
-    want = 0.4 * np.linalg.norm(lap, 2)
+    want = 0.4 * np.linalg.norm(lap.toarray(), 2)
     assert prob._graph_operator_norm() == pytest.approx(want, rel=1e-12)
 
 
@@ -695,14 +695,14 @@ def test_knn_laplacian_hand_case():
     # symmetrized: edges {0,1} and {1,2}.
     pts = np.array([[0.0], [1.0], [3.0]])
     lap = build_knn_laplacian(pts, p_neighbors=1)
-    assert np.array_equal(lap, make_laplacian_path_graph())
+    assert np.array_equal(lap.toarray(), make_laplacian_path_graph())
 
 
 def test_knn_laplacian_is_a_valid_laplacian():
     rng = make_rng(41)
     pts = rng.standard_normal((10, 3))
     for weighting in ("binary", "heat"):
-        lap = build_knn_laplacian(pts, p_neighbors=3, weighting=weighting)
+        lap = build_knn_laplacian(pts, p_neighbors=3, weighting=weighting).toarray()
         assert np.allclose(lap, lap.T)
         assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
         off = lap - np.diag(np.diag(lap))
@@ -714,6 +714,7 @@ def test_knn_laplacian_is_a_valid_laplacian():
 def test_knn_laplacian_heat_weights():
     pts = np.array([[0.0], [1.0], [3.0]])
     lap = build_knn_laplacian(pts, p_neighbors=1, weighting="heat", sigma=2.0)
+    lap = lap.toarray()
     w01 = np.exp(-1.0 / 2.0)  # squared distance 1
     w12 = np.exp(-4.0 / 2.0)  # squared distance 4
     assert -lap[0, 1] == pytest.approx(w01)
@@ -747,7 +748,7 @@ def test_knn_laplacian_rejects_an_overflowing_default_sigma():
     angles = np.arange(6) * np.pi / 3.0
     pts = 6.3e153 * np.column_stack([np.cos(angles), np.sin(angles)])
     lap = build_knn_laplacian(pts, p_neighbors=2, weighting="heat", sigma=1e308)
-    assert np.isfinite(lap).all()
+    assert np.isfinite(lap.toarray()).all()
     with pytest.raises(ValueError, match="mean squared neighbor distance overflows"):
         build_knn_laplacian(pts, p_neighbors=2, weighting="heat")
 
@@ -772,6 +773,17 @@ def knn_laplacian_oracle(x, p, weighting, sigma):
         w[rows, cols] = np.exp(-dsel / sigma)
     w = np.maximum(w, w.T)
     return np.diag(w.sum(axis=1)) - w
+
+
+def assert_same_csr(got, dense):
+    """``got`` is the canonical CSR array of ``dense``, entry order and
+    bits included."""
+    want = scipy.sparse.csr_array(dense)
+    assert isinstance(got, scipy.sparse.csr_array) and got.has_canonical_format
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 @st.composite
@@ -800,7 +812,7 @@ def tie_heavy_knn_cases(draw):
 def test_knn_selection_matches_a_stable_full_sort(case):
     x, p, weighting, sigma = case
     got = build_knn_laplacian(x, p, weighting, sigma)
-    assert np.array_equal(got, knn_laplacian_oracle(x, p, weighting, sigma))
+    assert_same_csr(got, knn_laplacian_oracle(x, p, weighting, sigma))
 
 
 @pytest.mark.parametrize("m,sparse", [(60, False), (200, True)])
@@ -810,9 +822,23 @@ def test_knn_selection_matches_a_stable_full_sort_at_scale(m, sparse, ties):
     x = rng.integers(0, 3, (m, 4)) / 3.0 if ties else rng.uniform(0.1, 1.0, (m, 40))
     for weighting, sigma in (("binary", None), ("heat", None), ("heat", 0.5)):
         lap = build_knn_laplacian(x, 5, weighting, sigma)
-        assert np.array_equal(lap, knn_laplacian_oracle(x, 5, weighting, sigma))
+        assert_same_csr(lap, knn_laplacian_oracle(x, 5, weighting, sigma))
         prob = build_problem("gnmf", x, 3, mu0=0.4, laplacian=lap)
         assert scipy.sparse.issparse(prob.laplacian) == sparse
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("ties", [False, True])
+def test_knn_graph_does_not_depend_on_the_row_blocks(rows, ties, monkeypatch):
+    # Blocks of 1 and 7 rows of the 60 x 60 distances, and the default one
+    # block: the same CSR array as the dense oracle, for every weighting.
+    if rows is not None:
+        monkeypatch.setattr(problems, "_BLOCK_BYTES", 8 * 60 * rows)
+    rng = make_rng(49)
+    x = rng.integers(0, 3, (60, 4)) / 3.0 if ties else rng.uniform(0.1, 1.0, (60, 40))
+    for weighting, sigma in (("binary", None), ("heat", None), ("heat", 0.5)):
+        got = build_knn_laplacian(x, 5, weighting, sigma)
+        assert_same_csr(got, knn_laplacian_oracle(x, 5, weighting, sigma))
 
 
 def test_gnmf_accepts_its_own_knn_laplacian():
@@ -821,3 +847,95 @@ def test_gnmf_accepts_its_own_knn_laplacian():
     lap = build_knn_laplacian(m_data, p_neighbors=2)
     prob = GraphRegularizedNMF(m_data, 2, mu0=0.3, laplacian=lap)
     assert prob.kernel().quadratic > np.linalg.norm(m_data)
+
+
+def test_knn_graph_at_benchmark_scale_is_the_dense_graph_as_csr():
+    # 500 x 1000 with a binary 5-NN graph, the benchmark's gnmf set-up: the
+    # operator is the CSR array of the dense oracle, and |L|_F, a sum of
+    # small integers, is the dense norm exactly.
+    x = make_rng(46).uniform(0.0, 1.0, (500, 1000))
+    want = knn_laplacian_oracle(x, 5, "binary", None)
+    prob = build_problem("gnmf", x, 10, mu0=0.1, laplacian=build_knn_laplacian(x, 5))
+    assert_same_csr(prob.laplacian, want)
+    assert prob.norm_l_fro == np.linalg.norm(want)
+
+
+# -- the Laplacian at the gnmf boundary --------------------------------------
+
+
+def _bad_laplacians():
+    path = make_laplacian_path_graph()
+    cases = {"shape": (np.zeros((3, 4)), "laplacian must be 3x3, got \\(3, 4\\)")}
+    for name, (i, j), value, message in (
+        ("nan", (0, 0), np.nan, "non-finite"),
+        ("inf", (1, 2), np.inf, "non-finite"),
+        ("asymmetric", (0, 1), -2.0, "must be symmetric"),
+        ("row sum", (1, 1), 3.0, "rows must sum to zero"),
+    ):
+        lap = path.copy()
+        lap[i, j] = value
+        cases[name] = (lap, message)
+    cases["positive off-diagonal"] = (-path, "off-diagonal entries must be <= 0")
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_bad_laplacians()))
+def test_dense_and_sparse_laplacians_fail_alike(case):
+    dense, message = _bad_laplacians()[case]
+    m_data = np.ones((3, 4))
+    errors = []
+    for lap in (dense, scipy.sparse.csr_array(dense)):
+        with pytest.raises(ValueError, match=message) as err:
+            GraphRegularizedNMF(m_data, 2, mu0=0.5, laplacian=lap)
+        assert isinstance(err.value, problems.LaplacianError)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("m,sparse", [(60, False), (200, True)])
+def test_dense_and_sparse_laplacians_give_the_same_operator(m, sparse):
+    x = make_rng(47).uniform(0.1, 1.0, (m, 40))
+    for weighting in ("binary", "heat"):
+        csr = build_knn_laplacian(x, 5, weighting)
+        built = [
+            build_problem("gnmf", x, 3, mu0=0.4, laplacian=lap)
+            for lap in (csr, csr.toarray(), scipy.sparse.coo_array(csr))
+        ]
+        for prob in built:
+            assert scipy.sparse.issparse(prob.laplacian) == sparse
+            assert prob.kernel().quadratic == built[0].kernel().quadratic
+            if sparse:
+                assert_same_csr(prob.laplacian, csr.toarray())
+            else:
+                assert np.array_equal(prob.laplacian, csr.toarray())
+
+
+def test_sparse_laplacian_duplicates_are_summed_and_the_input_is_kept():
+    # The path graph's (1, 1) entry 2 given as 1 + 1, in COO and in CSR.
+    path = make_laplacian_path_graph()
+    rows, cols = np.nonzero(path)
+    vals = path[rows, cols]
+    at = np.flatnonzero((rows == 1) & (cols == 1))
+    rows, cols = np.append(rows, 1), np.append(cols, 1)
+    vals = np.append(vals, 1.0)
+    vals[at] = 1.0
+    coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(3, 3))
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(4))
+    csr = scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(3, 3))
+    assert not csr.has_canonical_format
+    kept = csr.data.copy(), csr.indices.copy(), csr.indptr.copy()
+    m_data = make_rng(48).uniform(0.1, 1.0, (3, 4))
+    want = GraphRegularizedNMF(m_data, 2, mu0=0.5, laplacian=path)
+    for lap in (coo, csr):
+        prob = GraphRegularizedNMF(m_data, 2, mu0=0.5, laplacian=lap)
+        assert np.array_equal(prob.laplacian, path)
+        assert prob.norm_l_fro == want.norm_l_fro
+    assert all(np.array_equal(a, b) for a, b in zip(kept, (csr.data, csr.indices, csr.indptr)))
+
+
+def test_mu0_zero_reads_no_laplacian():
+    m_data = np.ones((3, 4))
+    for lap in (None, np.full((2, 5), np.nan), "not a matrix"):
+        prob = GraphRegularizedNMF(m_data, 2, mu0=0.0, laplacian=lap)
+        assert prob.laplacian is None and prob.norm_l_fro == 0.0
