@@ -29,7 +29,6 @@ cfg = SolverConfig(
     algorithm="bpge",
     beta_mode="safeguarded",
     strict_theory_stepsize=True,
-    l_bar=1.0,
     max_epochs=120,
     stop_tol=0.0,
     audit_per_iteration=True,

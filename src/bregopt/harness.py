@@ -109,7 +109,7 @@ def load_matrix(path) -> np.ndarray:
 
 def save_matrix(path, a) -> None:
     path = Path(path)
-    (_save_csv if _is_csv(path) else _save_mm)(path, as_dense(a, "matrix"))
+    (_write_csv if _is_csv(path) else _save_mm)(path, as_dense(a, "matrix"))
 
 
 def _lines(path: Path) -> list[str]:
@@ -163,10 +163,12 @@ def _load_csv(path: Path, kind=float, width: int | None = None) -> np.ndarray:
     return np.array(rows, dtype=kind)
 
 
-def _save_csv(path: Path, a: np.ndarray) -> None:
+def _write_csv(path, lines) -> None:
+    """One comma-joined line per sequence of cells: a str cell as it is,
+    any other with ``FLOAT_FMT``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in a:
-            fh.write(",".join(FLOAT_FMT % v for v in row))
+        for cells in lines:
+            fh.write(",".join(c if isinstance(c, str) else FLOAT_FMT % c for c in cells))
             fh.write("\n")
 
 
@@ -827,6 +829,8 @@ def _run_trials(
 
 _TRACE_FIELDS = ("objective", "bregman_step", "eta", "beta")
 _trace_values = attrgetter(*_TRACE_FIELDS)
+# The keys of an across-trial trace row besides its epoch, in column order
+_STAT_KEYS = tuple(f"{name}_{stat}" for name in _TRACE_FIELDS for stat in ("mean", "std"))
 
 
 def aggregate_traces(outcomes: list[TrialOutcome], max_epochs: int):
@@ -846,35 +850,24 @@ def aggregate_traces(outcomes: list[TrialOutcome], max_epochs: int):
         cells[:, :, t] = vals[np.minimum(epochs, len(vals) - 1)]
         padded_trials += len(vals) < n_rows
     stats = np.stack([cells.mean(axis=-1), cells.std(axis=-1)], axis=-1)
-    keys = [f"{name}_{stat}" for name in _TRACE_FIELDS for stat in ("mean", "std")]
     agg = [
-        {"epoch": e, **dict(zip(keys, vals))}
+        {"epoch": e, **dict(zip(_STAT_KEYS, vals))}
         for e, vals in enumerate(stats.reshape(n_rows, -1).tolist())
     ]
     return agg, padded_trials
 
 
 def write_trace_csv(path, rows) -> None:
-    header = ["epoch"]
-    for name in _TRACE_FIELDS:
-        header += [f"{name}_mean", f"{name}_std"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [str(row["epoch"])]
-            for name in _TRACE_FIELDS:
-                cells.append(FLOAT_FMT % row[f"{name}_mean"])
-                cells.append(FLOAT_FMT % row[f"{name}_std"])
-            fh.write(",".join(cells) + "\n")
+    lines = [[str(row["epoch"]), *(row[key] for key in _STAT_KEYS)] for row in rows]
+    _write_csv(path, [["epoch", *_STAT_KEYS], *lines])
 
 
 def write_trial_csv(path, res: RunResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(("epoch", *_TRACE_FIELDS, "feasible")) + "\n")
-        for row in res.trace:
-            floats = (FLOAT_FMT % v for v in _trace_values(row))
-            cells = (str(row.epoch), *floats, "1" if row.feasible else "0")
-            fh.write(",".join(cells) + "\n")
+    lines = [
+        [str(row.epoch), *_trace_values(row), "1" if row.feasible else "0"]
+        for row in res.trace
+    ]
+    _write_csv(path, [["epoch", *_TRACE_FIELDS, "feasible"], *lines])
 
 
 def _status(outcomes: list[TrialOutcome]) -> str:

@@ -235,10 +235,10 @@ class Problem:
         # Validating the transpose as C-ordered makes at most one copy.
         self.m_data = as_dense(np.transpose(m_data), "m_data").T
         self.rank = _count(rank, "rank", min(self.m_data.shape))
-        self.norm_m = float(np.linalg.norm(self.m_data))
+        self._sq_norm_m = float(np.vdot(self.m_data.T, self.m_data.T))
+        self.norm_m = math.sqrt(self._sq_norm_m)
         if self.norm_m == 0.0:
             raise ValueError("data matrix must be nonzero")
-        self._sq_norm_m = float(np.vdot(self.m_data.T, self.m_data.T))
         self._psi_b = self.norm_m  # the kernel's b; gnmf adds mu0 |L|_F
 
     # -- dimensions ------------------------------------------------------
@@ -418,9 +418,10 @@ class Problem:
     def local_lipschitz(self, x_bar: FactorPair) -> float:
         """Blockwise Euclidean curvature bound at x_bar.
 
-        ``run`` no longer reads it: every variant steps at a multiple of
-        1/L_bar.  It stays until ROADMAP item 4 deletes it with the
-        benchmark's per-layer names that trace it.
+        ``run`` no longer reads it: every variant steps at a constant
+        c <= 1, the kernel's L_bar = 1 giving c = 1 for full gradients.  It
+        stays until ROADMAP item 4 deletes it with the benchmark's per-layer
+        names that trace it.
 
         max of |V V^T|_2 (+ mu0 |L|_2 for the graph kind) over the U block
         and |U^T U|_2 over the V block.  Both Gram matrices are r x r and

@@ -18,16 +18,15 @@ satisfies the distance-growth inequality
                            * D_psi(x_{k-1}, x_k)
 
 that the descent analysis assumes, with delta = 0.99 and L_under the run's
-effective constant.  L_bar is the global smooth-adaptability constant
-(1 for every prescribed kernel).  No variant takes a curvature: full-gradient
-variants step at 1/L_bar, the step of the smooth-adaptable descent lemma,
-and stochastic variants at c_b/L_bar, c_b = min(1/2, sqrt(b/n)) for
-minibatches of b of the n columns (see ``step_size``).  L_under is L_bar/c,
-with c = 1 or c_b, the inverse of the step.  ``strict_theory_stepsize``
-caps every step by 1/L_bar and by (1 - delta)/alpha, alpha the problem's
-weak-convexity modulus.
-Under those caps the Lyapunov sequence computed by ``lyapunov`` is provably
-nonincreasing for deterministic runs.
+effective constant.  Every problem prescribes its kernel psi, and f is
+smooth adaptable relative to it with L_bar = 1.  No variant takes a
+curvature: every step is c, with c = 1 for the full-gradient variants, the
+step of the smooth-adaptable descent lemma, and c = c_b = min(1/2,
+sqrt(b/n)) for minibatches of b of the n columns (see ``step_size``).
+L_under is 1/c, the inverse of the step.  ``strict_theory_stepsize`` caps
+every step by (1 - delta)/alpha, alpha the problem's weak-convexity
+modulus.  Under that cap the Lyapunov sequence computed by ``lyapunov`` is
+provably nonincreasing for deterministic runs.
 
 Traces are recorded per epoch: the objective at the epoch's last iterate and
 means of the Bregman step, eta and beta over its iterations; a failed epoch
@@ -79,7 +78,7 @@ __all__ = [
 
 _ALGORITHMS = ("bpg", "bpge", "bpsg", "bpsge")
 _ESTIMATORS = ("full", "sgd", "saga", "sarah")
-_BETA_MODES = ("off", "scheduled", "safeguarded")
+_BETA_MODES = ("scheduled", "safeguarded")
 
 # Scale of the scheduled beta; the convergence analysis needs it below 1/sqrt(2).
 _BETA_SCALE = 0.6
@@ -97,13 +96,13 @@ _RATE_SLACK = 0.1
 class SolverConfig:
     """Everything a run depends on besides the problem and the start point.
 
-    ``batch_size`` 0 means 5% of the columns (at least one).  bpg and bpge
-    step at 1/``l_bar`` throughout, with L_under = ``l_bar``; bpsg and bpsge
-    at c_b/``l_bar``, with c_b = min(1/2, sqrt(b/n)) a function of the
-    effective batch size b of n columns, and L_under = ``l_bar``/c_b.  No
-    variant takes curvature (see ``step_size``).  ``strict_theory_stepsize``
-    caps every step by 1/``l_bar`` and by (1 - delta)/alpha, with alpha the
-    problem's weak-convexity modulus.
+    The algorithm alone says whether a run extrapolates (bpge and bpsge
+    read ``beta_mode``; bpg and bpsg never do) and whether it samples
+    columns (bpg and bpge take the full gradient, which bpsg and bpsge
+    reject).  ``batch_size`` 0 means 5% of the columns (at least one).  The
+    step follows from the algorithm and the batch share (see
+    ``step_size``); ``strict_theory_stepsize`` caps it by (1 - delta)/alpha,
+    with alpha the problem's weak-convexity modulus.
     ``audit_every`` counts epochs between audited boundaries;
     ``audit_per_iteration`` upgrades auditing to every inner iteration
     regardless.
@@ -116,7 +115,6 @@ class SolverConfig:
     beta_mode: str = "scheduled"
     epsilon: float = 0.01
     strict_theory_stepsize: bool = False
-    l_bar: float = 1.0
     stop_tol: float = 1e-12
     audit_every: int = 0
     audit_per_iteration: bool = False
@@ -128,12 +126,14 @@ class SolverConfig:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"estimator must be one of {_ESTIMATORS}")
+        if self.estimator == "full" and self.algorithm in ("bpsg", "bpsge"):
+            raise ValueError(
+                f"estimator 'full' is not stochastic: {self.algorithm} takes sgd, saga or sarah"
+            )
         if self.beta_mode not in _BETA_MODES:
             raise ValueError(f"beta_mode must be one of {_BETA_MODES}")
         if not 0.0 < self.epsilon < _DELTA:
             raise ValueError(f"need 0 < epsilon < {_DELTA}, got {self.epsilon}")
-        if not (self.l_bar > 0.0 and 0.0 < 1.0 / self.l_bar < math.inf):
-            raise ValueError(f"l_bar must be > 0 with 1/l_bar finite, got {self.l_bar}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if self.batch_size < 0:
@@ -144,14 +144,11 @@ class SolverConfig:
             raise ValueError("audit_every must be >= 0")
 
     def resolved(self) -> "SolverConfig":
-        """Apply the algorithm's restrictions: deterministic variants force
-        the full-gradient estimator, non-extrapolated ones force beta off."""
-        cfg = self
-        if cfg.algorithm in ("bpg", "bpge") and cfg.estimator != "full":
-            cfg = replace(cfg, estimator="full")
-        if cfg.algorithm in ("bpg", "bpsg") and cfg.beta_mode != "off":
-            cfg = replace(cfg, beta_mode="off")
-        return cfg
+        """Apply the algorithm's one restriction: deterministic variants
+        force the full-gradient estimator."""
+        if self.algorithm in ("bpg", "bpge") and self.estimator != "full":
+            return replace(self, estimator="full")
+        return self
 
 
 @dataclass(frozen=True)
@@ -230,15 +227,17 @@ def extrapolate(
 ) -> tuple[FactorPair, float]:
     """Extrapolated point and the beta actually used at iteration k.
 
-    Safeguarded mode halves the scheduled beta (at most 50 times, then 0)
-    until the distance-growth inequality holds; if the last two iterates
-    coincide the right-hand side is zero and beta collapses to 0.
+    bpg and bpsg never extrapolate: they return x_k with beta 0, whatever
+    ``beta_mode`` says.  Safeguarded mode halves the scheduled beta (at most
+    50 times, then 0) until the distance-growth inequality holds; if the
+    last two iterates coincide the right-hand side is zero and beta
+    collapses to 0.
     ``eta_prev`` is the step that produced x_k and ``l_under`` its
     effective constant, in ``run`` the run's fixed step and L_under.
     ``d_prev`` is D(x_{k-1}, x_k) under ``kernel`` when the caller already
     holds it; None computes it.
     """
-    if cfg.beta_mode == "off" or k == 0:
+    if cfg.algorithm in ("bpg", "bpsg") or k == 0:
         return x_k, 0.0
     beta = max(0.0, _BETA_SCALE * (k - 1) / (k + 2))
     if beta == 0.0:
@@ -266,28 +265,28 @@ def step_size(problem: Problem, cfg: SolverConfig) -> tuple[float, float, bool]:
     """(eta, effective upper constant, floor hit?), the step of every
     iteration of a run.
 
-    Every variant needs only smooth adaptability (L_bar = ``l_bar``) and takes
-    no curvature: eta = c/L_bar, and the effective constant (the safeguard's
-    L_under) is L_bar/c.  Full-gradient variants (bpg, bpge) take c = 1, the
-    step of the smooth-adaptable descent lemma.  Stochastic variants (bpsg,
-    bpsge) take c_b = min(1/2, sqrt(b/n)), b the effective batch size over n
-    columns: 1/2 at b = n and 0.224 at the 5% default.  c_b depends on b/n
-    alone, so the step is scale-free, as the full-gradient one is.  It shrinks with the batch share because the
-    estimator's error grows as the share falls: measured stability
-    boundaries are about 0.2-0.25 at b/n = 1/40 and 0.1-0.2 at b/n = 1/200,
-    and a fixed 1/2 blows wcmf bpsge up at b = 1.  The branch follows
-    ``cfg.algorithm``, so an unresolved config steps as its resolved one.
-    Every such step is within strict mode's cap 1/L_bar; strict mode adds
-    the cap (1 - delta)/alpha, alpha the problem's weak-convexity modulus.
-    The step never drops below 1e-8; hitting that floor is reported to the
-    caller.
+    Every variant needs only smooth adaptability, with L_bar = 1 for the
+    kernel that every problem prescribes, and takes no curvature: eta = c,
+    and the effective constant (the safeguard's L_under) is 1/c.
+    Full-gradient variants (bpg, bpge) take c = 1, the step of the
+    smooth-adaptable descent lemma.  Stochastic variants (bpsg, bpsge) take
+    c_b = min(1/2, sqrt(b/n)), b the effective batch size over n columns:
+    1/2 at b = n and 0.224 at the 5% default.  c_b depends on b/n alone, so
+    the step is scale-free, as the full-gradient one is.  It shrinks with
+    the batch share because the estimator's error grows as the share falls:
+    measured stability boundaries are about 0.2-0.25 at b/n = 1/40 and
+    0.1-0.2 at b/n = 1/200, and a fixed 1/2 blows wcmf bpsge up at b = 1.
+    The branch follows ``cfg.algorithm``, so an unresolved config steps as
+    its resolved one.  Strict mode caps the step by (1 - delta)/alpha, alpha
+    the problem's weak-convexity modulus.  The step never drops below 1e-8;
+    hitting that floor, which takes strict mode and alpha > 1e6, is reported
+    to the caller.
     """
     c = 1.0
     if cfg.algorithm in ("bpsg", "bpsge"):
         n = problem.n_samples
         c = min(0.5, math.sqrt(effective_batch_size(cfg.batch_size, n) / n))
-    l_eff = cfg.l_bar / c
-    eta = c / cfg.l_bar
+    eta, l_eff = c, 1.0 / c
     alpha = problem.weak_convexity
     if cfg.strict_theory_stepsize and alpha > 0.0:
         eta = min(eta, (1.0 - _DELTA) / alpha)
@@ -304,20 +303,21 @@ def lyapunov(
     alpha: float = 0.0,
     gamma: float = 0.0,
     tau: float = 1.0,
-    phi_lower_bound: float = 0.0,
 ) -> float:
     """Lyapunov value after a step.
 
-    eta (Phi(x_{k+1}) - lower bound) + t_k D(x_k, x_{k+1})
+    eta Phi(x_{k+1}) + t_k D(x_k, x_{k+1})
       + (eta gamma / 2 + epsilon / 3) D(x_{k-1}, x_k)
       + eta Gamma_{k+1} / (2 tau gamma)
 
     with t_k = 1 - eta alpha - eta gamma - epsilon/3; the tracker term is
-    defined to vanish when gamma == 0 (exact-gradient case).
+    defined to vanish when gamma == 0 (exact-gradient case).  The analysis
+    subtracts a lower bound of Phi from Phi(x_{k+1}); this value takes it
+    as 0, so it assumes Phi >= 0, which wcmf breaks (see ROADMAP item 8).
     """
     t_k = 1.0 - eta * alpha - eta * gamma - epsilon / 3.0
     psi = (
-        eta * (phi_next - phi_lower_bound)
+        eta * phi_next
         + t_k * d_next
         + (eta * gamma / 2.0 + epsilon / 3.0) * d_prev
     )
@@ -407,7 +407,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
             epoch=0,
             objective=obj0,
             bregman_step=0.0,
-            eta=1.0 / cfg.l_bar,  # an upper bound on the step, not a step taken
+            eta=1.0,  # an upper bound on the step, not a step taken
             beta=0.0,
             wall_ms=0.0,
             feasible=x0_feasible,

@@ -283,7 +283,6 @@ def det_run():
         algorithm="bpge",
         beta_mode="safeguarded",
         strict_theory_stepsize=True,
-        l_bar=1.0,
         max_epochs=300,
         stop_tol=0.0,
         audit_per_iteration=True,

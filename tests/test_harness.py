@@ -1259,7 +1259,6 @@ _SOLVER_KINDS = {
     "beta_mode": "str",
     "epsilon": "float",
     "strict_theory_stepsize": "bool",
-    "l_bar": "float",
     "stop_tol": "float",
     "audit_every": "int",
     "audit_per_iteration": "bool",
@@ -1474,6 +1473,58 @@ def test_cli_names_the_wrong_typed_field_before_any_output(
     assert f"bregopt: config error: {message}" in capsys.readouterr().err
     # Not even the first combo of a compare grid is written.
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["solver.l_bar=1.0"], "unknown key(s) in solver: ['l_bar']"),
+        (['compare=[{"algorithm":"bpg","l_bar":1.0}]'], "unknown key(s) in compare[0]: ['l_bar']"),
+        (['solver.beta_mode="off"'], "solver: beta_mode must be one of"),
+        (
+            ['compare=[{"algorithm":"bpg","beta_mode":"off"}]'],
+            "compare[0]: beta_mode must be one of",
+        ),
+        (
+            ['solver={"algorithm":"bpsg","estimator":"full"}'],
+            "solver: estimator 'full' is not stochastic: bpsg takes",
+        ),
+        (
+            ['compare=[{"algorithm":"bpsge","estimator":"full"}]'],
+            "compare[0]: estimator 'full' is not stochastic: bpsge takes",
+        ),
+        (
+            [
+                'solver={"algorithm":"bpg","estimator":"full"}',
+                'compare=[{"algorithm":"bpge"},{"algorithm":"bpsg"}]',
+            ],
+            "compare[1]: estimator 'full' is not stochastic: bpsg takes",
+        ),
+    ],
+    ids=[
+        "l_bar", "compare-l_bar", "beta-off", "compare-beta-off",
+        "bpsg-full", "compare-bpsge-full", "compare-bpsg-inherits-full",
+    ],
+)
+def test_cli_rejects_a_removed_solver_spelling_before_loading_data(
+    tmp_path, capsys, verb, settings, message
+):
+    # Each variant has one spelling: L_bar = 1 is the kernel's, the
+    # algorithm says whether a run extrapolates, and bpsg/bpsge sample
+    # columns.  The data file does not exist, so a check that came after
+    # the data load would report that instead.
+    problem = {"kind": "wcmf", "rank": 2, "data": {"path": str(tmp_path / "none.csv")}}
+    out = tmp_path / "out"
+    argv = [verb, "--set", f"problem={json.dumps(problem)}", "--out", str(out), "--quiet"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert cli_main(argv) == 1
+    assert f"bregopt: config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    # Without the removed spelling the config is read, and the data load fails.
+    assert cli_main(argv[: -2 * len(settings)]) == 1
+    assert "data file not found" in capsys.readouterr().err
 
 
 # Every problem key a kind reads, with a valid value.

@@ -451,6 +451,17 @@ def test_gram_form_falls_back_to_the_residual_form_near_a_fit(scale):
 # -- kernels per kind -------------------------------------------------------
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (60, 40), (500, 1000)])
+def test_norm_m_is_np_linalg_norm_bit_for_bit(shape):
+    # |M|_F is the square root of the one |M|^2 pass over the stored M, the
+    # bits of np.linalg.norm over the same memory.
+    rng = make_rng(24)
+    for scale in (1e-6, 1.0, 1e6):
+        prob = build_problem("gnmf", scale * rng.uniform(0.1, 1.0, shape), 1)
+        assert prob.norm_m == np.linalg.norm(prob.m_data)
+        assert prob.norm_m**2 == pytest.approx(prob._sq_norm_m, rel=1e-15)
+
+
 def test_prescribed_kernels():
     rng = make_rng(23)
     m_data = rng.uniform(0.1, 1.0, (4, 5))
@@ -468,6 +479,7 @@ def test_prescribed_kernels():
 
     wcmf = build_problem("wcmf", m_data, 2, lambda1=0.4, lambda2=0.2)
     k = wcmf.kernel(0.3)
+    assert k.quadratic == wcmf.norm_m == pytest.approx(norm_m)
     assert k.u_quadratic == pytest.approx(0.3 * 0.2)
     assert wcmf.kernel(0.7) != k
 

@@ -55,20 +55,30 @@ def test_config_validation():
         SolverConfig(epsilon=solver._DELTA)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
-    for l_bar in (0.0, -1.0, 5e-324, math.inf, math.nan):
-        with pytest.raises(ValueError, match="l_bar"):
-            SolverConfig(l_bar=l_bar)
+    # Each variant has one spelling: the algorithm says whether a run
+    # extrapolates and whether it samples columns.
+    assert solver._BETA_MODES == ("scheduled", "safeguarded")
+    with pytest.raises(ValueError, match="beta_mode"):
+        SolverConfig(algorithm="bpg", beta_mode="off")
+    for algorithm in ("bpsg", "bpsge"):
+        with pytest.raises(ValueError, match=f"estimator 'full' .* {algorithm} takes"):
+            SolverConfig(algorithm=algorithm, estimator="full")
+    # L_bar = 1 is the kernel's, not an option.
+    assert "l_bar" not in {f.name for f in fields(SolverConfig)}
+    assert len(fields(SolverConfig)) == 12
+    with pytest.raises(TypeError):
+        SolverConfig(l_bar=1.0)
 
 
 def test_config_resolution_forces_variant_restrictions():
     cfg = SolverConfig(algorithm="bpg", estimator="saga").resolved()
-    assert cfg.estimator == "full" and cfg.beta_mode == "off"
+    assert cfg.estimator == "full" and cfg.beta_mode == "scheduled"
     cfg = SolverConfig(algorithm="bpge", estimator="sarah").resolved()
-    assert cfg.estimator == "full" and cfg.beta_mode != "off"
-    cfg = SolverConfig(algorithm="bpsg", beta_mode="scheduled").resolved()
-    assert cfg.beta_mode == "off" and cfg.estimator == "saga"
-    cfg = SolverConfig(algorithm="bpsge").resolved()
-    assert cfg.estimator == "saga" and cfg.beta_mode == "scheduled"
+    assert cfg.estimator == "full"
+    cfg = SolverConfig(algorithm="bpsg", beta_mode="safeguarded")
+    assert cfg.resolved() is cfg
+    cfg = SolverConfig(algorithm="bpsge")
+    assert cfg.resolved() is cfg and cfg.estimator == "saga"
 
 
 # -- extrapolation ----------------------------------------------------------
@@ -87,12 +97,34 @@ def test_beta_schedule_values(small_gnmf):
     assert beta0 == 0.0
 
 
-def test_extrapolate_off_and_no_movement(small_gnmf):
+@pytest.mark.parametrize("beta_mode", ["scheduled", "safeguarded"])
+@pytest.mark.parametrize(
+    "variant",
+    [
+        {"algorithm": "bpg"},
+        {"algorithm": "bpg", "estimator": "saga"},
+        {"algorithm": "bpsg", "estimator": "saga"},
+        {"algorithm": "bpsg", "estimator": "sarah"},
+    ],
+    ids=["bpg", "bpg-unresolved", "bpsg-saga", "bpsg-sarah"],
+)
+def test_non_extrapolating_variants_return_x_k(small_gnmf, variant, beta_mode):
+    # The algorithm alone says whether a run extrapolates: bpg and bpsg
+    # return x_k itself with beta 0 under either beta mode, resolved or not.
     kern = small_gnmf.kernel(1.0)
     x = start_point(small_gnmf)
-    cfg = SolverConfig(beta_mode="off")
-    x_bar, beta = extrapolate(x, start_point(small_gnmf, 52), 5, cfg, kern, 1.0, 0.0)
-    assert beta == 0.0 and x_bar is x
+    y = start_point(small_gnmf, 52)
+    cfg = SolverConfig(beta_mode=beta_mode, **variant)
+    for k in (2, 5, 40):
+        x_bar, beta = extrapolate(x, y, k, cfg, kern, 1.0, 1.0, d_prev=1.0)
+        assert beta == 0.0 and x_bar is x
+    extrapolating = replace(cfg, algorithm=cfg.algorithm + "e")
+    assert extrapolate(x, y, 5, extrapolating, kern, 1.0, 1.0, d_prev=1.0)[1] > 0.0
+
+
+def test_extrapolate_no_movement(small_gnmf):
+    kern = small_gnmf.kernel(1.0)
+    x = start_point(small_gnmf)
     cfg = SolverConfig(beta_mode="scheduled")
     x_bar, beta = extrapolate(x, x.copy(), 5, cfg, kern, 1.0, 0.0)
     assert beta == 0.0  # identical iterates give nothing to extrapolate
@@ -207,9 +239,9 @@ def test_safeguard_needs_no_carried_step(kind):
 
 
 def test_step_size_inverse_curvature(small_gnmf, monkeypatch):
-    # A stochastic step is c_b/L_bar, c_b = min(1/2, sqrt(b/n)) for the
-    # effective batch size b of n = 10 columns, and its effective constant
-    # is the inverse, L_bar/c_b; no curvature is taken.
+    # A stochastic step is c_b = min(1/2, sqrt(b/n)) for the effective batch
+    # size b of n = 10 columns, and its effective constant is the inverse,
+    # 1/c_b; no curvature is taken.
     def no_curvature(self, x_bar):
         raise AssertionError("stochastic steps take no curvature")
 
@@ -220,42 +252,57 @@ def test_step_size_inverse_curvature(small_gnmf, monkeypatch):
         ("bpsg", 3, 0.5),
         ("bpsge", 50, 0.5),  # clamped to b = n
     ]:
-        cfg = SolverConfig(algorithm=algorithm, batch_size=batch_size, l_bar=2.0)
+        cfg = SolverConfig(algorithm=algorithm, batch_size=batch_size)
         eta, l_eff, floored = step_size(small_gnmf, cfg)
-        assert eta == c_b / 2.0 and l_eff == 2.0 / c_b
+        assert eta == c_b and l_eff == 1.0 / c_b
         assert not floored
 
 
 def test_step_size_strict_mode_caps(small_gnmf):
-    cfg = SolverConfig(strict_theory_stepsize=True, l_bar=5.0)
-    # n = 10 columns and the default batch b = 1: c_b = sqrt(0.1) < 1, so
-    # the stochastic step sits below the strict cap 1/L_bar.
+    cfg = SolverConfig(strict_theory_stepsize=True)
+    # n = 10 columns and the default batch b = 1: c_b = sqrt(0.1) < 1, and
+    # strict mode leaves a problem with alpha = 0 at that step.
     eta, l_eff, _ = step_size(small_gnmf, cfg)
-    assert eta == pytest.approx(math.sqrt(0.1) / 5.0)
-    assert l_eff == pytest.approx(5.0 / math.sqrt(0.1)) and l_eff >= 5.0
+    assert eta == pytest.approx(math.sqrt(0.1))
+    assert l_eff == pytest.approx(1.0 / math.sqrt(0.1)) and l_eff >= 1.0
     # A weakly convex problem additionally caps by (1 - delta)/alpha.
     wprob = build_problem("wcmf", small_gnmf.m_data, 2, lambda1=0.5, lambda2=0.1)
     eta, _, _ = step_size(wprob, cfg)
     assert eta <= (1.0 - 0.99) / 0.1 + 1e-12
 
 
+def floored_wcmf(problem):
+    """wcmf on ``problem``'s data with alpha = lambda2 = 1e7: strict mode caps
+    the step at (1 - delta)/alpha = 1e-9, below the 1e-8 floor."""
+    return build_problem("wcmf", problem.m_data, 2, lambda1=0.05, lambda2=1e7)
+
+
 def test_step_size_floor(small_gnmf):
-    eta, _, floored = step_size(small_gnmf, SolverConfig(l_bar=1e9))
+    cfg = SolverConfig(strict_theory_stepsize=True)
+    eta, _, floored = step_size(floored_wcmf(small_gnmf), cfg)
     assert eta == solver._ETA_FLOOR == 1e-8 and floored
+    # Without strict mode, or at alpha = 1e6, no step reaches the floor.
+    loose = replace(cfg, strict_theory_stepsize=False)
+    assert step_size(floored_wcmf(small_gnmf), loose)[1:] == (1.0 / math.sqrt(0.1), False)
+    wprob = build_problem("wcmf", small_gnmf.m_data, 2, lambda1=0.05, lambda2=1e6)
+    eta, _, floored = step_size(wprob, cfg)
+    assert eta >= 1e-8 and not floored
 
 
 @pytest.mark.parametrize(
     "variant", [{"algorithm": "bpg"}, {"estimator": "saga"}], ids=["bpg", "bpsge-saga"]
 )
 def test_run_reports_the_floor_only_if_it_took_a_step(small_gnmf, variant):
-    # At l_bar = 1e9 every variant's step c/l_bar falls below the floor: a
-    # run that steps takes 1e-8 and says so; a 0-epoch run takes no step.
-    x = start_point(small_gnmf)
-    cfg = SolverConfig(l_bar=1e9, max_epochs=2, **variant)
-    res = run(small_gnmf, cfg, x)
+    # In strict mode at alpha = 1e7 every variant's capped step falls below
+    # the floor: a run that steps takes 1e-8 and says so; a 0-epoch run
+    # takes no step.
+    problem = floored_wcmf(small_gnmf)
+    x = start_point(problem)
+    cfg = SolverConfig(strict_theory_stepsize=True, max_epochs=2, **variant)
+    res = run(problem, cfg, x)
     assert not res.failed and res.hit_eta_floor
     assert [t.eta for t in res.trace[1:]] == [1e-8, 1e-8]
-    assert not run(small_gnmf, replace(cfg, max_epochs=0), x).hit_eta_floor
+    assert not run(problem, replace(cfg, max_epochs=0), x).hit_eta_floor
 
 
 @pytest.mark.parametrize(
@@ -277,18 +324,19 @@ def test_run_fixes_its_step_once(small_gnmf, variant, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["bpg", "bpge"])
-def test_full_gradient_step_is_one_over_l_bar(small_gnmf, algorithm, monkeypatch):
-    # Smooth adaptability alone bounds a full-gradient step: no curvature is
-    # taken, and L_under is l_bar.  The rule follows the algorithm, so an
-    # unresolved config (estimator still saga) steps as the resolved one.
+def test_full_gradient_step_is_one(small_gnmf, algorithm, monkeypatch):
+    # Smooth adaptability alone bounds a full-gradient step, at the kernel's
+    # L_bar = 1: no curvature is taken, and L_under is 1.  The rule follows
+    # the algorithm, so an unresolved config (estimator still saga) steps as
+    # the resolved one.
     def no_curvature(self, x_bar):
         raise AssertionError("full-gradient steps take no curvature")
 
     monkeypatch.setattr(Problem, "local_lipschitz", no_curvature)
     x = start_point(small_gnmf)
     for estimator in ("saga", "full"):
-        cfg = SolverConfig(algorithm=algorithm, estimator=estimator, l_bar=3.0)
-        assert step_size(small_gnmf, cfg) == (1.0 / 3.0, 3.0, False)
+        cfg = SolverConfig(algorithm=algorithm, estimator=estimator)
+        assert step_size(small_gnmf, cfg) == (1.0, 1.0, False)
     # Strict mode on a weakly convex problem still caps by (1 - delta)/alpha.
     wprob = build_problem("wcmf", small_gnmf.m_data, 2, lambda1=0.5, lambda2=0.1)
     cfg = SolverConfig(algorithm=algorithm, strict_theory_stepsize=True)
@@ -296,7 +344,7 @@ def test_full_gradient_step_is_one_over_l_bar(small_gnmf, algorithm, monkeypatch
     assert step_size(wprob, cfg) == (cap, 1.0, False)
     res = run(wprob, replace(cfg, max_epochs=5), x)
     assert not res.failed and [t.eta for t in res.trace[1:]] == [cap] * 5
-    # Without strict mode a run steps at 1/l_bar throughout.
+    # Without strict mode a run steps at 1 throughout.
     res = run(small_gnmf, SolverConfig(algorithm=algorithm, max_epochs=5), x)
     assert not res.failed and [t.eta for t in res.trace] == [1.0] * 6
 
@@ -649,9 +697,10 @@ def test_run_audit_bregman_prev_is_the_previous_step(kind):
 def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
     # A run takes D(x_k, x_{k+1}) from its carried |x_k|^2 and psi(x_k) and
     # two dots; it is bregman_distance(kernel(eta), x_k, x_{k+1}) bit for bit,
-    # for every estimator and beta mode.  Only the safeguard calls
-    # bregman_distance, and every run builds exactly one KernelSpec: its
-    # kernel(eta), once.
+    # for every estimator, with and without extrapolation.  Only the
+    # safeguard calls bregman_distance, so bpg and bpsg never do, even when
+    # their beta_mode says safeguarded; and every run builds exactly one
+    # KernelSpec: its kernel(eta), once.
     m_data = make_rng(61).uniform(0.1, 1.0, (30, 24))
     params = {
         "gnmf": {"mu0": 0.1, "laplacian": build_knn_laplacian(m_data, 3)},
@@ -672,9 +721,15 @@ def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
         counts["KernelSpec"] += 1
         post_init(self)
 
-    variants = [("bpge", "full"), ("bpsge", "sgd"), ("bpsge", "saga"), ("bpsge", "sarah")]
-    modes = ("off", "scheduled", "safeguarded")
-    for (algorithm, estimator), beta_mode in itertools.product(variants, modes):
+    runs = []
+    for estimator in ("full", "sgd", "saga", "sarah"):
+        plain, extrapolated = ("bpg", "bpge") if estimator == "full" else ("bpsg", "bpsge")
+        runs += [
+            (plain, estimator, "safeguarded"),
+            (extrapolated, estimator, "scheduled"),
+            (extrapolated, estimator, "safeguarded"),
+        ]
+    for algorithm, estimator, beta_mode in runs:
         cfg = SolverConfig(
             algorithm=algorithm,
             estimator=estimator,
@@ -692,7 +747,7 @@ def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
             res = run(problem, cfg, x0)
         assert not res.failed
         assert counts["KernelSpec"] == 1
-        if cfg.resolved().beta_mode != "safeguarded":
+        if algorithm in ("bpg", "bpsg") or beta_mode != "safeguarded":
             assert counts["bregman_distance"] == 0
         kern = problem.kernel(res.audits[0].eta)
         xs = res.iterates
@@ -729,7 +784,7 @@ def graph_problem():
 
 @pytest.mark.parametrize(
     "algorithm, beta_mode",
-    [("bpg", "off"), ("bpge", "scheduled"), ("bpge", "safeguarded")],
+    [("bpg", "scheduled"), ("bpge", "scheduled"), ("bpge", "safeguarded")],
 )
 @pytest.mark.parametrize("audit", [False, True])
 def test_full_gradient_run_reads_m_once_per_step(
@@ -1043,7 +1098,7 @@ def test_fixed_half_step_is_unstable_at_batch_one(monkeypatch):
     # batch share, ended 8 of these 20 runs above their epoch-1 objective,
     # 6 of them wcmf runs blown up to finite values of 1e26-1e58 |M|^2/2.
     def half_step(problem, cfg):
-        return 0.5 / cfg.l_bar, 2.0 * cfg.l_bar, False
+        return 0.5, 2.0, False
 
     monkeypatch.setattr(solver, "step_size", half_step)
     assert not all(_stable(res) for res in _single_column_runs())

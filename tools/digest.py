@@ -8,10 +8,11 @@
 
 The grid calls ``solver.run`` on the three problem kinds (24x18 synthetic
 data, rank 3, 6 epochs) with the eight variants of ``bregopt compare`` under
-eight settings: plain, audited at every step, audited every 2 epochs,
-safeguarded extrapolation with the strict step and without it, 0 epochs,
-and L_bar = 1e9 (a step at the 1e-8 floor) for 6 and for 0 epochs.  Then, per
-kind, it calls ``bregopt run`` (2 trials, clustering, per-trial CSVs),
+six settings: plain, audited at every step, audited every 2 epochs,
+safeguarded extrapolation with the strict step and without it, and 0
+epochs.  A floored job runs the eight variants in strict mode on wcmf with
+lambda2 = 1e7, whose cap (1 - delta)/lambda2 = 1e-9 puts every step at the
+1e-8 floor, for 6 and for 0 epochs.  Then, per kind, it calls ``bregopt run`` (2 trials, clustering, per-trial CSVs),
 ``bregopt compare`` (the default grid, 2 trials) and ``bregopt audit`` with
 saga and with sarah (2 trials), and with saga at 9 trials, so that some
 across-trial reductions run over more than 8 trials.  One more job runs
@@ -71,9 +72,10 @@ MODES = {
     "safeguarded_strict": {"beta_mode": "safeguarded", "strict_theory_stepsize": True},
     "zero_epochs": {"max_epochs": 0},
     "safeguarded": {"beta_mode": "safeguarded"},
-    "floored": {"l_bar": 1e9},
-    "floored_zero": {"l_bar": 1e9, "max_epochs": 0},
 }
+# wcmf's weights in the floored job: alpha = lambda2 = 1e7 caps a strict step
+# at (1 - 0.99)/1e7 = 1e-9, below the 1e-8 floor
+FLOORED_WCMF = {"lambda1": 0.05, "lambda2": 1e7}
 KINDS = ("gnmf", "wcmf", "ssnmf")
 # (m, d, rank, epochs); the synthetic data has one cluster per rank
 GRIDS = {"full": (24, 18, 3, 6), "tiny": (10, 8, 2, 2)}
@@ -142,6 +144,14 @@ def run_grid(bregopt, grid: str) -> dict:
             settings = {"max_epochs": epochs, "seed": 5, **variant, **overrides}
             res = bregopt.run(problem, bregopt.SolverConfig(**settings), x0)
             values[f"run {kind} {_tag(variant)} {mode}"] = _run_values(res)
+
+    problem = bregopt.build_problem("wcmf", m_data, rank, **FLOORED_WCMF)
+    for variant, (mode, max_epochs) in itertools.product(
+        VARIANTS, (("floored", epochs), ("floored_zero", 0))
+    ):
+        settings = {"max_epochs": max_epochs, "seed": 5, "strict_theory_stepsize": True}
+        res = bregopt.run(problem, bregopt.SolverConfig(**settings, **variant), x0)
+        values[f"run wcmf {_tag(variant)} {mode}"] = _run_values(res)
 
     m, d, rank = CSR_SHAPE
     m_data, x0 = _instance(bregopt, m, d, rank)
