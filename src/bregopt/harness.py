@@ -30,7 +30,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .estimators import (
     check_geometric_decay,
@@ -480,6 +479,10 @@ def kmeans_accuracy(
     confusion = np.bincount(
         best_assign * n_classes + labels, minlength=k * n_classes
     ).reshape(k, n_classes)
+    # Imported here: scipy.optimize takes about 0.3 s to import, and nothing
+    # else in the package reads it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum() / labels.size)
 
@@ -972,12 +975,23 @@ def _prepare(cfg: ExperimentConfig):
     return t0, out, problem, labels, starts, [_point_hash(x) for x in starts]
 
 
+def _reject_compare(cfg: ExperimentConfig, verb: str) -> None:
+    """A ``compare`` block is read by ``run_compare`` alone; ``verb`` would
+    run the solver block and leave the grid unread."""
+    if cfg.compare is not None:
+        raise ConfigError(
+            f"the compare block is read only by 'bregopt compare', not by 'bregopt {verb}'"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Run one algorithm configuration over ``cfg.trials`` repetitions.
 
     Returns (summary dict, written paths).  The summary's ``status`` is
-    'ok', 'partial' (at most half the trials failed) or 'failed'.
+    'ok', 'partial' (at most half the trials failed) or 'failed'.  A
+    ``compare`` block raises ConfigError before anything runs.
     """
+    _reject_compare(cfg, "run")
     t0, out, problem, labels, starts, hashes = _prepare(cfg)
     outcomes = _run_trials(cfg, problem, cfg.solver, labels, starts)
     rows, padded = aggregate_traces(outcomes, cfg.solver.max_epochs)
@@ -1064,8 +1078,10 @@ def run_audit(cfg: ExperimentConfig):
     monotonicity violations, the min-step rate bound, the stationarity
     witness trend, and (for variance-reduced estimators) the Monte-Carlo
     geometric-decay test of the tracker with the constant estimated from the
-    visited iterates.
+    visited iterates.  A ``compare`` block raises ConfigError before
+    anything runs.
     """
+    _reject_compare(cfg, "audit")
     t0, out, problem, labels, starts, _ = _prepare(cfg)
 
     solver_cfg = replace(

@@ -27,11 +27,21 @@ Storage is sample-major.  M is held once, in Fortran order, so each column
 gradient tables are Fortran-ordered too.  A minibatch step then gathers and
 scatters contiguous columns: at 500 x 1000 with b = 50, ``M[:, idx]`` takes
 9 us instead of 43 us in C order, and the SAGA table scatter 7 us instead of
-52 us.  The full passes are written for this layout: ``(V M^T)^T`` in place
-of ``M V^T`` (0.50 ms against 0.86 ms as written on the Fortran array, 0.67
-ms on a C-ordered M, r = 10), and ``smooth_value`` forms the residual
-transposed, in C order, because ``np.vdot`` copies a Fortran-ordered operand
-first.
+52 us.  The full passes over M, ``data_products`` and the residual form of
+``smooth_value``, walk it in blocks of whole columns of about
+``_BLOCK_BYTES`` (256 KiB, 65 columns at m = 500), each a contiguous slice
+that stays in a core's L2 cache while it is read.  ``data_products`` reads
+each block once for both products, and takes M V^T as (V M^T)^T, the fast
+form for this layout (over the whole array, 0.50 ms against 0.86 ms as
+written on the Fortran array and 0.67 ms on a C-ordered M, r = 10).  The
+residual form takes each block's residual transposed, in C order, because
+``np.vdot`` copies a Fortran-ordered operand first, in one reused
+block-sized array, so no m x d array is made.  Where one block holds M (up
+to 32768 entries: every desk, audit, acceptance and digest grid shape) each
+pass is the whole-matrix expression bit for bit; over several blocks its
+sums are grouped by block, which moves the products and the value at
+rounding level (at most 1.3e-15 normwise and 2.1e-15 relative at the shapes
+below, on uniform and on signed factors).
 
 The data term reads M only through the products (U^T M, M V^T) of
 ``data_products``.  A caller that holds them, as a full-gradient run does
@@ -39,10 +49,23 @@ for each iterate, passes them to ``data_gradient`` (the same bits as a call
 without them) and to ``smooth_value``, which then takes the Gram form of
 |UV - M|^2 when it is at least 1e-3 |M|^2 / 2 and the residual form below
 that; the two agree to about 1e-15 relative on solver iterates and to
-5e-12 at worst (see ``smooth_value``).  At 500 x 1000, r = 10, with one
-OpenBLAS thread on an x86-64 VM, the products, the residual form and a
-gradient without products take about 1 ms each; given the products, the
-gradient takes 0.05 ms and the Gram-form value 0.03 ms.
+5e-12 at worst (see ``smooth_value``).  Given the products, at 500 x 1000,
+r = 10, the gradient takes 0.05 ms and the Gram-form value 0.03 ms.  The
+full passes, one OpenBLAS thread on a 2-vCPU x86-64 VM (2 MiB of L2 a
+core), r = 10, the median of interleaved calls and the peak of
+``tracemalloc``, over the whole array before and in blocks after:
+
+    m x d          products            residual form
+    500 x 1000     0.97 -> 0.80 ms     1.03 ms, 3.8 MiB -> 0.67 ms, 0.25 MiB
+    1024 x 1440    2.86 -> 2.58 ms     3.37 ms, 11.3 MiB -> 2.57 ms, 0.25 MiB
+    2000 x 3000    13.8 -> 13.2 ms     26.5 ms, 45.8 MiB -> 11.6 ms, 0.25 MiB
+
+The products hold r (2m + d) floats at their peak, the sum over blocks and
+one block's share: 0.19 MiB at 500 x 1000, where the whole-array products
+held 0.12 MiB.  Blocks of 128 KiB, 512 KiB and 1 MiB, timed the same way,
+beat 256 KiB at no shape for both passes; at 500 x 1000 they took 0.81,
+0.74 and 0.92 ms for the products against 0.72 ms, and 0.71, 0.63 and 0.69
+ms for the residual form against 0.63 ms.
 
 A 5-NN graph Laplacian has about 8 nonzeros per row, so the graph product
 is applied through a CSR matrix when at most 5% of the Laplacian's entries
@@ -125,8 +148,9 @@ __all__ = [
 _SPARSE_MAX_DENSITY = 0.05
 
 # Bytes of float64 in each block of rows that ``build_knn_laplacian`` works
-# on: small enough to stay in a core's L2 cache across the passes over a
-# block, and to touch little fresh memory; see the module docstring.
+# on, and in each block of columns of M that the full passes over M read:
+# small enough to stay in a core's L2 cache across the passes over a block,
+# and to touch little fresh memory; see the module docstring.
 _BLOCK_BYTES = 1 << 18
 
 # Share of |M|^2 / 2 below which ``smooth_value`` takes the data term in the
@@ -240,6 +264,10 @@ class Problem:
         if self.norm_m == 0.0:
             raise ValueError("data matrix must be nonzero")
         self._psi_b = self.norm_m  # the kernel's b; gnmf adds mu0 |L|_F
+        # The column ranges of the full passes over M; its columns are the
+        # rows of the C-ordered M^T.
+        m, d = self.m_data.shape
+        self._col_blocks = _row_blocks(d, m, _BLOCK_BYTES // 8)
 
     # -- dimensions ------------------------------------------------------
 
@@ -274,10 +302,14 @@ class Problem:
         bpg/bpge iterate of wcmf 500 x 1000 and of gnmf, wcmf and ssnmf at
         60 x 40 (60 epochs, 2 seeds) it was at most 1.9e-15.
 
-        The residual form, the only one without ``products``, takes the
-        transposed residual V^T U^T - M^T in one C-ordered d x m array
-        (``np.vdot`` would copy a Fortran-ordered one) and its squared norm
-        with one dot.
+        The residual form, the only one without ``products``, walks M in
+        the column blocks of ``data_products``: it takes each block's
+        transposed residual V_blk^T U^T - M_blk^T in one reused C-ordered
+        scratch array of about ``_BLOCK_BYTES``, and at least one column
+        (``np.vdot`` would copy a Fortran-ordered one), and sums the blocks'
+        squared norms, so it allocates no m x d array.  Where one block holds M it is the dot of
+        the whole d x m residual, bit for bit; over several blocks the sum
+        is regrouped, a rounding-level change.
         """
         self._check_point(x)
         if products is not None:
@@ -291,10 +323,17 @@ class Problem:
         return self._residual_value(x) + self._graph_value(x.u)
 
     def _residual_value(self, x: FactorPair) -> float:
-        """|UV - M|_F^2 / 2 from the residual, one pass over M."""
-        rt = x.v.T @ x.u.T
-        rt -= self.m_data.T
-        return 0.5 * float(np.vdot(rt, rt))
+        """|UV - M|_F^2 / 2 from the residual, one pass over M in column
+        blocks through one block-sized scratch array."""
+        blocks = self._col_blocks
+        # The first block is the widest.
+        scratch = np.empty((blocks[0][1], self.m_data.shape[0]))
+        total = 0.0
+        for s, e in blocks:
+            rt = np.matmul(x.v[:, s:e].T, x.u.T, out=scratch[: e - s])
+            rt -= self.m_data[:, s:e].T
+            total += float(np.vdot(rt, rt))
+        return 0.5 * total
 
     def nonsmooth_value(self, x: FactorPair) -> float:
         """Finite part of h; indicator kinds return 0 on the feasible set."""
@@ -321,13 +360,24 @@ class Problem:
     # -- gradients -------------------------------------------------------
 
     def data_products(self, x: FactorPair) -> tuple[np.ndarray, np.ndarray]:
-        """(U^T M, M V^T): the two GEMM reads of M, about 4mrd flops, that
-        the data term reads M through.  M V^T is taken as (V M^T)^T, the
-        fast form for the Fortran-ordered M.  Both are linear in the factor,
-        so the products at an extrapolated point x_k + beta (x_k - x_{k-1})
-        are P_k + beta (P_k - P_{k-1}) for each product P."""
+        """(U^T M, M V^T): about 4mrd flops, the only way the data term reads
+        M.  One pass over M in column blocks of about ``_BLOCK_BYTES``: each
+        block, read once while it stays in cache, gives its columns of
+        U^T M and adds V_blk M_blk^T into (V M^T)^T, the fast form of M V^T
+        for the Fortran-ordered M.  Where one block holds M these are the
+        two whole-matrix products bit for bit; over several blocks both
+        move at rounding level.  Both are linear in the factor, so the
+        products at an extrapolated point x_k + beta (x_k - x_{k-1}) are
+        P_k + beta (P_k - P_{k-1}) for each product P."""
         self._check_point(x)
-        return x.u.T @ self.m_data, (x.v @ self.m_data.T).T
+        utm = np.empty((self.rank, self.m_data.shape[1]))
+        vmt = None
+        for s, e in self._col_blocks:
+            blk = self.m_data[:, s:e]
+            np.matmul(x.u.T, blk, out=utm[:, s:e])
+            part = x.v[:, s:e] @ blk.T
+            vmt = part if vmt is None else np.add(vmt, part, out=vmt)
+        return utm, vmt.T
 
     def data_gradient(self, x: FactorPair, products=None) -> FactorPair:
         """Gradient of the data-fitting term |M - UV|^2 / 2 alone.
@@ -699,7 +749,8 @@ def build_problem(kind: str, m_data, rank: int, **params) -> Problem:
 
 def _row_blocks(n: int, width: int, size: int):
     """Consecutive row ranges (start, stop) over n rows of ``width``
-    entries, each at most ``size`` entries but at least one row."""
+    entries, each at most ``size`` entries but at least one row; the first
+    range is the widest."""
     step = max(1, size // width)
     return [(s, min(s + step, n)) for s in range(0, n, step)]
 

@@ -36,8 +36,9 @@ def test_digest_repeats_and_names_a_moved_field(tmp_path, capsys, monkeypatch):
     assert summary.startswith("0 of ") and line.split()[1] == first
     values = json.loads(dump.read_text(encoding="utf-8"))
     # 3 kinds x (8 variants x 6 settings of run + 5 CLI calls), the floored
-    # job's 8 variants at 2 epoch counts, and the CSR job's 3 variants
-    assert len(values) == 3 * (8 * 6 + 5) + 8 * 2 + 3
+    # job's 8 variants at 2 epoch counts, the CSR job's 3 variants and the
+    # blocked job's 4 variants on 2 kinds
+    assert len(values) == 3 * (8 * 6 + 5) + 8 * 2 + 3 + 2 * 4
     assert not any("wall" in name for call in values.values() for name in call)
     assert values["run wcmf bpg floored"]["hit_eta_floor"]
     assert not values["run wcmf bpg floored_zero"]["hit_eta_floor"]

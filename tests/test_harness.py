@@ -4,7 +4,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -223,6 +226,32 @@ def test_kmeans_accuracy_separated_clusters():
     # Label permutation must not matter: the matching absorbs it.
     acc = kmeans_accuracy(pts, labels[::-1].copy(), 3, restarts=5, rng=make_rng(74))
     assert acc == 1.0
+
+
+def test_importing_bregopt_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is a third of a bare import's time, and only
+    # kmeans_accuracy reads it, on its first call.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import bregopt\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "pts = np.array([[0.0], [0.1], [5.0], [5.1]])\n"
+        "acc = bregopt.kmeans_accuracy(pts, [1, 1, 0, 0], 2, rng=np.random.default_rng(3))\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "print(acc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1.0"
 
 
 def test_kmeans_accuracy_sizes_nothing_by_a_class_id():
@@ -546,6 +575,30 @@ def test_cli_rejects_clustering_block_before_solving(
     )
     assert code == 1
     assert f"bregopt: config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "audit"])
+def test_cli_rejects_a_compare_block_outside_compare(tmp_path, capsys, monkeypatch, verb):
+    # Only bregopt compare reads the grid; run and audit would solve the
+    # solver block and leave it unread.
+    monkeypatch.setattr(harness, "run", _no_solve)
+    out = tmp_path / "out"
+    problem = {
+        "kind": "wcmf",
+        "rank": 2,
+        "lambda1": 0.05,
+        "lambda2": 0.02,
+        "data": {"synthetic": {"m": 10, "d": 8, "r_true": 2}},
+    }
+    argv = [verb, "--set", f"problem={json.dumps(problem)}"]
+    argv += ["--set", 'compare=[{"algorithm":"bpg"}]', "--out", str(out), "--quiet"]
+    assert cli_main(argv) == 1
+    message = (
+        "bregopt: config error: the compare block is read only by "
+        f"'bregopt compare', not by 'bregopt {verb}'"
+    )
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

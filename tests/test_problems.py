@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregopt import problems
+from bregopt.estimators import SAGA, SARAH
 from bregopt.kernels import FactorPair, KernelSpec
 from bregopt.numeric import make_rng
 from bregopt.problems import (
@@ -446,6 +447,108 @@ def test_gram_form_falls_back_to_the_residual_form_near_a_fit(scale):
     x = FactorPair(root * u0, root * v0)
     got = prob.smooth_value(x, prob.data_products(x))
     assert got == prob.smooth_value(x) and got >= 0.0
+
+
+# -- column blocks of M -------------------------------------------------------
+
+
+def _kind_problem(kind, m_data, r):
+    params = {
+        "gnmf": {"mu0": 0.4, "laplacian": build_knn_laplacian(m_data, 3)},
+        "wcmf": {"lambda1": 0.3, "lambda2": 0.1},
+        "ssnmf": {"s1": 2, "s2": 3},
+    }[kind]
+    return build_problem(kind, m_data, r, **params)
+
+
+def _products_in_one_pass(prob, x):
+    """The data products as two whole-matrix GEMMs."""
+    return x.u.T @ prob.m_data, (x.v @ prob.m_data.T).T
+
+
+def _residual_in_one_array(prob, x):
+    """|UV - M|^2 / 2 from the whole d x m transposed residual."""
+    rt = x.v.T @ x.u.T
+    rt -= prob.m_data.T
+    return 0.5 * float(np.vdot(rt, rt))
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+@pytest.mark.parametrize("shape", [(60, 40), (120, 200)])
+def test_one_block_passes_are_the_whole_matrix_expressions(kind, shape):
+    # M fits in one column block at every desk, audit, acceptance and digest
+    # grid shape: the blocked loop must give the whole-matrix bits there.
+    m, d = shape
+    rng = make_rng(30)
+    prob = _kind_problem(kind, rng.uniform(0.1, 1.0, shape), 5)
+    assert prob._col_blocks == [(0, d)]
+    for x in _reference_pairs(rng, m, 5, d):
+        got, want = prob.data_products(x), _products_in_one_pass(prob, x)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+        assert got[0].flags.c_contiguous and got[1].flags.f_contiguous
+        want = _residual_in_one_array(prob, x) + prob._graph_value(x.u)
+        assert prob.smooth_value(x) == want
+
+
+@pytest.mark.parametrize(
+    "shape, r, block_bytes, widths",
+    [
+        ((500, 1000), 10, None, [65] * 15 + [25]),  # an uneven last block
+        ((60, 40), 4, 8 * 60 * 7, [7] * 5 + [5]),
+        ((33_000, 5), 2, None, [1] * 5),  # a column is above the block size
+        ((33_000, 1), 1, None, [1]),  # d = 1
+    ],
+)
+def test_blocked_passes_match_the_whole_matrix_expressions(
+    shape, r, block_bytes, widths, monkeypatch
+):
+    if block_bytes is not None:
+        monkeypatch.setattr(problems, "_BLOCK_BYTES", block_bytes)
+    m, d = shape
+    rng = make_rng(31)
+    prob = build_problem("wcmf", rng.uniform(0.1, 1.0, shape), r, lambda1=0.1, lambda2=0.05)
+    assert prob._col_blocks == [(s, s + w) for s, w in zip(np.cumsum([0] + widths), widths)]
+
+    def close(got, want, tol):
+        return np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    for x in _reference_pairs(rng, m, r, d):
+        got, want = prob.data_products(x), _products_in_one_pass(prob, x)
+        assert close(got[0], want[0], 1e-14) and close(got[1], want[1], 1e-14)
+        want = _residual_in_one_array(prob, x)
+        assert prob.smooth_value(x) == pytest.approx(want, rel=1e-13)
+
+
+def test_residual_value_holds_one_block_of_the_residual():
+    rng = make_rng(32)
+    m, r, d = 500, 10, 1000
+    prob = build_problem("wcmf", rng.uniform(0.1, 1.0, (m, d)), r, lambda1=0.1, lambda2=0.05)
+    x = random_pair(rng, m, r, d, 0.0, 1.0)
+    prob.smooth_value(x)  # warm up
+    tracemalloc.start()
+    try:
+        prob.smooth_value(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * problems._BLOCK_BYTES + 8 * r * (m + d)
+
+
+def test_full_batch_estimators_are_the_full_gradient_over_several_blocks():
+    # SAGA at b = n and SARAH restarting at every step take the full
+    # gradient by its own path; over several column blocks the bits agree.
+    rng = make_rng(33)
+    m, r, d = 300, 4, 200
+    prob = _kind_problem("gnmf", rng.uniform(0.1, 1.0, (m, d)), r)
+    assert len(prob._col_blocks) > 1
+    saga = SAGA(prob, d, make_rng(34))
+    sarah = SARAH(prob, 10, 1.0, make_rng(35))
+    for _ in range(4):
+        x = random_pair(rng, m, r, d, 0.0, 1.0)
+        full = prob.full_gradient(x)
+        for est in (saga, sarah):
+            g = est.estimate(x)
+            assert _same_bits(g.u, full.u) and _same_bits(g.v, full.v)
 
 
 # -- kernels per kind -------------------------------------------------------

@@ -18,13 +18,17 @@ saga and with sarah (2 trials), and with saga at 9 trials, so that some
 across-trial reductions run over more than 8 trials.  One more job runs
 gnmf at 240x60, rank 4, on a 5-NN graph, sparse enough to be stored as CSR
 as the benchmark's gnmf graphs are, under bpge, bpsge/saga and bpsge/sarah
-at the default batch of 3 columns.  The digest covers
+at the default batch of 3 columns.  A blocked job runs wcmf and gnmf (on
+a 5-NN graph, stored as CSR) at 400x600, rank 4, whose M spans several of
+the column blocks that ``data_products`` and the residual objective walk,
+under bpg, bpge, bpsge/saga and bpsge/sarah for 3 epochs; ``--against``
+lists its fields apart, as ``blocked <variant> <field>``.  The digest covers
 every returned point, ``failed``, ``message``, ``iterations_run`` and
 ``hit_eta_floor``, every trace row but its ``wall_ms``, every audit
 record, every CLI exit code and every report file but its
 ``wall_seconds``.  It is the sha256 of the ``--dump`` file, in
 which floats are written exactly.  ``--tiny`` runs the same grid at 10x8,
-rank 2, for 2 epochs, and the CSR job for 2 epochs.
+rank 2, for 2 epochs, and the CSR and blocked jobs for 2 epochs.
 
 ``--src`` imports bregopt from another checkout's ``src`` (default: this
 checkout's), so one copy of this script digests both sides of a change.
@@ -86,6 +90,11 @@ CSR_VARIANTS = [
     {"algorithm": "bpsge", "estimator": "saga"},
     {"algorithm": "bpsge", "estimator": "sarah"},
 ]
+# (m, d, rank) of the blocked job, whose M spans several column blocks of
+# the full passes over M, and its epochs per grid
+BLOCKED_SHAPE = (400, 600, 4)
+BLOCKED_EPOCHS = {"full": 3, "tiny": 2}
+BLOCKED_VARIANTS = [{"algorithm": "bpg"}, *CSR_VARIANTS]
 
 
 def _tag(variant: dict) -> str:
@@ -162,6 +171,18 @@ def run_grid(bregopt, grid: str) -> dict:
     for variant in CSR_VARIANTS:
         res = bregopt.run(problem, bregopt.SolverConfig(max_epochs=epochs, seed=5, **variant), x0)
         values[f"run gnmf {_tag(variant)} csr"] = _run_values(res)
+
+    m, d, rank = BLOCKED_SHAPE
+    if 8 * m * d <= bregopt.problems._BLOCK_BYTES:
+        raise RuntimeError("the blocked job's M fits in one block")
+    m_data, x0 = _instance(bregopt, m, d, rank)
+    lap = bregopt.build_knn_laplacian(m_data, 5)
+    blocked = {"wcmf": _kind_params("wcmf", m, d), "gnmf": {"mu0": 0.1, "laplacian": lap}}
+    for kind, params in blocked.items():
+        problem = bregopt.build_problem(kind, m_data, rank, **params)
+        for variant in BLOCKED_VARIANTS:
+            cfg = bregopt.SolverConfig(max_epochs=BLOCKED_EPOCHS[grid], seed=5, **variant)
+            values[f"blocked {kind} {_tag(variant)}"] = _run_values(bregopt.run(problem, cfg, x0))
     return values
 
 
@@ -283,7 +304,8 @@ def _group(call: str, field: str) -> str:
     words = call.split()
     if words[0] == "run":  # run <kind> <variant> <mode>
         return f"run {words[2]} {field}"
-    return f"{' '.join([words[0], *words[2:]])} {field}"  # cli <kind> <job>
+    # cli <kind> <job>, or blocked <kind> <variant>
+    return f"{' '.join([words[0], *words[2:]])} {field}"
 
 
 def compare(old: dict, new: dict) -> list[tuple[str, float, int, int]]:
