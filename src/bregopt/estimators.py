@@ -15,7 +15,27 @@ gather and the overwrite of the sampled entries move contiguous columns.
 
 ``SARAH`` keeps the previous estimate and the previous query point and
 recursively corrects the estimate on a minibatch, restarting with a full
-gradient with a configured probability.
+gradient with a configured probability.  The correction is the batch mean
+of grad_i(x_bar) - grad_i(p) at the previous point p, in which the n M_I
+parts of the two batch tables cancel exactly.  With s = n/b and the sorted
+batch I it is taken in Gram form:
+
+    U-block        s [U (V_I V_I^T) - U_p (V_pI V_pI^T) - M_I (V_I - V_pI)^T]
+    V-block, I     s [(U^T U) V_I - (U_p^T U_p) V_pI - (U - U_p)^T M_I]
+
+U^T U is carried to the next step as U_p^T U_p, with the previous point;
+a restart sets it too.  That is two m x r x b GEMMs on the gathered M_I,
+the only m x b array, plus O(m r^2), where the two batch tables and their
+outer products took about 12 m r b flops and five m x b arrays.  It agrees
+with the two-table form to within 1.5e-15 of the fresh term's norm, over
+M scaled by 1e-6 to 1e6 and points 1 to 1e-8 apart, relative.  One
+minibatch step, one OpenBLAS thread on a 2-vCPU x86-64 VM, the median of
+7 timed loops and the peak of ``tracemalloc``, two tables -> Gram form:
+
+    m x d, r, b            time per step         peak
+    60 x 40, 5, 2          35.0 -> 34.1 us       0.011 -> 0.008 MiB
+    500 x 1000, 10, 50     195 -> 109 us         0.59 -> 0.29 MiB
+    2000 x 3000, 10, 150   3.1 -> 1.2 ms         6.9 -> 2.6 MiB
 
 Audit mode computes the mean-squared-error trackers used by the convergence
 analysis; these sweeps cost a full pass over the samples and are intended
@@ -269,7 +289,15 @@ class SAGA(GradientEstimator):
 
 
 class SARAH(GradientEstimator):
-    """Recursive estimator with probabilistic full-gradient restarts."""
+    """Recursive estimator with probabilistic full-gradient restarts.
+
+    A step that does not restart adds the batch mean of
+    grad_i(x_bar) - grad_i(p) to the previous estimate, p the previous
+    point, through ``Problem._batch_difference``: in Gram form, from the
+    gathered columns M_I and the Grams U^T U at both points, with no
+    per-sample table (see the module docstring for the identity and its
+    cost).  Each call carries its U^T U to the next, restart or not.
+    """
 
     def __init__(
         self,
@@ -286,29 +314,27 @@ class SARAH(GradientEstimator):
         self.rng = rng
         self._prev_est: FactorPair | None = None
         self._prev_point: FactorPair | None = None
+        self._prev_gram: np.ndarray | None = None
 
     def estimate(self, x_bar: FactorPair) -> FactorPair:
         # The coin is tossed every call (even when restart_prob == 1) so the
         # consumed stream does not depend on the branch taken.
         coin = self.rng.random()
+        gram = x_bar.u.T @ x_bar.u
         if self._prev_est is None or coin < self.restart_prob:
             g_data = self.problem.data_gradient(x_bar)
         else:
             idx = _draw_batch(self.rng, self.problem.n_samples, self.batch_size)
-            fresh_a, fresh_v, fresh_w = self.problem.batch_table(x_bar, idx)
-            old_a, old_v, old_w = self.problem.batch_table(self._prev_point, idx)
-            b = self.batch_size
-            gu = fresh_a @ fresh_v.T
-            gu -= old_a @ old_v.T
-            gu /= b
+            gu, dv = self.problem._batch_difference(
+                x_bar, gram, self._prev_point, self._prev_gram, idx
+            )
             gu += self._prev_est.u
             gv = self._prev_est.v.copy()
-            fresh_w -= old_w
-            fresh_w /= b
-            gv[:, idx] += fresh_w
+            gv[:, idx] += dv
             g_data = FactorPair._unchecked(gu, gv)
         self._prev_est = g_data
         self._prev_point = x_bar
+        self._prev_gram = gram
         return self.problem._with_graph(g_data, x_bar)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:

@@ -43,10 +43,15 @@ sums are grouped by block, which moves the products and the value at
 rounding level (at most 1.3e-15 normwise and 2.1e-15 relative at the shapes
 below, on uniform and on signed factors).
 
-The data term reads M only through the products (U^T M, M V^T) of
-``data_products``.  A caller that holds them, as a full-gradient run does
-for each iterate, passes them to ``data_gradient`` (the same bits as a call
-without them) and to ``smooth_value``, which then takes the Gram form of
+The data term reads M in three ways: in full passes, through the products
+(U^T M, M V^T) of ``data_products`` and the residual form of
+``smooth_value``; and on a minibatch, through the gathered columns M_I.
+``batch_table`` makes the per-sample table of the batch (plain SGD and
+SAGA), and ``_batch_difference`` takes SARAH's correction between two
+points in Gram form, from M_I and two skinny GEMMs, with no table.  A
+caller that holds the products, as a full-gradient run does for each
+iterate, passes them to ``data_gradient`` (the same bits as a call without
+them) and to ``smooth_value``, which then takes the Gram form of
 |UV - M|^2 when it is at least 1e-3 |M|^2 / 2 and the residual form below
 that; the two agree to about 1e-15 relative on solver iterates and to
 5e-12 at worst (see ``smooth_value``).  Given the products, at 500 x 1000,
@@ -428,6 +433,33 @@ class Problem:
     def batch_table(self, x: FactorPair, idx: np.ndarray):
         """Factored per-sample gradients at x for the given sorted batch."""
         return self._table(x.u, x.v[:, idx], self.m_data[:, idx])
+
+    def _batch_difference(self, x, gram, y, y_gram, idx: np.ndarray):
+        """The batch-mean per-sample gradient at x less that at y, over the
+        sorted batch ``idx``, in Gram form: (U-block, V-block columns idx).
+
+        With s = n/b, I = idx and the carried Grams G = U^T U at each point,
+        the n M_I parts of the two tables cancel exactly:
+
+            U-block        s [U_x (V_xI V_xI^T) - U_y (V_yI V_yI^T)
+                              - M_I (V_xI - V_yI)^T]
+            V-block, I     s [G_x V_xI - G_y V_yI - (U_x - U_y)^T M_I]
+
+        The gather M_I is the only m x b array; SARAH's cost is in the
+        ``estimators`` module docstring.
+        """
+        m_cols = self.m_data[:, idx]
+        xv, yv = x.v[:, idx], y.v[:, idx]
+        gu = x.u @ (xv @ xv.T)
+        gu -= y.u @ (yv @ yv.T)
+        gu -= m_cols @ (xv - yv).T
+        gv = gram @ xv
+        gv -= y_gram @ yv
+        gv -= (x.u - y.u).T @ m_cols
+        s = self.n_samples / idx.size
+        gu *= s
+        gv *= s
+        return gu, gv
 
     def _table(self, u: np.ndarray, vt: np.ndarray, m_cols: np.ndarray):
         # u and vt may also be stacks of factors, one per point; each slice

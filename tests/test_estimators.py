@@ -24,6 +24,7 @@ from bregopt.kernels import FactorPair
 from bregopt.numeric import make_rng
 from bregopt.problems import (
     GraphRegularizedNMF,
+    Problem,
     build_knn_laplacian,
     build_problem,
     factored_sq_diffs,
@@ -386,6 +387,110 @@ def test_sarah_audit_zero_after_restart(gnmf_problem):
     # Query at a different point: the stored estimate no longer matches.
     y = random_pair(make_rng(24), 6, 3, 20, 0.1, 1.0)
     assert est.audit(y, None).gamma > 0.0
+
+
+def two_table_difference(problem, x, y, idx):
+    """SARAH's correction from the two batch tables, and its fresh term:
+    ((fa fv^T - oa ov^T) / b, (fw - ow) / b) and (fa fv^T / b, fw / b)."""
+    fa, fv, fw = problem.batch_table(x, idx)
+    oa, ov, ow = problem.batch_table(y, idx)
+    b = idx.size
+    fresh = (fa @ fv.T / b, fw / b)
+    return ((fa @ fv.T - oa @ ov.T) / b, (fw - ow) / b), fresh
+
+
+@pytest.mark.parametrize(
+    "m, d, r, b",
+    [
+        (6, 20, 3, 5),
+        (60, 40, 5, 1),
+        (60, 40, 5, 2),
+        (60, 40, 5, 40),  # b = n
+        (8, 5, 5, 2),  # rank = d
+        (30, 1, 1, 1),
+        (500, 1000, 10, 50),
+    ],
+)
+def test_sarah_gram_correction_matches_the_two_tables(m, d, r, b):
+    # The n M_I parts of the two tables cancel exactly, so the Gram form
+    # differs from the tables only by rounding, at any scale of M and any
+    # distance between the two points.
+    rng = make_rng(40)
+    for scale in (1e-6, 1.0, 1e6):
+        prob = build_problem("wcmf", scale * rng.uniform(0.1, 1.0, (m, d)), r,
+                             lambda1=0.0, lambda2=0.0)
+        x = random_pair(rng, m, r, d, 0.0, math.sqrt(scale))
+        step = random_pair(rng, m, r, d, -1.0, 1.0)
+        for rel in (1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+            t = rel * x.norm() / step.norm()
+            y = FactorPair(x.u + t * step.u, x.v + t * step.v)
+            idx = np.sort(rng.choice(d, size=b, replace=False))
+            gu, gv = prob._batch_difference(
+                x, x.u.T @ x.u, y, y.u.T @ y.u, idx
+            )
+            want, fresh = two_table_difference(prob, x, y, idx)
+            for got, w, f in zip((gu, gv), want, fresh):
+                assert got.shape == w.shape
+                assert np.linalg.norm(got - w) <= 1e-14 * np.linalg.norm(f)
+
+
+def test_sarah_minibatch_step_reads_no_batch_table(monkeypatch):
+    rng = make_rng(41)
+    prob = build_problem("gnmf", rng.uniform(0.1, 1.0, (12, 30)), 3)
+    points = random_walk(prob, rng, steps=6)
+    est = SARAH(prob, 4, 1e-300, make_rng(42))
+    est.estimate(points[0])  # the first call restarts
+
+    def no_table(*args):
+        raise AssertionError("batch_table called")
+
+    monkeypatch.setattr(Problem, "batch_table", no_table)
+    for x in points[1:]:
+        est.estimate(x)
+
+
+def test_sarah_minibatch_step_memory_holds_one_gather():
+    rng = make_rng(43)
+    m, r, d, b = 500, 10, 1000, 50
+    m_data = rng.uniform(0.1, 1.0, (m, d))
+    prob = build_problem("gnmf", m_data, r, mu0=0.1,
+                         laplacian=build_knn_laplacian(m_data, 5))
+    x, y = (random_pair(rng, m, r, d, 0.0, 1.0) for _ in range(2))
+    est = SARAH(prob, b, 1e-300, make_rng(44))
+    est.estimate(x)
+    est.estimate(y)  # warm up
+    tracemalloc.start()
+    try:
+        est.estimate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The gather M_I takes 0.19 MiB; the two batch tables took 0.59 MiB.
+    assert peak < 0.45 * 2**20
+
+
+def test_sarah_carried_gram_follows_restarts(gnmf_problem):
+    n, b = gnmf_problem.n_samples, 5
+    est = SARAH(gnmf_problem, b, 1.0, make_rng(45))
+    ref_rng = make_rng(45)
+    points = random_walk(gnmf_problem, make_rng(46), steps=5, scale=0.3)
+    prev_est = prev_x = None
+    # restart, step, restart, step, restart, step
+    for j, x in enumerate(points):
+        est.restart_prob = 1.0 if j % 2 == 0 else 1e-300
+        got = est.estimate(x)
+        ref_rng.random()
+        if j % 2 == 0:
+            want = gnmf_problem.data_gradient(x)
+        else:
+            idx = np.sort(ref_rng.choice(n, size=b, replace=False, shuffle=False))
+            (du, dv), fresh = two_table_difference(gnmf_problem, x, prev_x, idx)
+            want_v = prev_est.v.copy()
+            want_v[:, idx] += dv
+            want = FactorPair(prev_est.u + du, want_v)
+            tol = 1e-14 * (FactorPair(*fresh).norm() + prev_est.norm())
+            assert (got - gnmf_problem._with_graph(want, x)).norm() <= tol
+        prev_est, prev_x = want, x
 
 
 # -- decay check ------------------------------------------------------------
