@@ -38,8 +38,24 @@ minibatch step, one OpenBLAS thread on a 2-vCPU x86-64 VM, the median of
     2000 x 3000, 10, 150   3.1 -> 1.2 ms         6.9 -> 2.6 MiB
 
 Audit mode computes the mean-squared-error trackers used by the convergence
-analysis; these sweeps cost a full pass over the samples and are intended
-for desk-scale diagnosis, not production runs.
+analysis, for desk-scale diagnosis rather than production runs.  Each
+estimator's audit reads M once, at x_bar: SAGA builds the table there, and
+its mean, A V^T / n and W / n, is also the gradient that the realized error
+is measured against; SGD and SARAH take the data gradient there.  With the
+one residual pass at x_{k+1} that ``run`` takes for the objective and the
+witness, an audited stochastic step reads M twice beyond its estimate;
+it used to read it three times (SGD, SARAH) or four (SAGA).  The share of
+an audited step that is audit work, gnmf on a 5-NN graph, bpsge at the 5%
+batch, one OpenBLAS thread on a 2-vCPU x86-64 VM, before -> after
+(``tools/audit_cost.py``, two interleaved runs of 5 processes each):
+
+    m x d, r            sgd                saga               sarah
+    60 x 40, 5          0.55 -> 0.50-0.53  0.63 -> 0.57       0.56 -> 0.53
+    500 x 1000, 10      0.86-0.88 -> 0.86  0.91 -> 0.91       0.86 -> 0.84
+
+At 500 x 1000 the GEMMs bound the pass at x_{k+1}: the fused pass took
+1.22 ms against 1.27 for the objective and the full gradient apart, where
+at 60 x 40 it took 23.5 us against 33.0 (best of 7 ``timeit`` loops).
 
 ``estimate_sample_lipschitz`` builds the gradient tables of consecutive
 iterates in chunks whose m x d residual blocks take at most 512 KiB
@@ -209,6 +225,8 @@ class SAGA(GradientEstimator):
         self.rng = rng
         self._initialized = False
         self._estimates_since_resync = 0
+        # (x_bar, data gradient) of the last batch_size == n estimate
+        self._exact = (None, None)
 
     def initialize(self, x0: FactorPair):
         """Full table pass at x0; the running averages start exact."""
@@ -237,6 +255,7 @@ class SAGA(GradientEstimator):
             # exactly zero, so take the full-gradient path and rebuild.
             g_data = self.problem.data_gradient(x_bar)
             self.initialize(x_bar)
+            self._exact = (x_bar, g_data)
             return self.problem._with_graph(g_data, x_bar)
 
         if not self._initialized:
@@ -274,18 +293,31 @@ class SAGA(GradientEstimator):
         gamma = (1/(b n)) sum_i |grad_i(x_bar) - stored_i|^2 and upsilon its
         root-sum analogue; freshly refreshed entries contribute zero.  Also
         resynchronizes the running averages.
+
+        The table at x_bar is the audit's one read of M.  Its mean, A V^T / n
+        and W / n, is the data gradient that ``realized_sq_error`` measures
+        against, except after a batch_size == n estimate at this x_bar,
+        whose exact gradient the estimate is: that one is reused, so the
+        error is exactly 0 there.
         """
         if not self._initialized:
             raise RuntimeError("SAGA table not initialized")
         n = self.problem.n_samples
         b = self.batch_size
-        sq = factored_sq_diffs(
-            self.problem.gradient_table(x_bar), (self._a, self._v, self._w)
-        )
+        table = self.problem.gradient_table(x_bar)
+        sq = factored_sq_diffs(table, (self._a, self._v, self._w))
         gamma = float(sq.sum()) / (b * n)
         upsilon = float(np.sqrt(sq).sum()) / math.sqrt(b * n)
         self._resync()
-        return VarianceAudit(gamma, upsilon, self._realized(x_bar, estimate))
+        realized = math.nan
+        if estimate is not None:
+            at, g_data = self._exact
+            if x_bar is not at:
+                a, vt, w = table
+                # A V^T as (V A^T)^T, the fast form for the Fortran-ordered A
+                g_data = FactorPair._unchecked((vt @ a.T).T / n, w / n)
+            realized = self._realized(x_bar, estimate, g_data)
+        return VarianceAudit(gamma, upsilon, realized)
 
 
 class SARAH(GradientEstimator):
@@ -344,9 +376,13 @@ class SARAH(GradientEstimator):
             return VarianceAudit(0.0, 0.0, self._realized(x_bar, estimate))
         g_data = self.problem.data_gradient(x_bar)
         gamma = (self._prev_est - g_data).norm_sq()
-        return VarianceAudit(
-            gamma, math.sqrt(gamma), self._realized(x_bar, estimate, g_data)
-        )
+        if estimate is self._prev_est:
+            # No graph term: the estimate is the recursive one, whose error
+            # gamma already is.
+            realized = gamma
+        else:
+            realized = self._realized(x_bar, estimate, g_data)
+        return VarianceAudit(gamma, math.sqrt(gamma), realized)
 
 
 def effective_batch_size(batch_size: int | None, n: int) -> int:

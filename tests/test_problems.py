@@ -534,6 +534,44 @@ def test_residual_value_holds_one_block_of_the_residual():
     assert peak < 2 * problems._BLOCK_BYTES + 8 * r * (m + d)
 
 
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+@pytest.mark.parametrize("shape", [(60, 40), (400, 600)])
+def test_residual_pass_gives_the_value_and_the_data_gradient(kind, shape):
+    # One block at 60 x 40, eight at 400 x 600.  The value keeps the bits
+    # of the value-only pass; the gradient is the Gram form's to rounding.
+    m, d = shape
+    rng = make_rng(36)
+    prob = _kind_problem(kind, rng.uniform(0.1, 1.0, shape), 5)
+    assert len(prob._col_blocks) == (1 if shape == (60, 40) else 8)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    for x in _reference_pairs(rng, m, 5, d):
+        value, g = prob._residual_pass(x, gradient=True)
+        assert value == prob._residual_value(x)
+        assert prob._residual_pass(x) == (value, None)
+        want = prob.data_gradient(x)
+        assert close(g.u, want.u) and close(g.v, want.v)
+        # On a feasible point: the objective's bits and the full gradient.
+        x = FactorPair(
+            hard_threshold_axis(np.abs(x.u), 2, axis=0),
+            hard_threshold_axis(np.abs(x.v), 3, axis=1),
+        )
+        value, g = prob._objective_and_gradient(x)
+        assert value == prob.objective(x)
+        want = prob.full_gradient(x)
+        assert close(g.u, want.u) and close(g.v, want.v)
+
+
+def test_objective_and_gradient_is_inf_off_the_feasible_set():
+    rng = make_rng(37)
+    prob = _kind_problem("ssnmf", rng.uniform(0.1, 1.0, (9, 11)), 3)
+    x = random_pair(rng, 9, 3, 11, 0.1, 1.0)  # dense: over the budgets
+    assert prob.objective(x) == math.inf
+    assert prob._objective_and_gradient(x) == (math.inf, None)
+
+
 def test_full_batch_estimators_are_the_full_gradient_over_several_blocks():
     # SAGA at b = n and SARAH restarting at every step take the full
     # gradient by its own path; over several column blocks the bits agree.

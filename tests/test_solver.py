@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bregopt.harness import SyntheticSpec, generate_synthetic, init_point
 from bregopt.kernels import FactorPair, KernelSpec, bregman_distance
 from bregopt import solver
+from bregopt.estimators import SAGA, SARAH, MinibatchSGD
 from bregopt.numeric import make_rng
 from bregopt.problems import Problem, build_knn_laplacian, build_problem
 from bregopt.solver import (
@@ -866,6 +867,143 @@ def test_bpge_steps_match_a_direct_pass_at_the_extrapolated_point(kind, beta_mod
         x_bar = xs[k] + (xs[k] - xs[k - 1 if k else 0]).scale(beta)
         x_next = problem.prox_step(problem.full_gradient(x_bar), x_bar, eta)
         assert (x_next - xs[k + 1]).norm() <= 1e-12 * xs[k + 1].norm()
+
+
+# -- audited stochastic steps: one residual pass at x_{k+1} ------------------
+
+
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+@pytest.mark.parametrize("kind", ["gnmf-graph", "wcmf", "ssnmf"])
+def test_audited_stochastic_objective_is_the_objective(kind, estimator):
+    # The residual pass that gives an audited step its witness's gradient
+    # gives its objective too, with the bits of problem.objective.
+    problem = graph_problem() if kind == "gnmf-graph" else kind_problem(kind)
+    cfg = SolverConfig(
+        algorithm="bpsge",
+        estimator=estimator,
+        batch_size=3,
+        max_epochs=4,
+        audit_per_iteration=True,
+        keep_iterates=True,
+        seed=9,
+    )
+    res = run(problem, cfg, start_point(problem))
+    assert not res.failed and len(res.audits) == res.iterations_run == 16
+    for rec, x in zip(res.audits, res.iterates[1:]):
+        assert rec.objective == problem.objective(x)
+    if estimator != "saga":  # SAGA's audit resyncs its table averages
+        plain = run(problem, replace(cfg, audit_per_iteration=False), start_point(problem))
+        assert [astuple(t)[:5] for t in plain.trace] == [astuple(t)[:5] for t in res.trace]
+
+
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+def test_audited_stochastic_step_reads_m_twice(estimator, monkeypatch):
+    # An audited step reads M twice after its estimate: one residual pass at
+    # x_{k+1} for the objective and the witness, then SAGA's table at x_bar,
+    # or the data products at x_bar for SGD and SARAH.  The estimate's own reads are counted
+    # apart: its minibatch, SAGA's first table and SARAH's restarts.
+    problem = graph_problem()
+    steps = [[]]  # the reads before the first estimate, then one list a step
+    in_estimate = []
+    for name in (
+        "data_products",
+        "_residual_pass",
+        "gradient_table",
+        "batch_table",
+        "_batch_difference",
+    ):
+
+        def counted(*args, _name=name, _method=getattr(problem, name), **kwargs):
+            steps[-1].append((bool(in_estimate), _name))
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(problem, name, counted)
+    cls = {"sgd": MinibatchSGD, "saga": SAGA, "sarah": SARAH}[estimator]
+    estimate = cls.estimate
+
+    def marked(self, x_bar):
+        steps.append([])
+        in_estimate.append(True)
+        try:
+            return estimate(self, x_bar)
+        finally:
+            in_estimate.pop()
+
+    monkeypatch.setattr(cls, "estimate", marked)
+    cfg = SolverConfig(
+        algorithm="bpsge",
+        estimator=estimator,
+        batch_size=3,
+        max_epochs=5,
+        audit_per_iteration=True,
+        seed=10,
+    )
+    res = run(problem, cfg, start_point(problem))
+    assert not res.failed and res.iterations_run == len(steps) - 1 == 20
+    assert steps[0] == [(False, "_residual_pass")]  # the start's objective
+    at_x_bar = "gradient_table" if estimator == "saga" else "data_products"
+    own = []
+    for reads in steps[1:]:
+        assert [n for inside, n in reads if not inside] == ["_residual_pass", at_x_bar]
+        own.append([n for inside, n in reads if inside])
+    if estimator == "sgd":
+        assert own == [["batch_table"]] * 20
+    elif estimator == "saga":
+        assert own == [["gradient_table", "batch_table"]] + [["batch_table"]] * 19
+    else:
+        assert own[0] == ["data_products"]  # no estimate to correct yet
+        assert all(o in (["data_products"], ["_batch_difference"]) for o in own)
+        assert 1 < own.count(["data_products"]) < 10
+
+
+@pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
+def test_audited_stochastic_step_fails_on_a_non_finite_objective(estimator, monkeypatch):
+    problem = kind_problem("wcmf")
+    calls = []
+    residual_pass = problem._residual_pass
+
+    def poisoned(x, gradient=False):
+        value, g = residual_pass(x, gradient)
+        calls.append(gradient)
+        return (math.inf if len(calls) == 4 else value), g
+
+    monkeypatch.setattr(problem, "_residual_pass", poisoned)
+    cfg = SolverConfig(
+        algorithm="bpsge",
+        estimator=estimator,
+        batch_size=3,
+        max_epochs=2,
+        audit_per_iteration=True,
+        seed=11,
+    )
+    res = run(problem, cfg, start_point(problem))
+    assert res.failed and res.message == "iteration 2: objective became non-finite"
+    assert calls == [False, True, True, True]
+    assert [t.epoch for t in res.trace] == [0] and len(res.audits) == 2
+
+
+@pytest.mark.parametrize("kind", ["gnmf-graph", "wcmf", "ssnmf"])
+def test_witness_from_carried_norms_is_stationarity_witness(kind):
+    # wcmf's kernel has c = eta lambda2 > 0 in its U-block.
+    problem = graph_problem() if kind == "gnmf-graph" else kind_problem(kind)
+    rng = make_rng(62)
+    for eta in (0.05, 0.5):
+        kern = problem.kernel(eta)
+        x_bar = random_pair(rng, 8, 2, 10, 0.1, 1.0)
+        g = problem.full_gradient(random_pair(rng, 8, 2, 10, 0.1, 1.0))
+        x_next = problem.prox_step(g, x_bar, eta, kernel=kern)
+        want = stationarity_witness(problem, x_next, x_bar, g, eta, kern)
+        got = solver._witness(
+            problem.full_gradient(x_next),
+            g,
+            x_bar,
+            x_bar.norm_sq(),
+            x_next,
+            x_next.norm_sq(),
+            eta,
+            kern,
+        )
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 # -- full-gradient step 1/L_bar: scale covariance and progress ---------------
