@@ -46,12 +46,20 @@ one residual pass at x_{k+1} that ``run`` takes for the objective and the
 witness, an audited stochastic step reads M twice beyond its estimate;
 it used to read it three times (SGD, SARAH) or four (SAGA).  The share of
 an audited step that is audit work, gnmf on a 5-NN graph, bpsge at the 5%
-batch, one OpenBLAS thread on a 2-vCPU x86-64 VM, before -> after
-(``tools/audit_cost.py``, two interleaved runs of 5 processes each):
+batch, one OpenBLAS thread on a 2-vCPU x86-64 VM (``tools/audit_cost.py``):
+with three or four reads and with two (two interleaved runs of 5
+processes each), then with two reads and the in-place step arithmetic of
+the ``problems`` and ``solver`` modules, which makes the plain step
+cheaper (the median of three interleaved runs of 5 processes each, on a
+noisy host where single runs spread by up to 0.09):
 
-    m x d, r            sgd                saga               sarah
-    60 x 40, 5          0.55 -> 0.50-0.53  0.63 -> 0.57       0.56 -> 0.53
-    500 x 1000, 10      0.86-0.88 -> 0.86  0.91 -> 0.91       0.86 -> 0.84
+    m x d, r         estimator    3-4 reads    2 reads      2, in place
+    60 x 40, 5       sgd          0.55         0.50-0.53    0.54
+                     saga         0.63         0.57         0.54
+                     sarah        0.56         0.53         0.51
+    500 x 1000, 10   sgd          0.86-0.88    0.86         0.87
+                     saga         0.91         0.91         0.91
+                     sarah        0.86         0.84         0.86
 
 At 500 x 1000 the GEMMs bound the pass at x_{k+1}: the fused pass took
 1.22 ms against 1.27 for the objective and the full gradient apart, where
@@ -201,7 +209,7 @@ class MinibatchSGD(GradientEstimator):
 
     def estimate(self, x_bar: FactorPair) -> FactorPair:
         idx = _draw_batch(self.rng, self.problem.n_samples, self.batch_size)
-        g_data = self.problem.minibatch_data_gradient(x_bar, idx)
+        g_data = self.problem._minibatch_gradient(x_bar, idx)
         return self.problem._with_graph(g_data, x_bar)
 
     def audit(self, x_bar, estimate=None) -> VarianceAudit:

@@ -146,7 +146,8 @@ def _kernel_value(spec: KernelSpec, s: float, u_sq: float) -> float:
 
 
 def _kernel_gradient(spec: KernelSpec, x: FactorPair, s: float) -> FactorPair:
-    """grad psi(x) given s = ``x.norm_sq()``."""
+    """grad psi(x) given s = ``x.norm_sq()``, in new arrays, which
+    ``Problem.prox_step`` turns into its gradient step in place."""
     cu = spec.quartic * s + spec.quadratic + spec.u_quadratic
     cv = spec.quartic * s + spec.quadratic
     return FactorPair._unchecked(cu * x.u, cv * x.v)

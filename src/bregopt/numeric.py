@@ -93,15 +93,28 @@ def cubic_root(a: float, b: float) -> float:
 
 
 def soft_threshold(y, tau: float) -> np.ndarray:
-    """Elementwise shrinkage sign(y) * max(|y| - tau, 0) with tau >= 0."""
+    """Elementwise shrinkage sign(y) * max(|y| - tau, 0) with tau >= 0, as
+    a new array: ``y`` is not changed."""
     if tau < 0.0:
         raise ValueError(f"soft_threshold: tau must be >= 0, got {tau}")
-    y = np.asarray(y, dtype=np.float64)
-    return np.sign(y) * np.maximum(np.abs(y) - tau, 0.0)
+    return _shrink(np.array(y, dtype=np.float64), tau)
+
+
+def _shrink(y: np.ndarray, tau: float) -> np.ndarray:
+    """``soft_threshold(y, tau)`` written into the float64 array ``y``, bit
+    for bit: |y| - tau and its clip in one new array, sign(y) in y, then
+    their product in y (IEEE multiplication commutes)."""
+    mag = np.abs(y)
+    mag -= tau
+    np.maximum(mag, 0.0, out=mag)
+    np.sign(y, out=y)
+    y *= mag
+    return y
 
 
 def project_nonneg(a) -> np.ndarray:
-    """Elementwise projection onto the nonnegative orthant."""
+    """Elementwise projection onto the nonnegative orthant, as a new array:
+    ``a`` is not changed."""
     return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
 
 

@@ -115,6 +115,25 @@ exposes a closed-form Bregman proximal step: the minimizer of
 
 is a scalar multiple t * (A, B) of explicitly computable shapes, with t the
 nonnegative root of a scalar cubic.
+
+A step writes only into arrays it made, never into an input.
+``prox_step`` makes the kernel gradient grad psi(x_bar) and turns it into
+-P = grad psi(x_bar) - eta grad, one block at a time; the shape operators
+clip (gnmf, ssnmf) or shrink (wcmf) those arrays in place, and t scales
+the shapes in place.  The graph term adds the data part into its own
+mu0 L U, and one product L U at a point gives both the graph value and the
+graph gradient there.  IEEE addition and multiplication commute and no
+rounding step changes, so every result keeps the bits of the
+out-of-place expressions.  The public ``soft_threshold``,
+``project_nonneg`` and ``kernel_gradient`` stay non-mutating: they return
+new arrays, and the step uses private in-place forms.  The ``tracemalloc``
+peaks at 500 x 1000, rank 10, in factor pairs (the bytes of U and V),
+with a new array for each operation before and in place after:
+
+    prox_step, gnmf and wcmf    4.01 -> 1.67 pairs
+    prox_step, ssnmf            5.11 -> 3.44 pairs (the hard threshold
+                                makes its own arrays)
+    graph term                  0.67 -> 0.34 pairs (2 -> 1 U-blocks)
 """
 
 from __future__ import annotations
@@ -127,13 +146,7 @@ import numpy as np
 import scipy.sparse
 
 from .kernels import FactorPair, KernelSpec, _kernel_gradient, bregman_distance
-from .numeric import (
-    as_dense,
-    cubic_root,
-    project_nonneg,
-    soft_threshold,
-    spectral_norm,
-)
+from .numeric import _shrink, as_dense, cubic_root, spectral_norm
 
 __all__ = [
     "Problem",
@@ -237,6 +250,11 @@ def _normed_sq_diffs(t1, t2) -> np.ndarray:
     outer = aa1 * vv1 - 2.0 * _col_dots(a1, a2) * _col_dots(v1, v2) + aa2 * vv2
     wd = w1 - w2
     return np.maximum(outer, 0.0) + _col_dots(wd, wd)
+
+
+def _clip(a: np.ndarray) -> np.ndarray:
+    """``project_nonneg(a)`` written into the float64 array ``a``."""
+    return np.maximum(a, 0.0, out=a)
 
 
 def _mt(x: np.ndarray) -> np.ndarray:
@@ -387,8 +405,8 @@ class Problem:
         if not self.is_feasible(x):
             return math.inf, None
         data, g_data = self._residual_pass(x, gradient=True)
-        value = data + self._graph_value(x.u) + self.nonsmooth_value(x)
-        return value, self._with_graph(g_data, x)
+        graph, grad = self._graph_terms(g_data, x)
+        return data + graph + self.nonsmooth_value(x), grad
 
     def is_feasible(self, x: FactorPair, tol: float = 1e-12) -> bool:
         """Whether x meets the constraints of h up to ``tol``.  A NaN entry
@@ -443,7 +461,11 @@ class Problem:
     def minibatch_data_gradient(self, x: FactorPair, indices) -> FactorPair:
         """Data-term minibatch gradient: the batch mean of ``batch_table``."""
         self._check_point(x)
-        idx = validate_indices(indices, self.n_samples)
+        return self._minibatch_gradient(x, validate_indices(indices, self.n_samples))
+
+    def _minibatch_gradient(self, x: FactorPair, idx: np.ndarray) -> FactorPair:
+        """``minibatch_data_gradient`` over a batch that is already sorted,
+        distinct and in range, such as an estimator's own draw."""
         a, vb, w = self.batch_table(x, idx)
         b = idx.size
         gu = (a @ vb.T) / b
@@ -512,6 +534,10 @@ class Problem:
         """A data-term gradient at x plus the exact graph-term gradient."""
         return g_data
 
+    def _graph_terms(self, g_data: FactorPair, x: FactorPair):
+        """(``_graph_value(x.u)``, ``_with_graph(g_data, x)``), bit for bit."""
+        return 0.0, g_data
+
     # -- kernel and curvature --------------------------------------------
 
     def kernel(self, eta: float = 0.0) -> KernelSpec:
@@ -557,6 +583,8 @@ class Problem:
     # -- proximal step ---------------------------------------------------
 
     def _prox_shapes(self, neg_p: np.ndarray, neg_q: np.ndarray, eta: float):
+        """The shapes (A, B) from -P and -Q, arrays that ``prox_step`` made
+        for them: each is written in place or left for a new array."""
         raise NotImplementedError
 
     def prox_step(
@@ -585,9 +613,11 @@ class Problem:
             raise ValueError("gradient shape mismatch")
         kernel = self.kernel(eta) if kernel is None else kernel
         s = x_bar.norm_sq() if sq_norm is None else sq_norm
-        gpsi = _kernel_gradient(kernel, x_bar, s)
-        neg_p = gpsi.u - eta * grad.u
-        neg_q = gpsi.v - eta * grad.v
+        # -P = grad psi(x_bar) - eta grad, formed in the kernel gradient
+        neg = _kernel_gradient(kernel, x_bar, s)
+        neg_p, neg_q = neg.u, neg.v
+        neg_p -= eta * grad.u
+        neg_q -= eta * grad.v
         if not (np.isfinite(neg_p).all() and np.isfinite(neg_q).all()):
             raise ValueError("prox_step: the gradient step has non-finite entries")
         a_shape, b_shape = self._prox_shapes(neg_p, neg_q, eta)
@@ -595,7 +625,9 @@ class Problem:
         t = cubic_root(kernel.quartic * ssum, kernel.quadratic)
         if not math.isfinite(t * math.sqrt(ssum)):
             raise ValueError("prox_step: the new iterate has non-finite entries")
-        return FactorPair._unchecked(t * a_shape, t * b_shape)
+        a_shape *= t
+        b_shape *= t
+        return FactorPair._unchecked(a_shape, b_shape)
 
     def prox_model_value(
         self,
@@ -710,10 +742,23 @@ class GraphRegularizedNMF(Problem):
         return 0.5 * self.mu0 * float(np.vdot(u, self.laplacian @ u))
 
     def _with_graph(self, g_data: FactorPair, x: FactorPair) -> FactorPair:
+        # The data part is added into mu0 L U (IEEE addition commutes).
         if self.mu0 == 0.0:
             return g_data
-        gu = g_data.u + self.mu0 * (self.laplacian @ x.u)
+        gu = self.laplacian @ x.u
+        gu *= self.mu0
+        gu += g_data.u
         return FactorPair._unchecked(gu, g_data.v)
+
+    def _graph_terms(self, g_data: FactorPair, x: FactorPair):
+        # One product L U serves the value, then becomes the gradient's U-block.
+        if self.mu0 == 0.0:
+            return 0.0, g_data
+        gu = self.laplacian @ x.u
+        value = 0.5 * self.mu0 * float(np.vdot(x.u, gu))
+        gu *= self.mu0
+        gu += g_data.u
+        return value, FactorPair._unchecked(gu, g_data.v)
 
     def _graph_operator_norm(self) -> float:
         """mu0 |L|_2, one O(m^3) dense eigensolve per call."""
@@ -725,7 +770,7 @@ class GraphRegularizedNMF(Problem):
         return self.mu0 * spectral_norm(lap)
 
     def _prox_shapes(self, neg_p, neg_q, eta):
-        return project_nonneg(neg_p), project_nonneg(neg_q)
+        return _clip(neg_p), _clip(neg_q)
 
 
 class WeaklyConvexMF(Problem):
@@ -758,7 +803,7 @@ class WeaklyConvexMF(Problem):
         return self.lambda2
 
     def _prox_shapes(self, neg_p, neg_q, eta):
-        return soft_threshold(neg_p, eta * self.lambda1), neg_q.copy()
+        return _shrink(neg_p, eta * self.lambda1), neg_q
 
 
 class SparseNMF(Problem):
@@ -790,8 +835,8 @@ class SparseNMF(Problem):
     def _prox_shapes(self, neg_p, neg_q, eta):
         # Projection first, then selection: clip negatives, then keep the
         # s largest survivors per column of U / row of V.
-        a = hard_threshold_axis(project_nonneg(neg_p), self.s1, axis=0)
-        b = hard_threshold_axis(project_nonneg(neg_q), self.s2, axis=1)
+        a = hard_threshold_axis(_clip(neg_p), self.s1, axis=0)
+        b = hard_threshold_axis(_clip(neg_q), self.s2, axis=1)
         return a, b
 
 

