@@ -795,35 +795,17 @@ def _point_hash(x: FactorPair) -> str:
     return h.hexdigest()[:16]
 
 
-@dataclass
-class TrialOutcome:
-    result: RunResult
-    accuracy: float | None = None
-
-
 def _run_trials(
     cfg: ExperimentConfig,
     problem: Problem,
     solver_cfg: SolverConfig,
-    labels,
     starts: list[FactorPair],
-) -> list[TrialOutcome]:
-    """One outcome per trial: trial t runs from ``starts[t]``."""
-    outcomes = []
-    for t, x0 in enumerate(starts):
-        trial_cfg = replace(solver_cfg, seed=(cfg.seed, 2000 + t))
-        res = run(problem, trial_cfg, x0)
-        out = TrialOutcome(result=res)
-        if cfg.clustering is not None and not res.failed:
-            out.accuracy = kmeans_accuracy(
-                res.x.u,
-                labels,
-                cfg.clustering.k,
-                restarts=cfg.clustering.restarts,
-                rng=make_rng((cfg.seed, 2, t)),
-            )
-        outcomes.append(out)
-    return outcomes
+) -> list[RunResult]:
+    """One result per trial: trial t runs from ``starts[t]``."""
+    return [
+        run(problem, replace(solver_cfg, seed=(cfg.seed, 2000 + t)), x0)
+        for t, x0 in enumerate(starts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +818,7 @@ _trace_values = attrgetter(*_TRACE_FIELDS)
 _STAT_KEYS = tuple(f"{name}_{stat}" for name in _TRACE_FIELDS for stat in ("mean", "std"))
 
 
-def aggregate_traces(outcomes: list[TrialOutcome], max_epochs: int):
+def aggregate_traces(results: list[RunResult], max_epochs: int):
     """Pointwise mean/std rows across trials; early-stopped trials are padded
     by carrying their final row forward.  Returns (rows, padded_trials).
 
@@ -846,10 +828,10 @@ def aggregate_traces(outcomes: list[TrialOutcome], max_epochs: int):
     """
     n_rows = max_epochs + 1
     epochs = np.arange(n_rows)
-    cells = np.empty((n_rows, len(_TRACE_FIELDS), len(outcomes)))
+    cells = np.empty((n_rows, len(_TRACE_FIELDS), len(results)))
     padded_trials = 0
-    for t, out in enumerate(outcomes):
-        vals = np.array([_trace_values(row) for row in out.result.trace])
+    for t, res in enumerate(results):
+        vals = np.array([_trace_values(row) for row in res.trace])
         cells[:, :, t] = vals[np.minimum(epochs, len(vals) - 1)]
         padded_trials += len(vals) < n_rows
     stats = np.stack([cells.mean(axis=-1), cells.std(axis=-1)], axis=-1)
@@ -873,19 +855,23 @@ def write_trial_csv(path, res: RunResult) -> None:
     _write_csv(path, [["epoch", *_TRACE_FIELDS, "feasible"], *lines])
 
 
-def _status(outcomes: list[TrialOutcome]) -> str:
-    failed = sum(1 for o in outcomes if o.result.failed)
+def _status(results: list[RunResult]) -> str:
+    failed = sum(1 for r in results if r.failed)
     if failed == 0:
         return "ok"
-    if failed * 2 <= len(outcomes):
+    if failed * 2 <= len(results):
         return "partial"
     return "failed"
 
 
 def _summarize(
-    cfg: ExperimentConfig, solver_cfg: SolverConfig, outcomes, padded, init_hashes
+    cfg: ExperimentConfig, solver_cfg: SolverConfig, results, padded, init_hashes, labels
 ):
-    finals = [o.result.trace[-1].objective for o in outcomes if not o.result.failed]
+    """A summary of ``results``.  With a clustering block, each trial t that
+    did not fail is scored by k-means on its final U, drawing from
+    (seed, 2, t)."""
+    ok = [(t, r) for t, r in enumerate(results) if not r.failed]
+    finals = [r.trace[-1].objective for _, r in ok]
     summary = {
         "name": cfg.name,
         "kind": cfg.problem.kind,
@@ -894,17 +880,26 @@ def _summarize(
         "trials": cfg.trials,
         "seed": cfg.seed,
         "max_epochs": solver_cfg.max_epochs,
-        "status": _status(outcomes),
-        "failed_trials": sum(1 for o in outcomes if o.result.failed),
-        "failure_messages": [o.result.message for o in outcomes if o.result.failed],
+        "status": _status(results),
+        "failed_trials": len(results) - len(ok),
+        "failure_messages": [r.message for r in results if r.failed],
         "padded_trials": padded,
-        "hit_eta_floor": any(o.result.hit_eta_floor for o in outcomes),
+        "hit_eta_floor": any(r.hit_eta_floor for r in results),
         "init_hashes": init_hashes,
         "final_objective_mean": float(np.mean(finals)) if finals else None,
         "final_objective_std": float(np.std(finals)) if finals else None,
     }
-    accs = [o.accuracy for o in outcomes if o.accuracy is not None]
-    if accs:
+    if cfg.clustering is not None and ok:
+        accs = [
+            kmeans_accuracy(
+                r.x.u,
+                labels,
+                cfg.clustering.k,
+                restarts=cfg.clustering.restarts,
+                rng=make_rng((cfg.seed, 2, t)),
+            )
+            for t, r in ok
+        ]
         summary["accuracy_mean"] = float(np.mean(accs))
         summary["accuracy_std"] = float(np.std(accs))
     return summary
@@ -917,19 +912,19 @@ def _write_json(path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_outputs(cfg, out_dir: Path, tag: str, outcomes, rows, summary):
+def _emit_outputs(cfg, out_dir: Path, tag: str, results, rows, summary):
     paths = []
     if "trace_csv" in cfg.emit:
         p = out_dir / f"trace_{tag}.csv"
         write_trace_csv(p, rows)
         paths.append(p)
     if "per_trial_csv" in cfg.emit:
-        for t, out in enumerate(outcomes):
+        for t, res in enumerate(results):
             p = out_dir / f"trial_{tag}_{t:03d}.csv"
-            write_trial_csv(p, out.result)
+            write_trial_csv(p, res)
             paths.append(p)
     if "basis_pgm" in cfg.emit:
-        images = basis_images(outcomes[0].result.x.u, cfg.basis_shape)
+        images = basis_images(results[0].x.u, cfg.basis_shape)
         for j, img in enumerate(images):
             p = out_dir / f"basis_{tag}_{j:02d}.pgm"
             write_pgm(p, img)
@@ -993,12 +988,12 @@ def run_experiment(cfg: ExperimentConfig):
     """
     _reject_compare(cfg, "run")
     t0, out, problem, labels, starts, hashes = _prepare(cfg)
-    outcomes = _run_trials(cfg, problem, cfg.solver, labels, starts)
-    rows, padded = aggregate_traces(outcomes, cfg.solver.max_epochs)
-    summary = _summarize(cfg, cfg.solver, outcomes, padded, hashes)
+    results = _run_trials(cfg, problem, cfg.solver, starts)
+    rows, padded = aggregate_traces(results, cfg.solver.max_epochs)
+    summary = _summarize(cfg, cfg.solver, results, padded, hashes, labels)
     summary["audit_exact"] = problem.lemma_audits_exact
     summary["wall_seconds"] = time.perf_counter() - t0
-    paths = _emit_outputs(cfg, out, cfg.name, outcomes, rows, summary)
+    paths = _emit_outputs(cfg, out, cfg.name, results, rows, summary)
     return summary, paths
 
 
@@ -1036,13 +1031,13 @@ def run_compare(cfg: ExperimentConfig):
     for overrides in combos:
         solver_cfg = replace(cfg.solver, **overrides)
         tag = _combo_tag(solver_cfg)
-        outcomes = _run_trials(cfg, problem, solver_cfg, labels, starts)
-        rows, padded = aggregate_traces(outcomes, solver_cfg.max_epochs)
-        summary = _summarize(cfg, solver_cfg, outcomes, padded, hashes)
+        results = _run_trials(cfg, problem, solver_cfg, starts)
+        rows, padded = aggregate_traces(results, solver_cfg.max_epochs)
+        summary = _summarize(cfg, solver_cfg, results, padded, hashes, labels)
         statuses.append(summary["status"])
         combo_summaries[tag] = summary
         all_paths += _emit_outputs(
-            cfg, out, f"{cfg.name}_{tag}", outcomes, rows, summary
+            cfg, out, f"{cfg.name}_{tag}", results, rows, summary
         )
 
     top = {
@@ -1078,17 +1073,18 @@ def run_audit(cfg: ExperimentConfig):
     monotonicity violations, the min-step rate bound, the stationarity
     witness trend, and (for variance-reduced estimators) the Monte-Carlo
     geometric-decay test of the tracker with the constant estimated from the
-    visited iterates.  A ``compare`` block raises ConfigError before
+    visited iterates.  The report holds no accuracy, so no trial is
+    scored by k-means.  A ``compare`` block raises ConfigError before
     anything runs.
     """
     _reject_compare(cfg, "audit")
-    t0, out, problem, labels, starts, _ = _prepare(cfg)
+    t0, out, problem, _, starts, _ = _prepare(cfg)
 
     solver_cfg = replace(
         cfg.solver, audit_per_iteration=True, keep_iterates=True
     )
-    outcomes = _run_trials(cfg, problem, solver_cfg, labels, starts)
-    ok = [o for o in outcomes if not o.result.failed]
+    results = _run_trials(cfg, problem, solver_cfg, starts)
+    ok = [r for r in results if not r.failed]
 
     report = {
         "name": cfg.name,
@@ -1096,16 +1092,16 @@ def run_audit(cfg: ExperimentConfig):
         "algorithm": solver_cfg.algorithm,
         "estimator": solver_cfg.resolved().estimator,
         "trials": cfg.trials,
-        "failed_trials": len(outcomes) - len(ok),
+        "failed_trials": len(results) - len(ok),
         "exact_hypotheses": problem.lemma_audits_exact,
-        "status": _status(outcomes),
+        "status": _status(results),
     }
 
     if ok:
         # Each trial's audits, read once: one row of _AUDIT_FIELDS per step.
         rows = [
-            np.array([_audit_values(a) for a in o.result.audits]).reshape(-1, 5)
-            for o in ok
+            np.array([_audit_values(a) for a in r.audits]).reshape(-1, 5)
+            for r in ok
         ]
         # Lyapunov monotonicity across consecutive audited iterations.
         tol = 1e-9
@@ -1123,7 +1119,7 @@ def run_audit(cfg: ExperimentConfig):
         _, steps, stat, gamma, step_sq = np.moveaxis(first, -1, 0)
         if min_len > 0:
             # Rate bound on the across-trial mean Bregman step sequence.
-            psi1 = float(np.mean([o.result.psi1 for o in ok]))
+            psi1 = float(np.mean([r.psi1 for r in ok]))
             rep = rate_check(steps.mean(axis=0), psi1, solver_cfg.epsilon)
             report["rate"] = {
                 "passed": rep.passed,
@@ -1141,7 +1137,7 @@ def run_audit(cfg: ExperimentConfig):
         est_name = solver_cfg.resolved().estimator
         if est_name in ("saga", "sarah") and min_len >= 3:
             m1 = max(
-                estimate_sample_lipschitz(problem, o.result.iterates) for o in ok
+                estimate_sample_lipschitz(problem, r.iterates) for r in ok
             )
             n = problem.n_samples
             b = effective_batch_size(solver_cfg.batch_size, n)

@@ -119,20 +119,20 @@ nonnegative root of a scalar cubic.
 A step writes only into arrays it made, never into an input.
 ``prox_step`` makes the kernel gradient grad psi(x_bar) and turns it into
 -P = grad psi(x_bar) - eta grad, one block at a time; the shape operators
-clip (gnmf, ssnmf) or shrink (wcmf) those arrays in place, and t scales
-the shapes in place.  The graph term adds the data part into its own
-mu0 L U, and one product L U at a point gives both the graph value and the
-graph gradient there.  IEEE addition and multiplication commute and no
-rounding step changes, so every result keeps the bits of the
-out-of-place expressions.  The public ``soft_threshold``,
-``project_nonneg`` and ``kernel_gradient`` stay non-mutating: they return
-new arrays, and the step uses private in-place forms.  The ``tracemalloc``
+clip (gnmf, ssnmf) or shrink (wcmf) those arrays in place, ssnmf zeroes
+each entry past its budget in place, and t scales the shapes in place.
+The graph term adds the data part into its own mu0 L U, and one product
+L U at a point gives both the graph value and the graph gradient there.
+IEEE addition and multiplication commute and no rounding step changes,
+so every result keeps the bits of the out-of-place expressions.  The
+public ``soft_threshold``, ``project_nonneg``, ``hard_threshold_axis``
+and ``kernel_gradient`` stay non-mutating: they return new arrays, and
+the step uses private in-place forms.  The ``tracemalloc``
 peaks at 500 x 1000, rank 10, in factor pairs (the bytes of U and V),
 with a new array for each operation before and in place after:
 
     prox_step, gnmf and wcmf    4.01 -> 1.67 pairs
-    prox_step, ssnmf            5.11 -> 3.44 pairs (the hard threshold
-                                makes its own arrays)
+    prox_step, ssnmf            5.11 -> 2.45 pairs (budgets selected in place)
     graph term                  0.67 -> 0.34 pairs (2 -> 1 U-blocks)
 """
 
@@ -202,17 +202,26 @@ def validate_indices(indices, n: int) -> np.ndarray:
 def hard_threshold_axis(a: np.ndarray, s: int, axis: int) -> np.ndarray:
     """Keep the s largest-magnitude entries along ``axis``, zero the rest.
 
-    Each slice along ``axis`` is thresholded on its own; among equal
-    magnitudes the lowest index is kept first.
+    Each slice along ``axis`` of the matrix ``a`` is thresholded on its
+    own; among equal magnitudes the lowest index is kept first.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.array(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"a must be 2-D, got ndim={a.ndim}")
     if not 0 <= s <= a.shape[axis]:
         raise ValueError(f"s must be in [0, {a.shape[axis]}], got {s}")
-    if s == a.shape[axis]:
-        return a.copy()
-    order = np.argsort(-np.abs(a), axis=axis, kind="stable")
-    rank = order.argsort(axis=axis, kind="stable")
-    return np.where(rank < s, a, 0.0)
+    return _select_in_place(a, s, axis % 2)
+
+
+def _select_in_place(a: np.ndarray, s: int, axis: int) -> np.ndarray:
+    """``hard_threshold_axis(a, s, axis)`` written into the float64 matrix
+    ``a``, axis 0 or 1: one stable argsort of -|a| ranks each slice from 0,
+    and the entries of rank s and beyond are set to zero."""
+    cols = a if axis == 0 else a.T  # a view whose columns are the slices
+    if s < cols.shape[0]:
+        order = np.argsort(-np.abs(cols), axis=0, kind="stable")
+        cols[order[s:], np.arange(cols.shape[1])] = 0.0
+    return a
 
 
 def factored_sq_diffs(t1, t2) -> np.ndarray:
@@ -325,16 +334,17 @@ class Problem:
         bpg/bpge iterate of wcmf 500 x 1000 and of gnmf, wcmf and ssnmf at
         60 x 40 (60 epochs, 2 seeds) it was at most 1.9e-15.
 
-        The residual form, the only one without ``products``, walks M in
-        the column blocks of ``data_products``: it takes each block's
-        transposed residual V_blk^T U^T - M_blk^T in one reused C-ordered
-        scratch array of about ``_BLOCK_BYTES``, and at least one column
-        (``np.vdot`` would copy a Fortran-ordered one), and sums the blocks'
-        squared norms, so it allocates no m x d array.  Where one block holds M it is the dot of
-        the whole d x m residual, bit for bit; over several blocks the sum
-        is regrouped, a rounding-level change.
+        The residual form, the only one without ``products``, is the value
+        of one ``_residual_pass`` (see there), which allocates no m x d
+        array.  Where one block holds M it is the dot of the whole d x m
+        residual, bit for bit; over several blocks the sum is regrouped, a
+        rounding-level change.
         """
         self._check_point(x)
+        return self._data_value(x, products) + self._graph_value(x.u)
+
+    def _data_value(self, x: FactorPair, products) -> float:
+        """|UV - M|_F^2 / 2 in the form ``smooth_value`` takes (see there)."""
         if products is not None:
             data = 0.5 * (
                 self._sq_norm_m
@@ -342,8 +352,8 @@ class Problem:
                 + float(np.vdot(x.u.T @ x.u, x.v @ x.v.T))
             )
             if data >= _GRAM_MIN_SHARE * 0.5 * self._sq_norm_m:
-                return data + self._graph_value(x.u)
-        return self._residual_value(x) + self._graph_value(x.u)
+                return data
+        return self._residual_value(x)
 
     def _residual_value(self, x: FactorPair) -> float:
         """|UV - M|_F^2 / 2 from the residual; see ``_residual_pass``."""
@@ -351,7 +361,9 @@ class Problem:
 
     def _residual_pass(self, x: FactorPair, gradient: bool = False):
         """(|UV - M|_F^2 / 2, the data gradient or None), one pass over M in
-        column blocks through one block-sized scratch array.
+        the column blocks of ``data_products`` through one reused C-ordered
+        scratch array of about ``_BLOCK_BYTES``, and at least one column
+        (``np.vdot`` would copy a Fortran-ordered one).
 
         Each block's transposed residual R_blk^T = V_blk^T U^T - M_blk^T
         adds its squared norm to the value and, with ``gradient``, its share
@@ -397,14 +409,19 @@ class Problem:
             return math.inf
         return self.smooth_value(x, products) + self.nonsmooth_value(x)
 
-    def _objective_and_gradient(self, x: FactorPair):
-        """(``objective(x)`` bit for bit, the gradient of f at x) from one
-        ``_residual_pass``, or (inf, None) where x is infeasible.  An
-        audited stochastic step takes its objective and its witness's
-        gradient from this one read of M."""
+    def _objective_and_gradient(self, x: FactorPair, products=None):
+        """(``objective(x, products)`` bit for bit, the gradient of f at x),
+        or (inf, None) where x is infeasible.  The gradient is
+        ``full_gradient(x, products)`` bit for bit given ``products``, else
+        that of the ``_residual_pass`` that gives the value.  One product
+        L U gives the graph value and gradient.  An audited step evaluates
+        its new iterate by this one call."""
         if not self.is_feasible(x):
             return math.inf, None
-        data, g_data = self._residual_pass(x, gradient=True)
+        if products is None:
+            data, g_data = self._residual_pass(x, gradient=True)
+        else:
+            data, g_data = self._data_value(x, products), self.data_gradient(x, products)
         graph, grad = self._graph_terms(g_data, x)
         return data + graph + self.nonsmooth_value(x), grad
 
@@ -835,8 +852,8 @@ class SparseNMF(Problem):
     def _prox_shapes(self, neg_p, neg_q, eta):
         # Projection first, then selection: clip negatives, then keep the
         # s largest survivors per column of U / row of V.
-        a = hard_threshold_axis(_clip(neg_p), self.s1, axis=0)
-        b = hard_threshold_axis(_clip(neg_q), self.s2, axis=1)
+        a = _select_in_place(_clip(neg_p), self.s1, axis=0)
+        b = _select_in_place(_clip(neg_q), self.s2, axis=1)
         return a, b
 
 

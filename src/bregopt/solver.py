@@ -47,11 +47,14 @@ objectives therefore come from the products (``Problem.smooth_value``): they
 agree with ``problem.objective(result.x)`` to about 1e-15 relative, not bit
 for bit.  Stochastic runs take the objective in the residual form.
 
-An audited stochastic step reads M twice beyond its estimate.  One
-residual pass at x_{k+1} gives its objective, the bits of
-``problem.objective``, and the gradient of f that the witness reads; the
-estimator's audit reads M once at x_bar (see the ``estimators`` module).
-Steps that are not audited do not change.
+An audited step evaluates x_{k+1} once: ``Problem._objective_and_gradient``
+gives its objective and the gradient of f that the witness reads, from the
+products a full-gradient run holds, or from one residual pass for a
+stochastic run, with one product L U for the graph term either way.  The
+witness is ``_witness``, from the |x|^2 the run carries, and equals
+``stationarity_witness`` bit for bit.  A stochastic estimator's audit reads
+M once more, at x_bar (see the ``estimators`` module).  Steps that are not
+audited do not change.
 
 A step writes only into arrays it made, never into an input.
 ``extrapolate`` takes Delta = x_k - x_{k-1} once and turns it into
@@ -76,7 +79,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimators import effective_batch_size, make_estimator
-from .kernels import FactorPair, KernelSpec, bregman_distance, kernel_gradient
+from .kernels import FactorPair, KernelSpec, bregman_distance
 from .kernels import _carried_distance, kernel_value
 from .numeric import spawn_rngs
 from .problems import Problem
@@ -370,27 +373,18 @@ def stationarity_witness(
     w = grad f(x_{k+1}) - grad_used + (grad psi(x_bar) - grad psi(x_{k+1}))/eta
     lies in the subdifferential of the objective at x_{k+1} by the proximal
     optimality condition; its norm certifies approximate stationarity.
-    ``products`` is ``problem.data_products(x_next)`` when the caller
-    already holds it; None takes it, a pass over M.
-
-    A full-gradient run records this value, from the products it holds, so
-    its witness reads no M of its own.  An audited stochastic step records
-    ``_witness`` instead: the gradient at x_{k+1} from the residual pass
-    that also gives its objective, and grad psi from the carried |x|^2.
-    That agrees with this value to rounding, not bit for bit: within
-    3.1e-13 relative, median about 1e-14, over 10,800 audited steps at
-    60 x 40, where each of the two was up to 6e-13 from a long-double
-    reference.  The cancellation in grad psi(x_bar) - grad psi(x_{k+1})
-    bounds both.
+    grad f(x_{k+1}) comes from ``products``, ``problem.data_products(x_next)``,
+    as a full-gradient run takes it, or without them from one residual
+    pass, as a stochastic run takes it; ``_witness`` then gives the norm,
+    so an audited step of ``run`` records this value bit for bit.  An
+    infeasible x_next, which has no subgradient, raises ValueError.
     """
-    w = (
-        problem.full_gradient(x_next, products)
-        - grad_used
-        + (kernel_gradient(kernel, x_bar) - kernel_gradient(kernel, x_next)).scale(
-            1.0 / eta
-        )
+    g_next = problem._objective_and_gradient(x_next, products)[1]
+    if g_next is None:
+        raise ValueError("stationarity_witness: x_next is infeasible")
+    return _witness(
+        g_next, grad_used, x_bar, x_bar.norm_sq(), x_next, x_next.norm_sq(), eta, kernel
     )
-    return w.norm()
 
 
 def _witness(
@@ -408,7 +402,6 @@ def _witness(
 
     grad psi(x) is (a s + b + c) U and (a s + b) V, so each block of w is
     taken from the raw arrays, with no norm and no kernel gradient pair.
-    It agrees with ``stationarity_witness`` to rounding (see there).
     """
     a, b = kernel.quartic, kernel.quadratic
     sq = 0.0
@@ -520,14 +513,12 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 s_bar = s_k if x_bar is x_k else x_bar.norm_sq()
                 x_next = problem.prox_step(g, x_bar, eta, kernel=kern, sq_norm=s_bar)
                 prods_next = problem.data_products(x_next) if full else None
-                if last or audited:  # only the trace and audits read it
-                    if audited and not full:
-                        # One residual pass: the objective and grad f(x_next)
-                        obj, g_next = problem._objective_and_gradient(x_next)
-                    else:
-                        obj = problem.objective(x_next, prods_next)
-                    if not math.isfinite(obj):
-                        raise ArithmeticError("objective became non-finite")
+                if audited:  # the objective and grad f(x_next) for the witness
+                    obj, g_next = problem._objective_and_gradient(x_next, prods_next)
+                elif last:  # only the trace reads it
+                    obj = problem.objective(x_next, prods_next)
+                if (last or audited) and not math.isfinite(obj):
+                    raise ArithmeticError("objective became non-finite")
             except (ValueError, ArithmeticError) as exc:
                 result.failed = True
                 result.message = f"iteration {k_global}: {exc}"
@@ -549,12 +540,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     cfg.epsilon,
                     alpha=problem.weak_convexity,
                 )
-                if full:
-                    wit = stationarity_witness(
-                        problem, x_next, x_bar, g, eta, kern, prods_next
-                    )
-                else:
-                    wit = _witness(g_next, g, x_bar, s_bar, x_next, s_next, eta, kern)
+                wit = _witness(g_next, g, x_bar, s_bar, x_next, s_next, eta, kern)
                 step_diff = x_next - x_k
                 result.audits.append(
                     AuditRecord(

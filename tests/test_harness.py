@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,6 +52,7 @@ from bregopt.estimators import (
 )
 from bregopt.numeric import make_rng
 from bregopt.solver import SolverConfig, rate_check
+from bregopt.solver import run as solver_run
 
 
 # -- matrix IO --------------------------------------------------------------
@@ -810,19 +811,19 @@ def test_run_experiment_pgm_requires_shape(tmp_path):
 def test_aggregate_traces_pads_short_trials(experiment):
     from bregopt.harness import _prepare, _run_trials
 
-    _, _, problem, labels, starts, _ = _prepare(experiment)
+    _, _, problem, _, starts, _ = _prepare(experiment)
     # Force heavy early stopping with a coarse tolerance.
     solver_cfg = SolverConfig(algorithm="bpg", max_epochs=50, stop_tol=1e-2)
-    outcomes = _run_trials(experiment, problem, solver_cfg, labels, starts)
-    rows, padded = aggregate_traces(outcomes, 50)
+    results = _run_trials(experiment, problem, solver_cfg, starts)
+    rows, padded = aggregate_traces(results, 50)
     assert len(rows) == 51
-    assert padded == len(outcomes)  # every trial stopped well before 50
+    assert padded == len(results)  # every trial stopped well before 50
     assert [r["epoch"] for r in rows] == list(range(51))
-    last_real = max(len(o.result.trace) for o in outcomes) - 1
+    last_real = max(len(o.trace) for o in results) - 1
     assert rows[50]["objective_mean"] == rows[last_real]["objective_mean"]
 
 
-def _fake_outcome(g, n_rows):
+def _fake_result(g, n_rows):
     rows = [
         SimpleNamespace(
             epoch=e,
@@ -833,7 +834,7 @@ def _fake_outcome(g, n_rows):
         )
         for e in range(n_rows)
     ]
-    return SimpleNamespace(result=SimpleNamespace(trace=rows))
+    return SimpleNamespace(trace=rows)
 
 
 @pytest.mark.parametrize("trials", [1, 7, 8, 9, 33])
@@ -843,15 +844,15 @@ def test_aggregate_traces_matches_per_cell_reduction(trials):
     # Every other trial stops early and is padded with its final row.
     lengths = [max_epochs + 1 if t % 2 else int(g.integers(1, max_epochs + 1))
                for t in range(trials)]
-    outcomes = [_fake_outcome(g, n) for n in lengths]
-    rows, padded = aggregate_traces(outcomes, max_epochs)
+    results = [_fake_result(g, n) for n in lengths]
+    rows, padded = aggregate_traces(results, max_epochs)
     assert padded == sum(n <= max_epochs for n in lengths)
     assert [r["epoch"] for r in rows] == list(range(max_epochs + 1))
     for e, row in enumerate(rows):
         for name in ("objective", "bregman_step", "eta", "beta"):
             vals = np.array(
-                [getattr(o.result.trace[min(e, n - 1)], name)
-                 for o, n in zip(outcomes, lengths)]
+                [getattr(o.trace[min(e, n - 1)], name)
+                 for o, n in zip(results, lengths)]
             )
             for stat, fn in (("mean", np.mean), ("std", np.std)):
                 got = np.float64(row[f"{name}_{stat}"])
@@ -959,6 +960,51 @@ def test_run_audit_report(tmp_path):
     assert report["trials"] == 2
 
 
+def _clustered_config(out_dir, **extra) -> ExperimentConfig:
+    d = base_config_dict(clustering={"k": 2, "restarts": 3}, out_dir=str(out_dir), **extra)
+    return ExperimentConfig.from_dict(d)
+
+
+def test_only_reported_accuracies_are_scored(tmp_path, monkeypatch):
+    # The audit report reads no accuracy, so it runs no k-means.
+    kmeans = harness.kmeans_accuracy
+    report, _ = run_audit(_clustered_config(tmp_path / "scored"))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("kmeans_accuracy called")
+
+    monkeypatch.setattr(harness, "kmeans_accuracy", refused)
+    unscored, _ = run_audit(_clustered_config(tmp_path / "unscored"))
+    del report["wall_seconds"], unscored["wall_seconds"]
+    assert unscored == report and report["status"] == "ok"
+
+    # A compare summary reports accuracies: each variant's trial t is scored
+    # on its final U with make_rng((seed, 2, t)), as before.
+    scored = []
+
+    def recorded(u, labels, k, restarts, rng):
+        scored.append((u, rng.bit_generator.state))
+        return kmeans(u, labels, k, restarts=restarts, rng=rng)
+
+    monkeypatch.setattr(harness, "kmeans_accuracy", recorded)
+    combos = [{"algorithm": "bpge"}, {"algorithm": "bpsge", "estimator": "sarah"}]
+    cfg = _clustered_config(tmp_path / "compare", compare=combos)
+    summary, _ = run_compare(cfg)
+    assert len(scored) == len(combos) * cfg.trials
+    m_data, labels = harness.load_experiment_data(cfg)
+    problem = harness.build_experiment_problem(cfg, m_data)
+    for combo, tag in zip(combos, ("bpge", "bpsge_sarah")):
+        accs = []
+        for t in range(cfg.trials):
+            u, state = scored.pop(0)
+            trial = replace(cfg.solver, **combo, seed=(cfg.seed, 2000 + t))
+            x = solver_run(problem, trial, harness._trial_init(cfg, problem, t)).x
+            rng = make_rng((cfg.seed, 2, t))
+            assert u.tobytes() == x.u.tobytes() and state == rng.bit_generator.state
+            accs.append(kmeans(x.u, labels, 2, restarts=3, rng=rng))
+        assert summary["combos"][tag]["accuracy_mean"] == float(np.mean(accs))
+
+
 def audit_verdicts_loop(ok, problem, solver_cfg):
     """``run_audit``'s verdicts as it took them before it read each trial's
     audits into one array: per-record loops and nested lists."""
@@ -966,18 +1012,18 @@ def audit_verdicts_loop(ok, problem, solver_cfg):
     tol = 1e-9
     checked = violations = 0
     for o in ok:
-        psis = [a.lyapunov for a in o.result.audits]
+        psis = [a.lyapunov for a in o.audits]
         for prev, cur in zip(psis, psis[1:]):
             checked += 1
             if cur > prev + tol * (1.0 + abs(prev)):
                 violations += 1
     report["lyapunov"] = {"checked": checked, "violations": violations, "relative_tol": tol}
-    min_len = min(len(o.result.audits) for o in ok)
+    min_len = min(len(o.audits) for o in ok)
     if min_len > 0:
         d_mean = np.mean(
-            [[a.bregman_step for a in o.result.audits[:min_len]] for o in ok], axis=0
+            [[a.bregman_step for a in o.audits[:min_len]] for o in ok], axis=0
         )
-        psi1 = float(np.mean([o.result.psi1 for o in ok]))
+        psi1 = float(np.mean([o.psi1 for o in ok]))
         rep = rate_check(d_mean, psi1, solver_cfg.epsilon)
         report["rate"] = {
             "passed": rep.passed,
@@ -986,7 +1032,7 @@ def audit_verdicts_loop(ok, problem, solver_cfg):
             "psi1_mean": psi1,
         }
         wit = np.mean(
-            [[a.stationarity for a in o.result.audits[:min_len]] for o in ok], axis=0
+            [[a.stationarity for a in o.audits[:min_len]] for o in ok], axis=0
         )
         report["stationarity"] = {
             "first": float(wit[0]),
@@ -995,7 +1041,7 @@ def audit_verdicts_loop(ok, problem, solver_cfg):
         }
     est_name = solver_cfg.resolved().estimator
     if est_name in ("saga", "sarah") and min_len >= 3:
-        m1 = max(estimate_sample_lipschitz(problem, o.result.iterates) for o in ok)
+        m1 = max(estimate_sample_lipschitz(problem, o.iterates) for o in ok)
         n = problem.n_samples
         b = effective_batch_size(solver_cfg.batch_size, n)
         if est_name == "saga":
@@ -1006,8 +1052,8 @@ def audit_verdicts_loop(ok, problem, solver_cfg):
             v_gamma = 2.0 * m1 * m1
         records = [
             (
-                np.array([a.gamma for a in o.result.audits]),
-                np.array([a.step_sq for a in o.result.audits]),
+                np.array([a.gamma for a in o.audits]),
+                np.array([a.step_sq for a in o.audits]),
             )
             for o in ok
         ]
@@ -1044,17 +1090,17 @@ def test_run_audit_verdicts_match_the_loops(
     seen = {}
     run_trials = harness._run_trials
 
-    def crafted(cfg, problem, solver_cfg, labels, starts):
-        outcomes = run_trials(cfg, problem, solver_cfg, labels, starts)
+    def crafted(cfg, problem, solver_cfg, starts):
+        results = run_trials(cfg, problem, solver_cfg, starts)
         for t, edit in edits.items():
-            res = outcomes[t].result
+            res = results[t]
             if edit == "fail":
                 res.failed = True
             else:
                 res.audits, res.iterates = res.audits[:edit], res.iterates[: edit + 1]
-        seen.update(ok=[o for o in outcomes if not o.result.failed], problem=problem)
+        seen.update(ok=[o for o in results if not o.failed], problem=problem)
         seen["solver_cfg"] = solver_cfg
-        return outcomes
+        return results
 
     monkeypatch.setattr(harness, "_run_trials", crafted)
     d = base_config_dict(trials=trials, out_dir=str(tmp_path))

@@ -104,6 +104,9 @@ def test_hard_threshold_axis_validation():
         hard_threshold_axis(np.ones((1, 3)), -1, axis=1)
     with pytest.raises(ValueError):
         hard_threshold_axis(np.ones((1, 3)), 2, axis=0)
+    for a in (np.ones(3), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match="2-D"):
+            hard_threshold_axis(a, 1, axis=0)
 
 
 def test_factored_sq_diffs_against_dense():
@@ -562,6 +565,26 @@ def test_residual_pass_gives_the_value_and_the_data_gradient(kind, shape):
         assert value == prob.objective(x)
         want = prob.full_gradient(x)
         assert close(g.u, want.u) and close(g.v, want.v)
+
+
+@pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
+def test_objective_and_gradient_given_the_products(kind):
+    # The objective and the full gradient from the same products, bit for
+    # bit, in the Gram form and, at a near fit, the residual form.
+    rng = make_rng(38)
+    m, r, d = 12, 2, 9
+    u, v = np.zeros((m, r)), np.zeros((r, d))
+    u[:2], v[:, :3] = rng.uniform(0.1, 1.0, (2, r)), rng.uniform(0.1, 1.0, (r, 3))
+    prob = _kind_problem(kind, u @ v + 1e-3, r)  # ssnmf: budgets 2 and 3
+    near, far = FactorPair(u, v), FactorPair(2.0 * u, v)
+    floor = problems._GRAM_MIN_SHARE * 0.5 * prob._sq_norm_m
+    assert prob._residual_value(near) < floor < prob._residual_value(far)
+    for x in (near, far):
+        products = prob.data_products(x)
+        value, g = prob._objective_and_gradient(x, products)
+        assert value == prob.objective(x, products)
+        want = prob.full_gradient(x, products)
+        assert _same_bits(g.u, want.u) and _same_bits(g.v, want.v)
 
 
 def test_objective_and_gradient_is_inf_off_the_feasible_set():

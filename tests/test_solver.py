@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregopt.harness import SyntheticSpec, generate_synthetic, init_point
-from bregopt.kernels import FactorPair, KernelSpec, bregman_distance
+from bregopt.kernels import FactorPair, KernelSpec, bregman_distance, kernel_gradient
 from bregopt import solver
 from bregopt.estimators import SAGA, SARAH, MinibatchSGD
 from bregopt.numeric import make_rng
@@ -403,12 +403,13 @@ def test_audit_records_hold_every_lyapunov_input(algorithm, estimator):
 
 
 def test_stationarity_witness_zero_at_fixed_point(small_gnmf):
-    # If the prox returns x_bar itself and the gradient is the true one, the
-    # witness collapses to the zero vector.
+    # If the prox returns x_bar itself and the gradient is the true one, in
+    # the same form, the witness collapses to the zero vector.
     x = start_point(small_gnmf)
-    g = small_gnmf.full_gradient(x)
+    products = small_gnmf.data_products(x)
+    g = small_gnmf.full_gradient(x, products)
     kern = small_gnmf.kernel(0.5)
-    w = stationarity_witness(small_gnmf, x, x, g, 0.5, kern)
+    w = stationarity_witness(small_gnmf, x, x, g, 0.5, kern, products)
     assert w == 0.0
 
 
@@ -842,7 +843,9 @@ def test_bpg_iterates_match_a_direct_per_step_oracle(kind, audit):
         assert x_next.u.tobytes() == x_run.u.tobytes()
         assert x_next.v.tobytes() == x_run.v.tobytes()
         if audit:
-            wit = stationarity_witness(problem, x_next, x, g, eta, problem.kernel(eta))
+            wit = stationarity_witness(
+                problem, x_next, x, g, eta, problem.kernel(eta), problem.data_products(x_next)
+            )
             assert res.audits[k].stationarity == wit
         x = x_next
 
@@ -983,8 +986,10 @@ def test_audited_stochastic_step_fails_on_a_non_finite_objective(estimator, monk
 
 
 @pytest.mark.parametrize("kind", ["gnmf-graph", "wcmf", "ssnmf"])
-def test_witness_from_carried_norms_is_stationarity_witness(kind):
-    # wcmf's kernel has c = eta lambda2 > 0 in its U-block.
+def test_stationarity_witness_is_its_definition(kind):
+    # w = grad f(x_next) - g + (grad psi(x_bar) - grad psi(x_next)) / eta,
+    # here from two kernel gradient pairs; wcmf's kernel has c = eta lambda2
+    # > 0 in its U-block.
     problem = graph_problem() if kind == "gnmf-graph" else kind_problem(kind)
     rng = make_rng(62)
     for eta in (0.05, 0.5):
@@ -992,18 +997,44 @@ def test_witness_from_carried_norms_is_stationarity_witness(kind):
         x_bar = random_pair(rng, 8, 2, 10, 0.1, 1.0)
         g = problem.full_gradient(random_pair(rng, 8, 2, 10, 0.1, 1.0))
         x_next = problem.prox_step(g, x_bar, eta, kernel=kern)
-        want = stationarity_witness(problem, x_next, x_bar, g, eta, kern)
-        got = solver._witness(
-            problem.full_gradient(x_next),
-            g,
-            x_bar,
-            x_bar.norm_sq(),
-            x_next,
-            x_next.norm_sq(),
-            eta,
-            kern,
+        products = problem.data_products(x_next)
+        w = (
+            problem.full_gradient(x_next, products)
+            - g
+            + (kernel_gradient(kern, x_bar) - kernel_gradient(kern, x_next)).scale(1 / eta)
         )
-        assert got == pytest.approx(want, rel=1e-13)
+        got = stationarity_witness(problem, x_next, x_bar, g, eta, kern, products)
+        assert got == pytest.approx(w.norm(), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["gnmf-graph", "wcmf", "ssnmf"])
+def test_audited_runs_record_stationarity_witness(kind, monkeypatch):
+    # Each audited step records stationarity_witness of its own x_bar, estimate
+    # and x_{k+1} bit for bit: from the products at x_{k+1} for bpge, from a
+    # residual pass for bpsge.
+    problem = graph_problem() if kind == "gnmf-graph" else kind_problem(kind)
+    steps = []
+    prox_step = problem.prox_step
+
+    def recorded(g, x_bar, eta, **kwargs):
+        steps.append((g, x_bar, eta, prox_step(g, x_bar, eta, **kwargs)))
+        return steps[-1][-1]
+
+    monkeypatch.setattr(problem, "prox_step", recorded)
+    for cfg in (
+        SolverConfig(algorithm="bpge", max_epochs=12),
+        SolverConfig(algorithm="bpsge", estimator="saga", batch_size=3, max_epochs=4),
+    ):
+        steps.clear()
+        res = run(problem, replace(cfg, audit_per_iteration=True), start_point(problem))
+        assert not res.failed and len(res.audits) == len(steps) == res.iterations_run
+        assert sum(a.beta > 0.0 for a in res.audits) > 3
+        full = cfg.algorithm == "bpge"
+        for rec, (g, x_bar, eta, x_next) in zip(res.audits, steps):
+            products = problem.data_products(x_next) if full else None
+            kern = problem.kernel(eta)
+            want = stationarity_witness(problem, x_next, x_bar, g, eta, kern, products)
+            assert rec.stationarity == want
 
 
 # -- full-gradient step 1/L_bar: scale covariance and progress ---------------

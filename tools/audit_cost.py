@@ -1,4 +1,4 @@
-"""Time a stochastic step with and without its audit, per estimator.
+"""Time a step with and without its audit, per estimator and for bpge.
 
     python3 tools/audit_cost.py                  # 60x40 rank 5, 500x1000 rank 10
     python3 tools/audit_cost.py --tiny           # 60x40 rank 5, 2 epochs
@@ -7,8 +7,9 @@
 For each shape, ``--repeats`` fresh Python processes with one BLAS thread
 each draw uniform m x d data (seed 0) and build gnmf on a 5-NN graph with
 mu0 = 0.1, as the benchmark's gnmf workloads do.  Each then runs bpsge with
-sgd, saga and sarah at the default batch of 5% of the columns, from the
-same uniform start, once unaudited and once audited at every step
+sgd, saga and sarah at the default batch of 5% of the columns, and bpge
+(estimator ``full``) for as many steps, one an epoch, from the same
+uniform start, once unaudited and once audited at every step
 (``audit_per_iteration``): one untimed run of each, then the median of 3
 timed runs, each run's time over its steps.  One line per shape and
 estimator gives the median over the processes of those microseconds per
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -30,7 +32,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHAPES = ((60, 40, 5, 12), (500, 1000, 10, 2))  # m, d, rank, epochs
 TINY = ((60, 40, 5, 2),)
-ESTIMATORS = ("sgd", "saga", "sarah")
+ESTIMATORS = ("sgd", "saga", "sarah", "full")  # full: bpge
 LOOPS = 3  # timed runs of each configuration in a process
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -49,13 +51,14 @@ def measure(m: int, d: int, rank: int, epochs: int) -> dict:
     x0 = bregopt.FactorPair(
         start.uniform(0.1, 1.0, (m, rank)), start.uniform(0.1, 1.0, (rank, d))
     )
+    steps = epochs * math.ceil(d / bregopt.estimators.effective_batch_size(0, d))
     out = {}
     for est in ESTIMATORS:
         for audited in (False, True):
             cfg = bregopt.SolverConfig(
-                algorithm="bpsge",
+                algorithm="bpge" if est == "full" else "bpsge",
                 estimator=est,
-                max_epochs=epochs,
+                max_epochs=steps if est == "full" else epochs,
                 audit_per_iteration=audited,
                 stop_tol=0.0,
             )
