@@ -12,6 +12,8 @@ product) plus the r-vector V-block.  That is O(n (m + r)) memory where dense
 per-sample gradients would cost O(n m r).  The table is stored sample-major,
 like the data: the m x n residual block is Fortran-ordered, so the minibatch
 gather and the overwrite of the sampled entries move contiguous columns.
+Of the table's mean it keeps the U-block as a running sum; the V-block's
+is read from the table, W / n, at each estimate.
 
 ``SARAH`` keeps the previous estimate and the previous query point and
 recursively corrects the estimate on a minibatch, restarting with a full
@@ -38,10 +40,11 @@ minibatch step, one OpenBLAS thread on a 2-vCPU x86-64 VM, the median of
     2000 x 3000, 10, 150   3.1 -> 1.2 ms         6.9 -> 2.6 MiB
 
 Audit mode computes the mean-squared-error trackers used by the convergence
-analysis, for desk-scale diagnosis rather than production runs.  Each
-estimator's audit reads M once, at x_bar: SAGA builds the table there, and
-its mean, A V^T / n and W / n, is also the gradient that the realized error
-is measured against; SGD and SARAH take the data gradient there.  With the
+analysis, for desk-scale diagnosis rather than production runs.  An audit
+only reads, so an audited run takes the unaudited run's steps bit for bit.
+Each estimator's audit reads M once, at x_bar: SAGA builds the table there,
+and its mean, A V^T / n and W / n, is also the gradient that the realized
+error is measured against; SGD and SARAH take the data gradient.  With the
 one residual pass at x_{k+1} that ``run`` takes for the objective and the
 witness, an audited stochastic step reads M twice beyond its estimate;
 it used to read it three times (SGD, SARAH) or four (SAGA).  The share of
@@ -114,7 +117,7 @@ __all__ = [
 # ``estimate_sample_lipschitz`` builds; see the module docstring.
 _SWEEP_CHUNK_BYTES = 1 << 19
 
-# SAGA recomputes its running table averages from the table after this many
+# SAGA recomputes its running U-block mean from the table after this many
 # minibatch estimates, so that rounding in the updates cannot accumulate.
 _SAGA_RESYNC_EVERY = 100
 
@@ -221,10 +224,12 @@ class SAGA(GradientEstimator):
 
     The first estimate, or ``initialize``, builds the table by a full pass;
     each estimate corrects a minibatch against its stored entries plus the
-    running table average, then overwrites the sampled entries.  With
-    batch_size == n every entry refreshes each step and the estimate reduces
-    exactly to the full gradient (computed through the same code path, so the
-    equality is bit-for-bit).
+    table mean: a running sum for the U-block, W / n read from the table
+    for the V-block.  Only ``estimate`` and ``initialize`` write this state;
+    an audit only reads, so an audited run takes the unaudited run's steps
+    bit for bit.  With batch_size == n every entry refreshes each step and
+    the estimate reduces exactly to the full gradient, bit for bit (through
+    the same code path).
     """
 
     def __init__(self, problem: Problem, batch_size: int, rng: np.random.Generator):
@@ -232,27 +237,24 @@ class SAGA(GradientEstimator):
         self.batch_size = _check_batch_size(batch_size, problem.n_samples)
         self.rng = rng
         self._initialized = False
-        self._estimates_since_resync = 0
         # (x_bar, data gradient) of the last batch_size == n estimate
         self._exact = (None, None)
 
     def initialize(self, x0: FactorPair):
-        """Full table pass at x0; the running averages start exact."""
+        """Full table pass at x0; the running U-block mean starts exact."""
         self._a, self._v, self._w = self.problem.gradient_table(x0)
         self._resync()
         self._initialized = True
 
     def _resync(self):
-        self._avg_u = (self._a @ self._v.T) / self.problem.n_samples
-        self._avg_v = self._w / self.problem.n_samples
+        # A V^T / n as (V A^T)^T / n, the fast form for the Fortran-ordered A
+        self._avg_u = (self._v @ self._a.T).T / self.problem.n_samples
         self._estimates_since_resync = 0
 
     def average_drift(self) -> float:
-        """Max deviation of the running averages from the exact table mean."""
-        n = self.problem.n_samples
-        du = np.abs(self._avg_u - (self._a @ self._v.T) / n).max()
-        dv = np.abs(self._avg_v - self._w / n).max()
-        return float(max(du, dv))
+        """Max deviation of the running U-block mean from the table's."""
+        exact = (self._v @ self._a.T).T / self.problem.n_samples
+        return float(np.abs(self._avg_u - exact).max())
 
     def estimate(self, x_bar: FactorPair) -> FactorPair:
         n = self.problem.n_samples
@@ -279,13 +281,11 @@ class SAGA(GradientEstimator):
         d_w = fresh_w - stored_w
         gu = d_outer / b
         gu += self._avg_u
-        gv = self._avg_v.copy()
+        gv = self._w / n
         gv[:, idx] += d_w / b
 
         d_outer /= n
         self._avg_u += d_outer
-        d_w /= n
-        self._avg_v[:, idx] += d_w
         self._a[:, idx] = fresh_a
         self._v[:, idx] = fresh_v
         self._w[:, idx] = fresh_w
@@ -299,8 +299,8 @@ class SAGA(GradientEstimator):
         """Trackers against the current table (post-update at this step).
 
         gamma = (1/(b n)) sum_i |grad_i(x_bar) - stored_i|^2 and upsilon its
-        root-sum analogue; freshly refreshed entries contribute zero.  Also
-        resynchronizes the running averages.
+        root-sum analogue; freshly refreshed entries contribute zero.  An audit
+        only reads: an audited run takes the unaudited run's steps bit for bit.
 
         The table at x_bar is the audit's one read of M.  Its mean, A V^T / n
         and W / n, is the data gradient that ``realized_sq_error`` measures
@@ -312,11 +312,10 @@ class SAGA(GradientEstimator):
             raise RuntimeError("SAGA table not initialized")
         n = self.problem.n_samples
         b = self.batch_size
-        table = self.problem.gradient_table(x_bar)
+        table = self.problem._table(x_bar.u, x_bar.v, self.problem.m_data)
         sq = factored_sq_diffs(table, (self._a, self._v, self._w))
         gamma = float(sq.sum()) / (b * n)
         upsilon = float(np.sqrt(sq).sum()) / math.sqrt(b * n)
-        self._resync()
         realized = math.nan
         if estimate is not None:
             at, g_data = self._exact

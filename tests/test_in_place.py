@@ -156,7 +156,7 @@ def test_graph_term_leaves_the_estimators_state(case, estimator, monkeypatch):
 
     def state():
         if estimator == "saga":
-            return [est._avg_u, est._avg_v]
+            return [est._avg_u, est._w]
         return arrays(est._prev_est)
 
     def recorded(g_data, x):

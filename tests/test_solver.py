@@ -894,9 +894,34 @@ def test_audited_stochastic_objective_is_the_objective(kind, estimator):
     assert not res.failed and len(res.audits) == res.iterations_run == 16
     for rec, x in zip(res.audits, res.iterates[1:]):
         assert rec.objective == problem.objective(x)
-    if estimator != "saga":  # SAGA's audit resyncs its table averages
-        plain = run(problem, replace(cfg, audit_per_iteration=False), start_point(problem))
-        assert [astuple(t)[:5] for t in plain.trace] == [astuple(t)[:5] for t in res.trace]
+    plain = run(problem, replace(cfg, audit_per_iteration=False), start_point(problem))
+    assert [astuple(t)[:5] for t in plain.trace] == [astuple(t)[:5] for t in res.trace]
+
+
+@pytest.mark.parametrize("beta_mode", ["scheduled", "safeguarded"])
+@pytest.mark.parametrize("estimator", ["full", "sgd", "saga", "sarah"])
+@pytest.mark.parametrize("kind", ["gnmf-graph", "wcmf", "ssnmf"])
+def test_an_audit_leaves_the_run_unchanged(kind, estimator, beta_mode):
+    # An audit only reads: audited at every step or every 2 epochs, a run
+    # takes the unaudited run's steps bit for bit.
+    problem = graph_problem() if kind == "gnmf-graph" else kind_problem(kind)
+    cfg = SolverConfig(
+        algorithm="bpge" if estimator == "full" else "bpsge",
+        estimator=estimator,
+        beta_mode=beta_mode,
+        batch_size=3,
+        max_epochs=6,
+        seed=12,
+    )
+
+    def outputs(**audit):
+        res = run(problem, replace(cfg, **audit), start_point(problem))
+        rows = np.array([astuple(replace(t, wall_ms=0.0)) for t in res.trace], float)
+        return res.x.u.tobytes(), res.x.v.tobytes(), res.iterations_run, rows.tobytes()
+
+    plain = outputs()
+    assert outputs(audit_per_iteration=True) == plain
+    assert outputs(audit_every=2) == plain
 
 
 @pytest.mark.parametrize("estimator", ["sgd", "saga", "sarah"])
@@ -908,15 +933,11 @@ def test_audited_stochastic_step_reads_m_twice(estimator, monkeypatch):
     problem = graph_problem()
     steps = [[]]  # the reads before the first estimate, then one list a step
     in_estimate = []
-    for name in (
-        "data_products",
-        "_residual_pass",
-        "gradient_table",
-        "batch_table",
-        "_batch_difference",
-    ):
+    for name in ("data_products", "_residual_pass", "_table", "_batch_difference"):
 
         def counted(*args, _name=name, _method=getattr(problem, name), **kwargs):
+            if _name == "_table":  # a table over all of M, or over a batch
+                _name = "full_table" if args[2] is problem.m_data else "batch_table"
             steps[-1].append((bool(in_estimate), _name))
             return _method(*args, **kwargs)
 
@@ -944,7 +965,7 @@ def test_audited_stochastic_step_reads_m_twice(estimator, monkeypatch):
     res = run(problem, cfg, start_point(problem))
     assert not res.failed and res.iterations_run == len(steps) - 1 == 20
     assert steps[0] == [(False, "_residual_pass")]  # the start's objective
-    at_x_bar = "gradient_table" if estimator == "saga" else "data_products"
+    at_x_bar = "full_table" if estimator == "saga" else "data_products"
     own = []
     for reads in steps[1:]:
         assert [n for inside, n in reads if not inside] == ["_residual_pass", at_x_bar]
@@ -952,7 +973,7 @@ def test_audited_stochastic_step_reads_m_twice(estimator, monkeypatch):
     if estimator == "sgd":
         assert own == [["batch_table"]] * 20
     elif estimator == "saga":
-        assert own == [["gradient_table", "batch_table"]] + [["batch_table"]] * 19
+        assert own == [["full_table", "batch_table"]] + [["batch_table"]] * 19
     else:
         assert own[0] == ["data_products"]  # no estimate to correct yet
         assert all(o in (["data_products"], ["_batch_difference"]) for o in own)
