@@ -13,6 +13,7 @@ Laplacian, or an output path that cannot be made), 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -170,6 +171,7 @@ def _add_common(sub):
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="bregopt", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="verb", required=True)

@@ -127,7 +127,8 @@ class KernelSpec:
 
 def kernel_value(spec: KernelSpec, x: FactorPair) -> float:
     u_sq = float(np.vdot(x.u, x.u))
-    return _kernel_value(spec, u_sq + float(np.vdot(x.v, x.v)), u_sq)
+    half = 0.5 * (u_sq + float(np.vdot(x.v, x.v)))
+    return spec.quartic * half * half + spec.quadratic * half + 0.5 * spec.u_quadratic * u_sq
 
 
 def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
@@ -139,12 +140,6 @@ def kernel_gradient(spec: KernelSpec, x: FactorPair) -> FactorPair:
     return _kernel_gradient(spec, x, x.norm_sq())
 
 
-def _kernel_value(spec: KernelSpec, s: float, u_sq: float) -> float:
-    """psi(x) given s = ``x.norm_sq()`` and u_sq = |U|_F^2."""
-    half = 0.5 * s
-    return spec.quartic * half * half + spec.quadratic * half + 0.5 * spec.u_quadratic * u_sq
-
-
 def _kernel_gradient(spec: KernelSpec, x: FactorPair, s: float) -> FactorPair:
     """grad psi(x) given s = ``x.norm_sq()``, in new arrays, which
     ``Problem.prox_step`` turns into its gradient step in place."""
@@ -154,28 +149,28 @@ def _kernel_gradient(spec: KernelSpec, x: FactorPair, s: float) -> FactorPair:
 
 
 def bregman_distance(spec: KernelSpec, x: FactorPair, y: FactorPair) -> float:
-    """D_psi(x, y) = psi(x) - psi(y) - <grad psi(y), x - y>, from the block
-    dots of ``_carried_distance``.  Nonnegative by convexity; roundoff may
-    produce values as low as about -1e-12 on nearly equal arguments, which
-    callers should treat as zero.
+    """D_psi(x, y) = psi(x) - psi(y) - <grad psi(y), x - y>, as ``_distance``'s
+    sum of nonnegative terms: D >= 0, D(x, x) == 0, and its rounding error is
+    relative to D, however small D is next to psi(x).
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return _carried_distance(spec, x, kernel_value(spec, x), y)[0]
+    return _distance(spec, x, y)[0]
 
 
-def _carried_distance(spec: KernelSpec, x: FactorPair, psi_x: float, y: FactorPair):
-    """(D_psi(x, y), psi(y), s_y) given psi(x), from the block dots |U_y|^2,
-    |V_y|^2, <U_x, U_y> and <V_x, V_y>, each taken once: D = psi(x) - psi(y)
-    - [(a s_y + b)(<x, y> - s_y) + c (<U_x, U_y> - |U_y|^2)].  With psi(x)
-    = ``kernel_value(spec, x)`` it is ``bregman_distance`` bit for bit."""
-    uu, uxy = float(np.vdot(y.u, y.u)), float(np.vdot(x.u, y.u))
-    s_y = uu + float(np.vdot(y.v, y.v))
-    psi_y = _kernel_value(spec, s_y, uu)
-    lin = (spec.quartic * s_y + spec.quadratic) * (uxy + float(np.vdot(x.v, y.v)) - s_y)
-    if spec.u_quadratic:
-        lin += spec.u_quadratic * (uxy - uu)
-    return psi_x - psi_y - lin, psi_y, s_y
+def _distance(spec: KernelSpec, x: FactorPair, y: FactorPair) -> tuple[float, float, float]:
+    """(D_psi(x, y), |y|^2, |delta|^2) from delta = y - x, formed once.  With
+    s = |y|^2, q = |delta|^2, q_U = |delta_U|^2 and p = <y, delta>, so that
+    |x|^2 - s = q - 2p, D = (a s + b) q/2 + a (q - 2p)^2/4 + c q_U/2, and
+    every term is nonnegative.  s and q have the bits of ``y.norm_sq()`` and
+    ``(y - x).norm_sq()``."""
+    du, dv = y.u - x.u, y.v - x.v
+    q_u = float(np.vdot(du, du))
+    q = q_u + float(np.vdot(dv, dv))
+    t = q - 2.0 * (float(np.vdot(y.u, du)) + float(np.vdot(y.v, dv)))  # |x|^2 - s
+    s, a = y.norm_sq(), spec.quartic
+    d = 0.5 * (a * s + spec.quadratic) * q + 0.25 * a * t * t + 0.5 * spec.u_quadratic * q_u
+    return d, s, q
 
 
 @dataclass(frozen=True)

@@ -579,8 +579,8 @@ class Problem:
 
         ``run`` no longer reads it: every variant steps at a constant
         c <= 1, the kernel's L_bar = 1 giving c = 1 for full gradients.  It
-        stays until ROADMAP item 4 deletes it with the benchmark's per-layer
-        names that trace it.
+        stays while the benchmark declares a per-layer metric that traces
+        it, and goes with that metric.
 
         max of |V V^T|_2 (+ mu0 |L|_2 for the graph kind) over the U block
         and |U^T U|_2 over the V block.  Both Gram matrices are r x r and

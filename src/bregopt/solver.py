@@ -30,12 +30,13 @@ provably nonincreasing for deterministic runs.
 
 Traces are recorded per epoch: the objective at the epoch's last iterate and
 means of the Bregman step, eta and beta over its iterations; a failed epoch
-adds no row.  A run carries |x_k|^2 and psi(x_k) from step to step: the prox
-reads |x_k|^2 when beta is 0, and the Bregman step D(x_k, x_{k+1}) takes two
-dots and is ``bregman_distance(kernel, x_k, x_{k+1})`` bit for bit.  Audit
-mode additionally records per-iteration theory quantities: the Lyapunov
-value, the variance tracker, squared step lengths, and the norm of an
-explicit subgradient witness at the new iterate.
+adds no row.  The Bregman step D(x_k, x_{k+1}) is
+``bregman_distance(kernel, x_k, x_{k+1})`` bit for bit, from one
+delta = x_{k+1} - x_k; the same call gives |x_{k+1}|^2, which the next
+prox reads when beta is 0, and the audit's squared step length |delta|^2.
+Audit mode additionally records per-iteration theory quantities: the
+Lyapunov value, the variance tracker, squared step lengths, and the norm
+of an explicit subgradient witness at the new iterate.
 
 A full-gradient run reads M once per step.  It carries the data products
 (U^T M, M V^T) of its last two iterates, as it carries the last Bregman
@@ -79,8 +80,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimators import effective_batch_size, make_estimator
-from .kernels import FactorPair, KernelSpec, bregman_distance
-from .kernels import _carried_distance, kernel_value
+from .kernels import FactorPair, KernelSpec, _distance, bregman_distance
 from .numeric import spawn_rngs
 from .problems import Problem
 
@@ -272,8 +272,7 @@ def extrapolate(
 
     if d_prev is None:
         d_prev = bregman_distance(kernel, x_km1, x_k)
-    d_base = max(d_prev, 0.0)
-    bound = (_DELTA - cfg.epsilon) / (1.0 + l_under * eta_prev) * d_base
+    bound = (_DELTA - cfg.epsilon) / (1.0 + l_under * eta_prev) * d_prev
     # Each trial point is written into the same new pair; delta is kept.
     x_bar = FactorPair._unchecked(np.empty_like(delta.u), np.empty_like(delta.v))
     for _ in range(50):
@@ -346,7 +345,8 @@ def lyapunov(
     with t_k = 1 - eta alpha - eta gamma - epsilon/3; the tracker term is
     defined to vanish when gamma == 0 (exact-gradient case).  The analysis
     subtracts a lower bound of Phi from Phi(x_{k+1}); this value takes it
-    as 0, so it assumes Phi >= 0, which wcmf breaks (see ROADMAP item 8).
+    as 0, so it assumes Phi >= 0, which wcmf breaks: its Phi is unbounded
+    below.
     """
     t_k = 1.0 - eta * alpha - eta * gamma - epsilon / 3.0
     psi = (
@@ -487,7 +487,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
 
     x_km1 = x0
     x_k = x0
-    s_k, psi_k = x0.norm_sq(), kernel_value(kern, x0)  # |x_k|^2, psi(x_k)
+    s_k = x0.norm_sq()  # |x_k|^2
     prods_prev = prods
     d_last = 0.0  # D(x_{k-1}, x_k), from the last step
     k_global = 0
@@ -524,7 +524,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                 result.message = f"iteration {k_global}: {exc}"
                 break
 
-            d_next, psi_next, s_next = _carried_distance(kern, x_k, psi_k, x_next)
+            d_next, s_next, step_sq = _distance(kern, x_k, x_next)
             ep_d.append(d_next)
             ep_eta.append(eta)
             ep_beta.append(beta)
@@ -541,7 +541,6 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     alpha=problem.weak_convexity,
                 )
                 wit = _witness(g_next, g, x_bar, s_bar, x_next, s_next, eta, kern)
-                step_diff = x_next - x_k
                 result.audits.append(
                     AuditRecord(
                         iteration=k_global,
@@ -549,7 +548,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                         objective=obj,
                         bregman_step=d_next,
                         bregman_prev=d_last,
-                        step_sq=step_diff.norm_sq(),
+                        step_sq=step_sq,
                         lyapunov=psi,
                         stationarity=wit,
                         gamma=aud.gamma,
@@ -560,7 +559,7 @@ def run(problem: Problem, cfg: SolverConfig, x0: FactorPair) -> RunResult:
                     )
                 )
 
-            x_km1, x_k, s_k, psi_k = x_k, x_next, s_next, psi_next
+            x_km1, x_k, s_k = x_k, x_next, s_next
             prods_prev, prods = prods, prods_next
             d_last = d_next
             k_global += 1

@@ -1,8 +1,10 @@
 """Kernel family: values, gradients, Bregman distances, adaptability check."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bregopt.kernels import (
@@ -125,7 +127,7 @@ def test_bregman_distance_nonnegative_and_zero_at_equal_points():
     spec = KernelSpec(3.0, 1.5, 0.25)
     for _ in range(100):
         x, y = random_pair(rng), random_pair(rng)
-        assert bregman_distance(spec, x, y) >= -1e-12
+        assert bregman_distance(spec, x, y) > 0.0
     x = random_pair(rng)
     assert bregman_distance(spec, x, x) == 0.0
 
@@ -170,8 +172,8 @@ def test_bregman_distance_shape_mismatch():
 
 def gradient_form_distance(spec, x, y):
     """D_psi(x, y) as psi(x) - psi(y) - <grad psi(y), x - y>, the gradient
-    form that ``bregman_distance`` took before it shared ``run``'s block-dot
-    formula: the reference oracle for that formula."""
+    form: an oracle that shares no arithmetic with ``bregman_distance``, whose
+    own rounding error is about eps * psi."""
     gy = kernel_gradient(spec, y)
     return kernel_value(spec, x) - kernel_value(spec, y) - gy.dot(x - y)
 
@@ -205,6 +207,71 @@ def test_bregman_distance_matches_the_gradient_form(seed, shape, log_norms, gap,
     want = gradient_form_distance(spec, x, y)
     assert abs(bregman_distance(spec, x, y) - want) <= 1e-14 * psi
     assert bregman_distance(spec, x, x) == 0.0
+
+
+def exact_distance(spec, x, y):
+    """D_psi(x, y) from its definition, in exact rational arithmetic over the
+    float entries of x and y."""
+    a, b, c = (Fraction(t) for t in (spec.quartic, spec.quadratic, spec.u_quadratic))
+    xu, xv, yu, yv = ([Fraction(t) for t in arr.ravel().tolist()] for arr in (x.u, x.v, y.u, y.v))
+
+    def sq(vals):
+        return sum(t * t for t in vals)
+
+    def psi(u, v):
+        s = sq(u) + sq(v)
+        return a * s * s / 4 + b * s / 2 + c * sq(u) / 2
+
+    g = a * (sq(yu) + sq(yv)) + b  # grad psi(y) = (g + c) U_y, g V_y
+    lin = sum((g + c) * q * (p - q) for p, q in zip(xu, yu))
+    lin += sum(g * q * (p - q) for p, q in zip(xv, yv))
+    return psi(xu, xv) - psi(yu, yv) - lin
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 3), st.integers(1, 6)),
+    log_norm=st.floats(-6.0, 6.0),
+    log_gap=st.floats(-12.0, 0.0),
+    direction=st.sampled_from(["random", "out", "in"]),
+    a=st.floats(0.1, 10.0),
+    b=st.floats(1e-3, 1e3),
+    c=st.sampled_from([0.0, 1e-3, 0.4, 50.0]),
+)
+# the worst of 1.1e5 random draws: 3.4 eps, at D(y, x)
+@example(
+    seed=3548043194,
+    shape=(4, 3, 4),
+    log_norm=1.4098032707341766,
+    log_gap=-1.1890643885938932,
+    direction="in",
+    a=1.597423125159478,
+    b=0.0014232737013099882,
+    c=0.4,
+)
+def test_bregman_distance_is_exact_to_a_few_ulps(
+    seed, shape, log_norm, log_gap, direction, a, b, c
+):
+    # |x| from 1e-6 to 1e6, and y within gap |x| of x, gap from 1e-12 to 1:
+    # in a random direction, or radially out of or into x, where |y|^2 - |x|^2
+    # is largest next to |y - x|^2.  A difference of kernel values,
+    # psi(x) - psi(y) - <grad psi(y), x - y>, was off by up to 3e8 relative
+    # on such draws and read D <= 0 on a fifth of them.
+    rng = make_rng(seed)
+    spec = KernelSpec(a, b, c)
+    x = pair_of_norm(rng, shape, 10.0**log_norm)
+    gap = 10.0**log_gap
+    if direction == "random":
+        y = x + pair_of_norm(rng, shape, gap * x.norm())
+    else:
+        y = x.scale(1.0 + gap if direction == "out" else 1.0 - 0.5 * gap)
+    for p, q in ((x, y), (y, x)):
+        d = bregman_distance(spec, p, q)
+        want = exact_distance(spec, p, q)
+        assert d > 0.0
+        assert abs(Fraction(d) - want) <= 8 * Fraction(np.finfo(float).eps) * want
+        assert bregman_distance(spec, p, p) == 0.0
 
 
 # -- smooth adaptability ----------------------------------------------------

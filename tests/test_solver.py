@@ -152,7 +152,7 @@ def test_safeguarded_beta_respects_distance_inequality(small_gnmf):
         x_bar, beta = extrapolate(x, y, k, cfg, kern, eta_prev, l_under)
         d_prev = bregman_distance(kern, y, x)
         growth = (solver._DELTA - 0.1) / (1.0 + l_under * eta_prev)
-        bound = growth * max(d_prev, 0.0)
+        bound = growth * d_prev
         assert bregman_distance(kern, x, x_bar) <= bound + 1e-12
         assert 0.0 <= beta <= 0.6 * (k - 1) / (k + 2)
         # A caller that holds D(x_{k-1}, x_k) gets the same point and beta.
@@ -165,8 +165,8 @@ def test_safeguarded_beta_respects_distance_inequality(small_gnmf):
 
 
 def test_safeguard_reuses_the_previous_bregman_step(small_gnmf, monkeypatch):
-    # Each D(x_k, x_{k+1}) is computed once, from the carried norms, as the
-    # step's Bregman step; the next safeguard reads it from the loop, and
+    # Each D(x_k, x_{k+1}) is computed once, from the step's difference, as
+    # the step's Bregman step; the next safeguard reads it from the loop, and
     # ``bregman_distance`` serves only the safeguard's halving loop.
     pairs = []
     given = []
@@ -202,7 +202,7 @@ def test_safeguard_reuses_the_previous_bregman_step(small_gnmf, monkeypatch):
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
 def test_safeguard_needs_no_carried_step(kind):
     # Without d_prev, extrapolate takes D(x_{k-1}, x_k) with bregman_distance,
-    # the formula of the run's carried step, so it returns the run's
+    # the formula of the run's own step, so it returns the run's
     # (x_bar, beta) bit for bit.  epsilon 0.8 lowers the bound to about
     # D(x_{k-1}, x_k)/10, so the safeguard cuts the later betas.
     problem = kind_problem(kind)
@@ -537,7 +537,7 @@ def test_run_audit_mode_populates_records(small_gnmf):
     for a in res.audits:
         assert math.isfinite(a.lyapunov)
         assert a.gamma >= 0.0
-        assert a.bregman_step >= -1e-12
+        assert a.bregman_step >= 0.0
         # Every audited step evaluates the objective its Lyapunov value needs.
         assert math.isfinite(a.objective)
         assert a.objective == small_gnmf.objective(res.iterates[a.iteration + 1])
@@ -687,7 +687,7 @@ def test_run_audit_bregman_prev_is_the_previous_step(kind):
     assert recs[0].bregman_prev == 0.0
     # The run's one kernel(eta) gives every step: each later step reuses the
     # last one, and that is D(x_{k-1}, x_k) taken again under it, bit for bit
-    # (see test_run_bregman_step_from_carried_norms).
+    # (see test_run_bregman_step_is_bregman_distance).
     assert len({rec.eta for rec in recs}) == 1
     kern = problem.kernel(recs[0].eta)
     for k in range(1, len(recs)):
@@ -696,9 +696,9 @@ def test_run_audit_bregman_prev_is_the_previous_step(kind):
 
 
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
-def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
-    # A run takes D(x_k, x_{k+1}) from its carried |x_k|^2 and psi(x_k) and
-    # two dots; it is bregman_distance(kernel(eta), x_k, x_{k+1}) bit for bit,
+def test_run_bregman_step_is_bregman_distance(kind, monkeypatch):
+    # A run takes D(x_k, x_{k+1}) from x_{k+1} - x_k, formed once, with the
+    # formula of bregman_distance(kernel(eta), x_k, x_{k+1}), bit for bit,
     # for every estimator, with and without extrapolation.  Only the
     # safeguard calls bregman_distance, so bpg and bpsg never do, even when
     # their beta_mode says safeguarded; and every run builds exactly one
@@ -756,6 +756,34 @@ def test_run_bregman_step_from_carried_norms(kind, monkeypatch):
         assert len(res.audits) == len(xs) - 1 == res.iterations_run
         for rec, x, y in zip(res.audits, xs, xs[1:]):
             assert rec.bregman_step == bregman_distance(kern, x, y)
+
+
+@pytest.mark.parametrize("start_seed", [4, 3])
+def test_run_bregman_step_is_positive_between_distinct_iterates(start_seed):
+    # An ssnmf bpsg/sgd run, whose late steps are tiny next to psi: a step
+    # taken as a difference of kernel values read D <= 0 on 22 of these 400
+    # steps from start seed 4, the first at step 84.  Start seed 3 also
+    # repeats some iterates, whose step must read exactly 0.
+    m_data, _ = generate_synthetic(SyntheticSpec(60, 40, 5, 3, 0.01), make_rng(3))
+    problem = build_problem("ssnmf", m_data, 5, s1=30, s2=20)
+    cfg = SolverConfig(
+        algorithm="bpsg",
+        estimator="sgd",
+        max_epochs=20,
+        audit_per_iteration=True,
+        keep_iterates=True,
+        seed=3,
+    )
+    res = run(problem, cfg, init_point(60, 5, 40, make_rng(start_seed)))
+    assert not res.failed and res.iterations_run == 400
+    repeats = 0
+    for rec, x, y in zip(res.audits, res.iterates, res.iterates[1:]):
+        if np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v):
+            repeats += 1
+            assert rec.bregman_step == 0.0
+        else:
+            assert rec.bregman_step > 0.0, rec.iteration
+    assert repeats == (4 if start_seed == 3 else 0)
 
 
 @pytest.mark.parametrize("kind", ["gnmf", "wcmf", "ssnmf"])
